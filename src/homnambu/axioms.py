@@ -8,15 +8,15 @@ identity: failures are collected (capped, lexicographically ordered) into a
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     Element,
     GradedLinearMap,
     HomSuperAlgebra,
-    ONE,
-    ZERO,
     adjacent_transposition_sign,
     eval_bracket,
 )
@@ -72,13 +72,13 @@ class _Collector:
         if len(self.kept) < self.cap:
             self.kept.append(Counterexample(tuple(args), lhs, rhs, note))
 
-    def report(self, checked: int | None = None) -> CheckReport:
+    def report(self) -> CheckReport:
         return CheckReport(
             identity=self.identity,
             passed=self.failures == 0,
             counterexamples=tuple(self.kept),
             failures=self.failures,
-            tuples_checked=self.checked if checked is None else checked,
+            tuples_checked=self.checked,
         )
 
 
@@ -173,9 +173,6 @@ def check_hom_jacobi(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
     return col.report()
 
 
-_SPARSE_NAMBU_THRESHOLD = 30_000
-
-
 def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """The twisted fundamental identity for the full family of twists.
 
@@ -188,424 +185,124 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     with a_j the j-th twist; the twist subscript on the right lags the argument
     index by one after the inner bracket, exactly as the identity is stated.
 
-    Small tuple spaces are swept exhaustively.  Large ones are verified by
-    enumerating every tuple at which either side can structurally be nonzero
-    (through the support of the tensor and the twist columns) and checking
-    those; all remaining tuples are exact zeros on both sides.  Both routes
-    produce identical reports.
+    One scatter-accumulate pass over the tensor's support decides every cell.
+    Denominators are cleared first (sigma for the tensor, tau_j for twist j).
+    Each twist occurs once in every term of either side, so both sides scale
+    by sigma^2 prod(tau_j) and integer arithmetic stays exact.  The x-tuples
+    are visited in basis order: the prefixes of the support and their twist
+    preimages, since every other x-tuple makes both sides vanish.  For each
+    one, every nonzero term of the left side (through the twist images of the
+    x's) and of the right side (through the twist preimages around the inner
+    bracket) is added into a per-y-tuple accumulator holding both sides.  A
+    cell whose two sides differ fails; failures are reported in
+    lexicographic order, the first ``cap`` with both sides divided back by
+    the common scale.  ``tuples_checked`` counts all d^(2n-1) cells, though
+    the cells that are zero on both sides are never visited.
     """
-    total_tuples = alg.space.dim ** (2 * alg.arity - 1)
-    if total_tuples <= _SPARSE_NAMBU_THRESHOLD:
-        return _nambu_exhaustive(alg, cap)
-    return _nambu_sparse(alg, cap)
-
-
-def _nambu_term_signs(space, xs_parity, ys):
-    """Running (-1)^{|X| |Y|^{i-1}} factors for each insertion slot."""
-    signs = []
-    running = 0
-    for i, y in enumerate(ys):
-        if i > 0:
-            running = (running + space.parity(ys[i - 1])) % 2
-        signs.append(-1 if xs_parity and running else 1)
-    return signs
-
-
-def _nambu_exhaustive(alg: HomSuperAlgebra, cap: int) -> CheckReport:
-    col = _Collector("nambu", cap)
     n = alg.arity
     space = alg.space
     labels = space.labels
+    width = len(labels)
+    position = {l: k for k, l in enumerate(labels)}
+    parity = dict(zip(labels, space.parities))
     entries = alg.bracket.entries
-    twisted = [{l: t.apply_basis(l) for l in labels} for t in alg.twists]
-    prefixes = {args[: n - 1] for args in entries}
-
-    def twisted_prefix_can_hit(xs) -> bool:
-        for p in prefixes:
-            if all(p[j] in twisted[j][xs[j]].coeffs for j in range(n - 1)):
-                return True
-        return False
-
-    for xs in space.tuples(n - 1):
-        inner_by_arg = {}
-        for b in labels:
-            v = entries.get(xs + (b,))
-            if v is not None:
-                inner_by_arg[b] = v
-        if not inner_by_arg and not twisted_prefix_can_hit(xs):
-            continue  # every (xs, ys) instance is 0 = 0
-        x_parity = sum(space.parity(x) for x in xs) % 2
-        lhs_args_head = [twisted[j][xs[j]] for j in range(n - 1)]
-        for ys in space.tuples(n):
-            bracket_y = entries.get(ys)
-            lhs = (
-                eval_bracket(alg, lhs_args_head + [bracket_y])
-                if bracket_y is not None
-                else Element()
-            )
-            rhs = Element()
-            if inner_by_arg:
-                signs = _nambu_term_signs(space, x_parity, ys)
-                for i in range(n):
-                    inner = inner_by_arg.get(ys[i])
-                    if inner is None:
-                        continue
-                    args = [twisted[j][ys[j]] for j in range(i)]
-                    args.append(inner)
-                    args.extend(twisted[j - 1][ys[j]] for j in range(i + 1, n))
-                    term = eval_bracket(alg, args)
-                    if signs[i] < 0:
-                        term = term.scale(-1)
-                    rhs = rhs + term
-            if lhs != rhs:
-                col.fail(xs + ys, lhs, rhs)
-    return col.report(checked=space.dim ** (2 * n - 1))
-
-
-_DEAD = object()  # marks a twist column that is identically zero
-
-
-def _nambu_sparse(alg: HomSuperAlgebra, cap: int) -> CheckReport:
-    """Dispatch: integer-rescaled fast path when every twist column is sparse."""
-    simple = all(
-        len(t.apply_basis(l).coeffs) <= 1 for t in alg.twists for l in alg.space.labels
-    )
-    if simple:
-        return _nambu_sparse_int(alg, cap)
-    return _nambu_sparse_frac(alg, cap)
-
-
-def _nambu_exact_cell(alg: HomSuperAlgebra, xs, ys):
-    """Exact rational evaluation of both sides at one (x-tuple, y-tuple)."""
-    n = alg.arity
-    space = alg.space
-    twisted = [{l: t.apply_basis(l) for l in space.labels} for t in alg.twists]
-    lhs = eval_bracket(
-        alg, [twisted[j][xs[j]] for j in range(n - 1)] + [alg.bracket.value(ys)]
-    )
-    x_parity = sum(space.parity(x) for x in xs) % 2
-    signs = _nambu_term_signs(space, x_parity, ys)
-    rhs = Element()
-    for i in range(n):
-        inner = alg.bracket.value(xs + (ys[i],))
-        if inner.is_zero():
-            continue
-        args = [twisted[j][ys[j]] for j in range(i)]
-        args.append(inner)
-        args.extend(twisted[j - 1][ys[j]] for j in range(i + 1, n))
-        term = eval_bracket(alg, args)
-        if signs[i] < 0:
-            term = term.scale(-1)
-        rhs = rhs + term
-    return lhs, rhs
-
-
-def _nambu_sparse_int(alg: HomSuperAlgebra, cap: int) -> CheckReport:
-    """Support-driven check in integer arithmetic.
-
-    Both sides of the identity are bilinear in the structure constants and
-    linear in each twist, so clearing all denominators scales the two sides by
-    the same positive factor and preserves (in)equality.  Failing cells are
-    recomputed exactly for the report.
-    """
-    import math
-
-    n = alg.arity
-    space = alg.space
-    labels = space.labels
-    entries = alg.bracket.entries
-    parity = {l: space.parity(l) for l in labels}
-
-    sigma = 1
-    for value in entries.values():
-        for c in value.coeffs.values():
-            sigma = math.lcm(sigma, c.denominator)
-    ientries = {
-        args: {l: int(c * sigma) for l, c in value.coeffs.items()}
-        for args, value in entries.items()
+    sigma = _common_denominator(c for v in entries.values() for c in v.coeffs.values())
+    terms = {  # integer structure constants, (label, coeff) per output
+        args: [(l, int(c * sigma)) for l, c in v.coeffs.items()]
+        for args, v in entries.items()
     }
-    single = []
+    scale = sigma * sigma
+    forward, reverse = [], []  # per twist: integer columns and preimages
     for t in alg.twists:
-        tau = 1
-        cols = {l: t.apply_basis(l) for l in labels}
-        for img in cols.values():
-            for c in img.coeffs.values():
-                tau = math.lcm(tau, c.denominator)
-        info = {}
-        for l, img in cols.items():
-            if not img.coeffs:
-                info[l] = None
-            else:
-                out, c = next(iter(img.coeffs.items()))
-                info[l] = (out, int(c * tau))
-        single.append(info)
+        tau = _common_denominator(c for l in labels for c in t.apply_basis(l).coeffs.values())
+        scale *= tau
+        cols = {
+            l: [(out, int(c * tau)) for out, c in t.apply_basis(l).coeffs.items()]
+            for l in labels
+        }
+        pre: dict[str, list] = {}
+        for src, image in cols.items():
+            for out, c in image:
+                pre.setdefault(out, []).append((src, c))
+        forward.append(cols)
+        reverse.append(pre)
 
-    reverse = [dict() for _ in alg.twists]
-    for j, info in enumerate(single):
-        for src, image in info.items():
-            if image is not None:
-                reverse[j].setdefault(image[0], []).append(src)
+    rows: dict[tuple, dict[str, tuple]] = {}  # rows[prefix][last] = support key
+    by_out: dict[str, list] = {}  # by_out[e] = [(ys, coeff of e in T[ys])]
+    for args, value in terms.items():
+        rows.setdefault(args[:-1], {})[args[-1]] = args
+        for e, c in value:
+            by_out.setdefault(e, []).append((args, c))
+    # accumulator slots: left side at k, right side at width + k, per output label
+    lhs_slots = {args: [(position[l], c) for l, c in v] for args, v in terms.items()}
+    rhs_slots = {args: [(width + k, c) for k, c in v] for args, v in lhs_slots.items()}
 
-    rows: dict[tuple, dict[str, dict]] = {}
-    for args, value in ientries.items():
-        rows.setdefault(args[: n - 1], {})[args[n - 1]] = value
-    by_position: dict[tuple[int, str], list[tuple]] = {}
-    for args in ientries:
-        for i in range(n):
-            by_position.setdefault((i, args[i]), []).append(args)
-
-    def preimage_tuples(target, twist_indices):
-        pools = []
-        for coord, j in zip(target, twist_indices):
-            pool = reverse[j].get(coord)
-            if not pool:
-                return
-            pools.append(pool)
-        yield from itertools.product(*pools)
-
-    relevant = set(rows)
-    for prefix in rows:
-        for xs in preimage_tuples(prefix, range(n - 1)):
-            relevant.add(xs)
-
-    support_keys = list(ientries)
-    failing = []
-    for xs in sorted(relevant, key=space.sort_key):
-        innerset = rows.get(xs, {})
-        x_parity = sum(parity[x] for x in xs) % 2
-        whead = []
-        lhs_c = 1
-        for j in range(n - 1):
-            image = single[j][xs[j]]
-            if image is None:
-                whead = None
-                break
-            whead.append(image[0])
-            lhs_c *= image[1]
-        lhs_row = rows.get(tuple(whead)) if whead is not None else None
-        candidates = set(support_keys) if lhs_row or innerset else set()
-        for b, inner in innerset.items():
-            for e in inner:
-                for i in range(n):
-                    for outer in by_position.get((i, e), ()):
-                        rest = outer[:i] + outer[i + 1 :]
-                        twist_indices = list(range(i)) + [
-                            j - 1 for j in range(i + 1, n)
-                        ]
-                        for partial in preimage_tuples(rest, twist_indices):
-                            candidates.add(partial[:i] + (b,) + partial[i:])
-        key = [None] * n
-        for ys in candidates:
-            acc: dict[str, int] = {}
-            if lhs_row is not None:
-                bracket_y = ientries.get(ys)
-                if bracket_y is not None:
-                    for e, ce in bracket_y.items():
-                        base = lhs_row.get(e)
-                        if base is None:
-                            continue
-                        factor = lhs_c * ce
-                        for l, c in base.items():
-                            acc[l] = acc.get(l, 0) + factor * c
-            if innerset:
-                running = 0
-                for i in range(n):
-                    if i > 0:
-                        running = (running + parity[ys[i - 1]]) % 2
-                    inner = innerset.get(ys[i])
-                    if inner is None:
-                        continue
-                    coeff = -1 if x_parity and running else 1
-                    dead = False
-                    for j in range(n):
-                        if j == i:
-                            continue
-                        image = single[j if j < i else j - 1][ys[j]]
-                        if image is None:
-                            dead = True
-                            break
-                        key[j] = image[0]
-                        coeff *= image[1]
-                    if dead:
-                        continue
-                    for e, ce in inner.items():
-                        key[i] = e
-                        base = ientries.get(tuple(key))
-                        if base is None:
-                            continue
-                        factor = coeff * ce
-                        for l, c in base.items():
-                            acc[l] = acc.get(l, 0) - factor * c
-            if any(acc.values()):
-                failing.append(xs + ys)
-    failing.sort(key=space.sort_key)
-    col = _Collector("nambu", cap)
-    for args in failing:
-        lhs, rhs = _nambu_exact_cell(alg, args[: n - 1], args[n - 1 :])
-        col.fail(args, lhs, rhs)
-    return col.report(checked=space.dim ** (2 * n - 1))
-
-
-def _nambu_sparse_frac(alg: HomSuperAlgebra, cap: int) -> CheckReport:
-    n = alg.arity
-    space = alg.space
-    labels = space.labels
-    entries = alg.bracket.entries
-    twisted = [{l: t.apply_basis(l) for l in labels} for t in alg.twists]
-    # per twist column: (image label, coeff) when the column has one term,
-    # _DEAD when zero, None when several terms (general fallback)
-    single = []
-    for cols in twisted:
-        info = {}
-        for l, img in cols.items():
-            if not img.coeffs:
-                info[l] = _DEAD
-            elif len(img.coeffs) == 1:
-                info[l] = next(iter(img.coeffs.items()))
-            else:
-                info[l] = None
-        single.append(info)
-    # preimages of each basis label under each twist
-    reverse = [dict() for _ in alg.twists]
-    for j, cols in enumerate(twisted):
-        for src, img in cols.items():
-            for out in img.coeffs:
-                reverse[j].setdefault(out, []).append(src)
-
-    # rows[x-prefix][last] = structure constant
-    rows: dict[tuple, dict[str, Element]] = {}
-    for args, value in entries.items():
-        rows.setdefault(args[: n - 1], {})[args[n - 1]] = value
-    # support entries grouped by (position, label) for right-side joins
-    by_position: dict[tuple[int, str], list[tuple]] = {}
-    for args in entries:
-        for i in range(n):
-            by_position.setdefault((i, args[i]), []).append(args)
-
-    def preimage_tuples(target, twist_indices):
-        pools = []
-        for coord, j in zip(target, twist_indices):
-            pool = reverse[j].get(coord)
-            if not pool:
-                return
-            pools.append(pool)
-        yield from itertools.product(*pools)
+    # outer[e]: for every support key p and slot i with p[i] = e, the parity
+    # of p[:i] (that of y_1..y_{i-1}, the twists being even), the right-side
+    # slots of T[p], and the twist preimages (left, right, coeff) around slot i
+    outer = defaultdict(list)
+    for p in terms:
+        for i, e in enumerate(p):
+            right = _choices(p[i + 1 :], reverse[i:])
+            partials = [
+                (lt, rt, lc * rc) for lt, lc in _choices(p[:i], reverse[:i]) for rt, rc in right
+            ]
+            if partials:
+                outer[e].append((sum(parity[q] for q in p[:i]) % 2, rhs_slots[p], partials))
 
     relevant = set(rows)
     for prefix in rows:
-        for xs in preimage_tuples(prefix, range(n - 1)):
-            relevant.add(xs)
+        relevant.update(xs for xs, _ in _choices(prefix, reverse))
 
-    def rhs_term(i, ys, inner):
-        """[tw(y_1), .., inner at slot i, .., tw(y_n)] via direct lookups."""
-        key = [None] * n
-        coeff = ONE
-        for j in range(n):
-            if j == i:
-                continue
-            jj = j if j < i else j - 1
-            info = single[jj][ys[j]]
-            if info is _DEAD:
-                return Element()
-            if info is None:  # several-term twist column: generic evaluation
-                args = [twisted[jj_][ys[j_]] for j_, jj_ in _rhs_indices(i, n)]
-                args.insert(i, inner)
-                return eval_bracket(alg, args)
-            key[j] = info[0]
-            coeff *= info[1]
-        acc = {}
-        for e, ce in inner.coeffs.items():
-            key[i] = e
-            base = entries.get(tuple(key))
-            if base is None:
-                continue
-            factor = coeff * ce
-            for l, c in base.coeffs.items():
-                acc[l] = acc.get(l, ZERO) + factor * c
-        return Element(acc)
-
-    support_keys = sorted(entries, key=space.sort_key)
-    col = _Collector("nambu", cap)
-    failures = []
+    failures = 0
+    kept = []
     for xs in sorted(relevant, key=space.sort_key):
-        innerset = rows.get(xs, {})
-        x_parity = sum(space.parity(x) for x in xs) % 2
-        # left side: image prefix of xs under the twists, when singletons
-        lhs_row = None
-        lhs_generic = False
-        lhs_coeff = ONE
-        whead = []
-        for j in range(n - 1):
-            info = single[j][xs[j]]
-            if info is _DEAD:
-                whead = None
-                break
-            if info is None:
-                lhs_generic = True
-                break
-            whead.append(info[0])
-            lhs_coeff *= info[1]
-        if lhs_generic:
-            lhs_args_head = [twisted[j][xs[j]] for j in range(n - 1)]
-            lhs_possible = any(
-                all(p[j] in lhs_args_head[j].coeffs for j in range(n - 1))
-                for p in rows
-            )
-        else:
-            lhs_args_head = None
-            lhs_row = rows.get(tuple(whead)) if whead is not None else None
-            lhs_possible = bool(lhs_row)
-        candidates = set(support_keys) if lhs_possible or innerset else set()
-        for b, inner in innerset.items():
-            for e in inner.coeffs:
-                for i in range(n):
-                    for outer in by_position.get((i, e), ()):
-                        rest = outer[:i] + outer[i + 1 :]
-                        twist_indices = list(range(i)) + [
-                            j - 1 for j in range(i + 1, n)
-                        ]
-                        for partial in preimage_tuples(rest, twist_indices):
-                            candidates.add(partial[:i] + (b,) + partial[i:])
-        for ys in candidates:
-            bracket_y = entries.get(ys)
-            if bracket_y is None:
-                lhs = Element()
-            elif lhs_generic:
-                lhs = eval_bracket(alg, lhs_args_head + [bracket_y])
-            elif lhs_row is None:
-                lhs = Element()
-            else:
-                acc = {}
-                for e, ce in bracket_y.coeffs.items():
-                    base = lhs_row.get(e)
-                    if base is None:
-                        continue
-                    factor = lhs_coeff * ce
-                    for l, c in base.coeffs.items():
-                        acc[l] = acc.get(l, ZERO) + factor * c
-                lhs = Element(acc)
-            rhs = Element()
-            if innerset:
-                signs = _nambu_term_signs(space, x_parity, ys)
-                for i in range(n):
-                    inner = innerset.get(ys[i])
-                    if inner is None:
-                        continue
-                    term = rhs_term(i, ys, inner)
-                    if signs[i] < 0:
-                        term = term.scale(-1)
-                    rhs = rhs + term
-            if lhs != rhs:
-                failures.append((xs + ys, lhs, rhs))
-    failures.sort(key=lambda item: space.sort_key(item[0]))
-    for args, lhs, rhs in failures:
-        col.fail(args, lhs, rhs)
-    return col.report(checked=space.dim ** (2 * n - 1))
+        acc = defaultdict(lambda: [0] * (2 * width))  # y-tuple -> [lhs | rhs]
+        for w, cw in _choices(xs, forward):
+            for e, key in rows.get(w, {}).items():
+                base = lhs_slots[key]
+                for ys, c in by_out.get(e, ()):
+                    vec = acc[ys]
+                    f = cw * c
+                    for k, ck in base:
+                        vec[k] += f * ck
+        x_odd = sum(parity[x] for x in xs) % 2
+        for b, key in rows.get(xs, {}).items():
+            for e, ce in terms[key]:
+                for head, base, partials in outer.get(e, ()):
+                    f0 = -ce if x_odd and head else ce
+                    for lt, rt, coeff in partials:
+                        vec = acc[lt + (b,) + rt]
+                        f = f0 * coeff
+                        for k, ck in base:
+                            vec[k] += f * ck
+        bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
+        failures += len(bad)
+        if bad and len(kept) < cap:
+            bad.sort(key=space.sort_key)
+            for ys in bad[: cap - len(kept)]:
+                vec = acc[ys]
+                lhs, rhs = (
+                    Element({labels[k]: Fraction(v, scale) for k, v in enumerate(half)})
+                    for half in (vec[:width], vec[width:])
+                )
+                kept.append(Counterexample(xs + ys, lhs, rhs))
+    return CheckReport("nambu", failures == 0, tuple(kept), failures, space.dim ** (2 * n - 1))
 
 
-def _rhs_indices(i, n):
-    """(argument position, twist index) pairs around an insertion at slot i."""
-    return [(j, j) for j in range(i)] + [(j, j - 1) for j in range(i + 1, n)]
+def _common_denominator(coeffs) -> int:
+    return math.lcm(1, *(c.denominator for c in coeffs))
+
+
+def _choices(target, maps):
+    """(tuple, coeff) for every pick of one (label, coeff) from each maps[j][target[j]]."""
+    out = [((), 1)]
+    for coord, m in zip(target, maps):
+        pool = m.get(coord)
+        if not pool:
+            return []
+        out = [(head + (l,), c * cl) for head, c in out for l, cl in pool]
+    return out
 
 
 def adjoint_map(alg: HomSuperAlgebra, xs) -> GradedLinearMap:

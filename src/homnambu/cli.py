@@ -170,12 +170,16 @@ def cmd_check(args) -> int:
     alg = bundle.algebra
     if args.twist == "identity":
         alg = _with_identity_twists(alg)
+    shared_twist = all(t == alg.twists[0] for t in alg.twists[1:])
     if args.identity == "all":
         selected = ["grading", "super-skew"]
         selected.append("hom-jacobi" if alg.arity == 2 else "nambu")
-        selected.append("multiplicative")
+        if shared_twist:
+            selected.append("multiplicative")
     else:
         selected = [args.identity]
+    if "multiplicative" in selected and not shared_twist:
+        raise InputProblem("multiplicative applies to one shared twist, not a twist per slot")
     cap = args.max_counterexamples
     reports = []
     for name in selected:
@@ -204,6 +208,8 @@ def cmd_induce(args) -> int:
     if not alg.multiplicative_flag:
         raise InputProblem("induction needs a multiplicative algebra")
     n = args.n
+    if n < 2:
+        raise InputProblem("--n must be at least 2")
     if args.method == "phi":
         if not bundle.cochains:
             raise InputProblem(f"{bundle.name} carries no cochains")
@@ -426,6 +432,8 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show needs an entry name")
     try:
+        if getattr(args, "max_counterexamples", 0) < 0:
+            raise InputProblem("--max-counterexamples must be 0 or more")
         return args.func(args)
     except InputProblem as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -187,10 +187,6 @@ class Element:
         return " + ".join(f"({format_scalar(c)})*{l}" for l, c in sorted(self.coeffs.items()))
 
 
-def zero_element() -> Element:
-    return Element()
-
-
 # ---------------------------------------------------------------------------
 # Koszul sign calculus
 # ---------------------------------------------------------------------------
@@ -230,16 +226,6 @@ def pair_extraction_sign(parities: Sequence[int], i: int, j: int) -> int:
     between = segment_degree(parities, i + 1, j - 1)
     exponent = tail * (parities[i - 1] + parities[j - 1]) + parities[i - 1] * between
     return -1 if exponent % 2 else 1
-
-
-def nonadjacent_swap_sign(parities: Sequence[int], i: int, j: int) -> int:
-    """Sign relating a tuple to the one with slots i < j (1-based) exchanged."""
-    n = len(parities)
-    if not (1 <= i < j <= n):
-        raise IndexError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    between = segment_degree(parities, i + 1, j - 1)
-    exponent = between * (parities[i - 1] + parities[j - 1]) + parities[i - 1] * parities[j - 1]
-    return 1 if exponent % 2 else -1
 
 
 def permutation_sign(parities: Sequence[int], perm: Sequence[int]) -> int:
@@ -412,10 +398,6 @@ def supercommutator_maps(d1: GradedLinearMap, d2: GradedLinearMap) -> GradedLine
     return map_compose(d1, d2) - map_compose(d2, d1).scale(sign)
 
 
-def maps_commute(f: GradedLinearMap, g: GradedLinearMap) -> bool:
-    return map_compose(f, g) == map_compose(g, f)
-
-
 # ---------------------------------------------------------------------------
 # Structure-constant brackets
 # ---------------------------------------------------------------------------
@@ -543,10 +525,6 @@ def eval_tensor(tensor: "NaryBracket", space: SuperSpace, args: Sequence[Element
 def eval_bracket(alg: HomSuperAlgebra, args: Sequence[Element]) -> Element:
     """Multilinear extension of the algebra's structure constants."""
     return eval_tensor(alg.bracket, alg.space, args)
-
-
-def eval_bracket_basis(alg: HomSuperAlgebra, args: Sequence[str]) -> Element:
-    return alg.bracket.value(args)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,52 @@ class TestCheck:
         assert len(check["counterexamples"]) == 2
         assert check["failures"] > 2
 
+    def test_negative_max_counterexamples_exit_two(self):
+        result = run_cli("check", "catalog:g3_1_1", "--max-counterexamples", "-1")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["error: --max-counterexamples must be 0 or more"]
+
+
+def _per_slot_file(tmp_path):
+    doc = {
+        "name": "per_slot",
+        "basis": [{"label": "a", "parity": 0}, {"label": "b", "parity": 1}],
+        "arity": 3,
+        "multiplicative": False,
+        "twists": [[["1", "0"], ["0", "1"]], [["2", "0"], ["0", "1"]]],
+        "bracket": [],
+        "skew_complete": True,
+    }
+    path = tmp_path / "per_slot.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestPerSlotTwists:
+    def test_all_skips_multiplicative(self, tmp_path):
+        result = run_cli("check", _per_slot_file(tmp_path), "--report", "structured")
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert [c["identity"] for c in doc["checks"]] == ["grading", "super-skew", "nambu"]
+
+    def test_explicit_multiplicative_exit_two(self, tmp_path):
+        result = run_cli(
+            "check", _per_slot_file(tmp_path), "--identity", "multiplicative"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestInduce:
+    def test_arity_below_two_exit_two(self):
+        result = run_cli(
+            "induce", "catalog:g3_1_1?a=2", "--method", "iterate", "--n", "1"
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["error: --n must be at least 2"]
+
     def test_phi_golden_value(self):
         result = run_cli("induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3")
         assert result.returncode == 0
