@@ -96,6 +96,18 @@ def _matrix(space: SuperSpace, rows, where: str, parity: int = 0) -> GradedLinea
         raise AlgebraFileError(f"{where}: {exc}") from None
 
 
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise AlgebraFileError(f"{where} must be an array")
+    return value
+
+
+def _labels(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(l, str) for l in value):
+        raise AlgebraFileError(f"{where} must be an array of basis labels")
+    return tuple(value)
+
+
 def strip_comments(text: str) -> str:
     return "\n".join(
         line for line in text.splitlines() if not line.lstrip().startswith("#")
@@ -146,12 +158,15 @@ def load(doc) -> AlgebraBundle:
         )
 
     generators = {}
-    for item in doc["bracket"]:
+    for item in _array(doc["bracket"], "bracket"):
         try:
-            args = tuple(item["args"])
-            value = {l: _scalar(v, f"bracket {args}") for l, v in item["value"].items()}
+            args = _labels(item["args"], "bracket entry args")
+            value_doc = item["value"]
         except (TypeError, KeyError) as exc:
             raise AlgebraFileError(f"bad bracket entry: {exc}") from None
+        if not isinstance(value_doc, dict):
+            raise AlgebraFileError(f"bracket entry {args}: value must be an object")
+        value = {l: _scalar(v, f"bracket {args}") for l, v in value_doc.items()}
         if len(args) != arity:
             raise AlgebraFileError(f"bracket entry {args} does not have arity {arity}")
         for label in args + tuple(value):
@@ -172,22 +187,28 @@ def load(doc) -> AlgebraBundle:
         raise AlgebraFileError(f"bracket violates the grading: {grading.summary()}")
 
     cochains = []
-    for i, cdoc in enumerate(doc.get("cochains", [])):
+    for i, cdoc in enumerate(_array(doc.get("cochains", []), "cochains")):
         try:
             degree = cdoc["degree"]
             values = {
-                tuple(item["args"]): _scalar(item["value"], f"cochain {i}")
-                for item in cdoc["values"]
+                _labels(item["args"], f"cochain {i} args"): _scalar(item["value"], f"cochain {i}")
+                for item in _array(cdoc["values"], f"cochain {i} values")
             }
         except (TypeError, KeyError) as exc:
             raise AlgebraFileError(f"bad cochain {i}: {exc}") from None
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise AlgebraFileError(f"bad cochain {i}: degree must be an integer")
+        for args in values:
+            for label in args:
+                if label not in space:
+                    raise AlgebraFileError(f"bad cochain {i}: unknown basis label {label!r}")
         try:
             cochains.append(SuperCochain(space, degree, values))
         except ValueError as exc:
             raise AlgebraFileError(f"bad cochain {i}: {exc}") from None
 
     operators = []
-    for i, odoc in enumerate(doc.get("operators", [])):
+    for i, odoc in enumerate(_array(doc.get("operators", []), "operators")):
         try:
             kind = odoc["kind"]
             rows = odoc["matrix"]

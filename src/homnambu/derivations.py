@@ -6,17 +6,31 @@ argument is twisted by a^k and moving D past the first i-1 arguments costs
 (-1)^(|D| * (p_1 + .. + p_{i-1})).
 
 The solver sets the matrix entries of an unknown parity-homogeneous map as
-variables, assembles the commutation and Leibniz constraints row by row and
-returns the exact nullspace basis.  One parity class is solved at a time since
-the Leibniz sign depends on the parity of the unknown map.
+variables and returns the exact nullspace basis of the commutation and
+Leibniz constraints.  One parity class is solved at a time since the Leibniz
+sign depends on the parity of the unknown map.  The Leibniz rows are
+assembled from the tensor's support rather than from all d^n basis tuples:
+each stored entry contributes its left-side terms at its own index tuple and
+its right-side terms at the tuples whose spectator images hit it, found
+through precomputed preimage lists of a^k.  Denominators are cleared once,
+every row is reduced to a primitive integer row, and each distinct row is
+kept once, so the elimination sees a few hundred rows where the defining
+equations number tens of thousands.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP
+from .axioms import (
+    CheckReport,
+    DEFAULT_COUNTEREXAMPLE_CAP,
+    _choices,
+    _Collector,
+    _common_denominator,
+)
 from .core import (
     Element,
     FixedPointViolation,
@@ -94,27 +108,35 @@ def check_derivation(
         rhs = alpha.apply(d.apply_basis(label))
         if lhs != rhs:
             col.fail((label,), lhs, rhs, note="twist commutation")
-    n = alg.arity
-    space = alg.space
-    spec_cols = {l: spectator.apply_basis(l) for l in space.labels}
-    d_cols = {l: d.apply_basis(l) for l in space.labels}
-    for args in space.tuples(n):
+    slot_maps = (d,) * alg.arity
+    spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
+    for args in alg.space.tuples(alg.arity):
         col.tick()
         lhs = d.apply(alg.bracket.value(args))
-        rhs = Element()
-        running = 0
-        for i in range(n):
-            if i > 0:
-                running = (running + space.parity(args[i - 1])) % 2
-            term_args = [spec_cols[a] for a in args]
-            term_args[i] = d_cols[args[i]]
-            term = eval_bracket(alg, term_args)
-            if d.parity and running:
-                term = term.scale(-1)
-            rhs = rhs + term
+        rhs = _leibniz_sum(alg, args, slot_maps, spec_cols)
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()
+
+
+def _leibniz_sum(alg: HomSuperAlgebra, args, slot_maps, spec_cols) -> Element:
+    """sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) [S x_1, .., f_i(x_i), .., S x_n].
+
+    ``slot_maps`` holds f_i per slot and ``spec_cols`` the columns of the
+    spectator S.
+    """
+    total = Element()
+    running = 0
+    for i, f in enumerate(slot_maps):
+        if i > 0:
+            running = (running + alg.space.parity(args[i - 1])) % 2
+        term_args = [spec_cols[a] for a in args]
+        term_args[i] = f.apply_basis(args[i])
+        term = eval_bracket(alg, term_args)
+        if f.parity and running:
+            term = term.scale(-1)
+        total = total + term
+    return total
 
 
 def inner_derivation(alg: HomSuperAlgebra, xs, k: int) -> DerivationCandidate:
@@ -151,22 +173,11 @@ def check_quasi_derivation(
     alpha = _shared_twist(alg)
     spectator = map_power(alpha, pair.power)
     col = _Collector(f"quasi-derivation(power={pair.power})", cap)
-    space = alg.space
-    spec_cols = {l: spectator.apply_basis(l) for l in space.labels}
-    d_cols = {l: pair.d.apply_basis(l) for l in space.labels}
-    for args in space.tuples(alg.arity):
+    slot_maps = (pair.d,) * alg.arity
+    spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
+    for args in alg.space.tuples(alg.arity):
         col.tick()
-        lhs = Element()
-        running = 0
-        for i in range(alg.arity):
-            if i > 0:
-                running = (running + space.parity(args[i - 1])) % 2
-            term_args = [spec_cols[a] for a in args]
-            term_args[i] = d_cols[args[i]]
-            term = eval_bracket(alg, term_args)
-            if pair.d.parity and running:
-                term = term.scale(-1)
-            lhs = lhs + term
+        lhs = _leibniz_sum(alg, args, slot_maps, spec_cols)
         rhs = pair.dprime.apply(alg.bracket.value(args))
         if lhs != rhs:
             col.fail(args, lhs, rhs)
@@ -188,22 +199,11 @@ def check_generalized_derivation(
         spectator = map_power(alpha, tup.power)
     slot_maps, out_map = tup.maps[:n], tup.maps[n]
     col = _Collector(f"generalized-derivation(power={tup.power})", cap)
-    space = alg.space
-    spec_cols = {l: spectator.apply_basis(l) for l in space.labels}
-    for args in space.tuples(n):
+    spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
+    for args in alg.space.tuples(n):
         col.tick()
         lhs = out_map.apply(alg.bracket.value(args))
-        rhs = Element()
-        running = 0
-        for i in range(n):
-            if i > 0:
-                running = (running + space.parity(args[i - 1])) % 2
-            term_args = [spec_cols[a] for a in args]
-            term_args[i] = slot_maps[i].apply_basis(args[i])
-            term = eval_bracket(alg, term_args)
-            if slot_maps[i].parity and running:
-                term = term.scale(-1)
-            rhs = rhs + term
+        rhs = _leibniz_sum(alg, args, slot_maps, spec_cols)
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()
@@ -243,70 +243,84 @@ def derivation_variables(space, parity: int) -> list[tuple[str, str]]:
 
 def derivation_constraints(
     alg: HomSuperAlgebra, k: int, parity: int
-) -> tuple[list[list[Fraction]], list[tuple[str, str]]]:
-    """Constraint matrix over the unknown entries of a parity-``parity`` map."""
+) -> tuple[list[list[int]], list[tuple[str, str]]]:
+    """Constraint matrix over the unknown entries of a parity-``parity`` map.
+
+    Rows are primitive integer rows (gcd 1, first nonzero entry positive),
+    each listed once in first-seen order: the commutation rows, then the
+    Leibniz rows, one per (basis tuple, output coordinate) that some term
+    reaches.  Their row space is that of the defining equations.
+    """
     alpha = _shared_twist(alg)
     space = alg.space
+    labels = space.labels
     variables = derivation_variables(space, parity)
     var_index = {v: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    spectator = map_power(alpha, k)
-    spec_cols = {l: spectator.apply_basis(l) for l in space.labels}
-    rows = []
+    rows: dict = {}  # distinct primitive rows (None for zero) in first-seen order
 
     # D(alpha(c)) = alpha(D(c)), coordinate by coordinate
-    for c in space.labels:
+    scale = _common_denominator(
+        v for l in labels for v in alpha.apply_basis(l).coeffs.values()
+    )
+    for c in labels:
         alpha_c = alpha.apply_basis(c)
-        for rho in space.labels:
-            row = [Fraction(0)] * nvars
+        for rho in labels:
+            row = [0] * nvars
             for w, coeff in alpha_c.coeffs.items():
                 idx = var_index.get((rho, w))
                 if idx is not None:
-                    row[idx] += coeff
-            for r in space.labels:
+                    row[idx] += int(coeff * scale)
+            for r in labels:
                 idx = var_index.get((r, c))
                 if idx is not None:
-                    row[idx] -= alpha.apply_basis(r).coeffs.get(rho, Fraction(0))
-            if any(row):
-                rows.append(row)
+                    row[idx] -= int(alpha.apply_basis(r).coeffs.get(rho, 0) * scale)
+            rows[linalg.primitive_row(row)] = None
 
-    # Leibniz rule on every basis tuple, coordinate by coordinate
+    # Leibniz rule at every (x_1..x_n, rho) some term reaches: entry p of the
+    # tensor gives the left side at x = p, and right-side term i at every x
+    # with (p_i, x_i) a variable and S(x_j) hitting p_j for j != i
     n = alg.arity
-    for args in space.tuples(n):
-        bracket_value = alg.bracket.value(args)
-        contributions: dict[tuple[str, str], Element] = {}
-        for b, coeff in bracket_value.coeffs.items():
-            for r in space.labels:
-                if var_index.get((r, b)) is not None:
-                    cur = contributions.get((r, b), Element())
-                    contributions[(r, b)] = cur + space.basis_element(r).scale(coeff)
-        running = 0
-        for i in range(n):
-            if i > 0:
-                running = (running + space.parity(args[i - 1])) % 2
-            sign = -1 if parity and running else 1
-            for r in space.labels:
-                if var_index.get((r, args[i])) is None:
-                    continue
-                term_args = [spec_cols[a] for a in args]
-                term_args[i] = space.basis_element(r)
-                image = eval_bracket(alg, term_args).scale(-sign)
-                if not image.is_zero():
-                    cur = contributions.get((r, args[i]), Element())
-                    contributions[(r, args[i])] = cur + image
-        if not contributions:
-            continue
-        for rho in space.labels:
-            row = [Fraction(0)] * nvars
-            touched = False
-            for (r, c), image in contributions.items():
-                coeff = image.coeffs.get(rho)
-                if coeff:
-                    row[var_index[(r, c)]] += coeff
-                    touched = True
-            if touched:
-                rows.append(row)
-    return rows, variables
+    entries = alg.bracket.entries
+    spectator = map_power(alpha, k)
+    sigma = _common_denominator(c for v in entries.values() for c in v.coeffs.values())
+    tau = _common_denominator(
+        v for l in labels for v in spectator.apply_basis(l).coeffs.values()
+    )
+    preimages: dict[str, list] = {}  # preimages[y] = [(x, S[y, x] * tau)]
+    for x in labels:
+        for y, c in spectator.apply_basis(x).coeffs.items():
+            preimages.setdefault(y, []).append((x, int(c * tau)))
+    # every term holds one tensor entry (scaled by sigma) and, on the right
+    # side, n - 1 spectator entries (scaled by tau each)
+    lhs_scale = tau ** (n - 1)
+    by_row = {r: [(x, var_index[r, x]) for x in labels if (r, x) in var_index] for r in labels}
+    by_col = {b: [(r, var_index[r, b]) for r in labels if (r, b) in var_index] for b in labels}
+    parity_of = dict(zip(labels, space.parities))
+    acc = defaultdict(lambda: [0] * nvars)  # (args, rho) -> row
+    for p, value in entries.items():
+        out = [(rho, int(c * sigma)) for rho, c in value.coeffs.items()]
+        for b, t in out:
+            for rho, idx in by_col[b]:
+                acc[p, rho][idx] += t * lhs_scale
+        odd_prefix = 0  # parity of p_1..p_{i-1}, that of x_1..x_{i-1} (S is even)
+        for i, r in enumerate(p):
+            sign = -1 if parity and odd_prefix else 1
+            odd_prefix ^= parity_of[r]
+            right = _choices(p[i + 1 :], [preimages] * (n - 1 - i))
+            spectators = [
+                (lt, rt, sign * lc * rc)
+                for lt, lc in _choices(p[:i], [preimages] * i)
+                for rt, rc in right
+            ]
+            for x, idx in by_row[r]:
+                for lt, rt, s in spectators:
+                    args = lt + (x,) + rt
+                    for rho, t in out:
+                        acc[args, rho][idx] -= s * t
+    for row in acc.values():
+        rows[linalg.primitive_row(row)] = None
+    return [list(row) for row in rows if row is not None], variables
 
 
 def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[GradedLinearMap]:

@@ -1,13 +1,22 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Small hand-rolled routines: the matrices here are tiny (endomorphism unknowns
-of spaces of dimension at most 5), and keeping the elimination in-tree pins
-down the canonical form the solver modules promise (reduced row echelon,
-nullspace vectors with one free variable set to 1, deterministic order).
+Small hand-rolled routines: the unknowns are endomorphism entries of spaces
+of dimension at most 5, and keeping the elimination in-tree pins down the
+canonical form the solver modules promise (reduced row echelon, nullspace
+vectors with one free variable set to 1, deterministic order).
+
+``rref`` streams its input: each row is cleared of denominators and reduced
+in integers against the pivot rows found so far (at most one per column), so
+a tall system with many redundant rows costs one pass over its rows.  The
+surviving rows are back-substituted and divided by their pivots at the end.
+The reduced row echelon form of a row space is unique, so the result does not
+depend on the order or the scaling of the input rows.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
 
 from .core import GradedLinearMap, ZERO, ONE
@@ -16,28 +25,71 @@ Matrix = list[list[Fraction]]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    """Reduced row echelon form and pivot column indices.
+
+    Entries may be ints or Fractions.  The result has one row per input row:
+    the pivot rows in column order, then zero rows.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    echelon: dict[int, tuple[int, ...]] = {}  # pivot column -> integer row
+    order: list[int] = []  # pivot columns, ascending
+    for row in rows:
+        if len(order) == ncols:
             break
-    return m, pivots
+        vec = primitive_row(row)
+        if vec is None:
+            continue
+        # eliminate the pivot columns in ascending order; each pivot row is
+        # zero left of its pivot, so earlier columns stay cleared
+        for c in order:
+            if vec[c]:
+                vec = _eliminate(vec, echelon[c], c)
+        vec = primitive_row(vec)
+        if vec is None:
+            continue
+        lead = next(c for c, v in enumerate(vec) if v)
+        echelon[lead] = vec
+        bisect.insort(order, lead)
+    # back substitution, last pivot first, then one division per entry
+    for k in range(len(order) - 1, -1, -1):
+        vec = echelon[order[k]]
+        for c in order[k + 1 :]:
+            if vec[c]:
+                vec = _eliminate(vec, echelon[c], c)
+        echelon[order[k]] = vec
+    reduced = []
+    for c in order:
+        vec = echelon[c]
+        reduced.append([Fraction(v, vec[c]) for v in vec])
+    reduced.extend([ZERO] * ncols for _ in range(nrows - len(order)))
+    return reduced, order
+
+
+def primitive_row(row) -> tuple[int, ...] | None:
+    """The integer multiple of a rational row whose entries have gcd 1 and
+    whose first nonzero entry is positive; None for a zero row."""
+    den = math.lcm(*(v.denominator for v in row))
+    vec = [v.numerator * (den // v.denominator) for v in row]
+    g = math.gcd(*vec)
+    if not g:
+        return None
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
+def _eliminate(vec, piv, c: int) -> list[int]:
+    """Clear column c of ``vec`` with the pivot row ``piv`` (piv[c] > 0).
+
+    vec is scaled by a positive factor, so its leading sign is kept; the
+    result is divided by the gcd of its entries to keep them small.
+    """
+    g = math.gcd(vec[c], piv[c])
+    a, b = piv[c] // g, vec[c] // g
+    out = [a * v - b * w for v, w in zip(vec, piv)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def rank(rows: Matrix) -> int:
@@ -54,10 +106,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
         if not rows:
             raise ValueError("need ncols for an empty constraint system")
         ncols = len(rows[0])
-    if not rows:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(rows)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

@@ -123,6 +123,51 @@ class TestPerSlotTwists:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _one_entry_doc():
+    return {
+        "name": "one_entry",
+        "basis": [{"label": "a", "parity": 0}, {"label": "b", "parity": 0}],
+        "arity": 2,
+        "multiplicative": True,
+        "twists": [[["1", "0"], ["0", "1"]]],
+        "bracket": [{"args": ["a", "b"], "value": {"b": "1"}}],
+        "skew_complete": True,
+    }
+
+
+def _list_value(doc):
+    doc["bracket"][0]["value"] = [1]
+
+
+def _string_degree(doc):
+    doc["cochains"] = [{"degree": "1", "values": [{"args": ["a"], "value": "1"}]}]
+
+
+def _int_bracket(doc):
+    doc["bracket"] = 5
+
+
+def _unknown_cochain_label(doc):
+    doc["cochains"] = [{"degree": 1, "values": [{"args": ["zz"], "value": "1"}]}]
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize(
+        "mutate",
+        [_list_value, _string_degree, _int_bracket, _unknown_cochain_label],
+    )
+    def test_exit_two_with_one_error_line(self, tmp_path, mutate):
+        doc = _one_entry_doc()
+        mutate(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestInduce:
     def test_arity_below_two_exit_two(self):
         result = run_cli(

@@ -40,6 +40,44 @@ def test_nullspace_matches_sympy(seed):
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def sympy_rref(rows):
+    reduced, pivots = sympy.Matrix([[sympy.Rational(v) for v in row] for row in rows]).rref()
+    matrix = [[F(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(reduced.rows)]
+    return matrix, list(pivots)
+
+
+def tall_redundant_matrix(rng, ncols):
+    """More rows than columns: duplicates, scaled rows, sums of rows and zero
+    rows around a few random ones, with integral entries as plain ints."""
+    base = random_matrix(rng, rng.randint(1, ncols), ncols)
+    rows = []
+    for _ in range(rng.randint(ncols + 1, 3 * ncols + 4)):
+        kind = rng.choice(("zero", "duplicate", "scaled", "sum"))
+        a, b = rng.choice(base), rng.choice(base)
+        if kind == "zero":
+            row = [F(0)] * ncols
+        elif kind == "duplicate":
+            row = list(a)
+        elif kind == "scaled":
+            factor = rng.choice((-1, 2, F(-3, 4), F(5, 2)))
+            row = [factor * v for v in a]
+        else:
+            row = [x + y for x, y in zip(a, b)]
+        rows.append([int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tall_redundant_matches_sympy(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 7)
+    m = tall_redundant_matrix(rng, ncols)
+    assert linalg.rref(m) == sympy_rref(m)
+    assert linalg.rank(m) == len(sympy_rref(m)[1])
+    assert linalg.nullspace(m, ncols) == sympy_nullspace(m, ncols)
+
+
 def test_nullspace_empty_system():
     basis = linalg.nullspace([], ncols=3)
     assert len(basis) == 3
