@@ -132,17 +132,25 @@ def load(doc) -> AlgebraBundle:
     basis = doc["basis"]
     if not isinstance(basis, list) or not basis:
         raise AlgebraFileError("basis must be a nonempty array")
+    for i, b in enumerate(basis):
+        if not isinstance(b, dict) or not isinstance(b.get("label"), str):
+            raise AlgebraFileError(f'basis entry {i}: "label" must be a string')
+        if type(b.get("parity")) is not int or b["parity"] not in (0, 1):
+            raise AlgebraFileError(f'basis entry {i}: "parity" must be the integer 0 or 1')
     try:
         space = SuperSpace.from_pairs((b["label"], b["parity"]) for b in basis)
-    except (TypeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise AlgebraFileError(f"bad basis: {exc}") from None
+    for flag in ("multiplicative", "skew_complete"):
+        if not isinstance(doc.get(flag, False), bool):
+            raise AlgebraFileError(f'"{flag}" must be true or false')
 
     arity = doc["arity"]
     if not isinstance(arity, int) or arity < 2:
         raise AlgebraFileError("arity must be an integer >= 2")
 
     twist_docs = doc["twists"]
-    multiplicative = bool(doc.get("multiplicative", False))
+    multiplicative = doc.get("multiplicative", False)
     if not isinstance(twist_docs, list) or not twist_docs:
         raise AlgebraFileError("twists must be a nonempty array of matrices")
     if multiplicative:

@@ -128,6 +128,17 @@ def check_super_skew(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
     return col.report()
 
 
+def _twist_commutation(col: _Collector, f: GradedLinearMap, alg: HomSuperAlgebra):
+    """f(a(x)) = a(f(x)) on every basis vector, for each distinct twist a."""
+    for twist in dict.fromkeys(alg.twists):
+        for label in alg.space.labels:
+            col.tick()
+            lhs = f.apply(twist.apply_basis(label))
+            rhs = twist.apply(f.apply_basis(label))
+            if lhs != rhs:
+                col.fail((label,), lhs, rhs, note="twist commutation")
+
+
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist."""
     col = _Collector("multiplicative", cap)

@@ -31,12 +31,12 @@ from .core import (
     SuperSpace,
     ZERO,
     ONE,
-    complete_skew_orbit_scalars,
+    complete_skew_orbit,
     multiplicative_algebra,
-    pair_extraction_sign,
+    pair_extractions,
     scalar,
 )
-from .derivations import DerivationCandidate, check_derivation
+from .derivations import DerivationCandidate, _leibniz_sum, check_derivation
 
 
 class SuperCochain:
@@ -56,10 +56,11 @@ class SuperCochain:
                     f"even cochain cannot be nonzero on odd-parity tuple {args}"
                 )
         if complete:
-            vals = complete_skew_orbit_scalars(degree, vals, space)
+            vals = complete_skew_orbit(degree, vals, space)
         else:
             vals = {a: v for a, v in vals.items() if v != 0}
-            _assert_skew_scalars(degree, vals, space)
+            if complete_skew_orbit(degree, vals, space) != vals:
+                raise ValueError("cochain table is not closed under its super-skew orbits")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "values", vals)
@@ -100,18 +101,6 @@ class SuperCochain:
         )
 
 
-def _assert_skew_scalars(degree, values, space):
-    from .core import adjacent_transposition_sign
-
-    for args, v in values.items():
-        parities = [space.parity(a) for a in args]
-        for i in range(1, degree):
-            sign = adjacent_transposition_sign(parities, i)
-            swapped = args[: i - 1] + (args[i], args[i - 1]) + args[i + 1 :]
-            if values.get(swapped, ZERO) != sign * v:
-                raise ValueError(f"tensor is not super-skew at {args}, swap {i}")
-
-
 def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     """Degree k -> k+1: sum over slot pairs of f(bracketed pair, twisted rest).
 
@@ -125,25 +114,12 @@ def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     k = f.degree
     out = {}
     for args in space.tuples(k + 1):
-        parities = [space.parity(a) for a in args]
         total = ZERO
-        for i in range(1, k + 2):
-            for j in range(i + 1, k + 2):
-                inner = alg.bracket.value((args[i - 1], args[j - 1]))
-                if inner.is_zero():
-                    continue
-                rest = [
-                    alpha.apply_basis(args[m - 1])
-                    for m in range(1, k + 2)
-                    if m not in (i, j)
-                ]
-                term = f.eval([inner] + rest)
-                if term == 0:
-                    continue
-                sign = pair_extraction_sign(parities, i, j)
-                if (i + j + 1) % 2:
-                    sign = -sign
-                total += sign * term
+        for i, j, sign in pair_extractions([space.parity(a) for a in args]):
+            inner = alg.bracket.value((args[i - 1], args[j - 1]))
+            if inner:
+                rest = [alpha.apply_basis(a) for m, a in enumerate(args, 1) if m not in (i, j)]
+                total += sign * f.eval([inner] + rest)
         if total:
             out[args] = total
     return SuperCochain(space, k + 1, out, complete=False)
@@ -162,23 +138,12 @@ def wedge_obstruction(
         raise ValueError("anchor/argument lengths inconsistent with the degree")
     space = alg.space
     anchor_elems = [space.basis_element(a) for a in anchor]
-    parities = [space.parity(y) for y in ys]
     total = ZERO
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            inner = alg.bracket.value((ys[i - 1], ys[j - 1]))
-            if inner.is_zero():
-                continue
-            outer = phi.value(tuple(ys[m - 1] for m in range(1, n + 1) if m not in (i, j)))
-            if outer == 0:
-                continue
-            pinned = phi.eval(anchor_elems + [inner])
-            if pinned == 0:
-                continue
-            sign = pair_extraction_sign(parities, i, j)
-            if (i + j) % 2:
-                sign = -sign
-            total += sign * outer * pinned
+    for i, j, sign in pair_extractions([space.parity(y) for y in ys]):
+        inner = alg.bracket.value((ys[i - 1], ys[j - 1]))
+        outer = phi.value(tuple(y for m, y in enumerate(ys, 1) if m not in (i, j)))
+        if inner and outer:
+            total -= sign * outer * phi.eval(anchor_elems + [inner])
     return total
 
 
@@ -214,16 +179,19 @@ def check_induction_conditions(
                 wedge_col.fail(anchor + ys, value, ZERO)
 
     twist_col = _Collector("twist-invariance", cap)
-    for args in space.tuples(n - 2):
+    for args, lhs, rhs in _first_slot_twists(phi, alpha):
         twist_col.tick()
-        lhs = phi.eval(
-            [alpha.apply_basis(args[0])]
-            + [space.basis_element(a) for a in args[1:]]
-        )
-        rhs = phi.value(args)
         if lhs != rhs:
             twist_col.fail(args, lhs, rhs)
     return InductionReport(wedge_col.report(), twist_col.report())
+
+
+def _first_slot_twists(phi: SuperCochain, alpha):
+    """(x, phi(alpha x_1, x_2, ..), phi(x)) for every basis tuple x."""
+    space = phi.space
+    for args in space.tuples(phi.degree):
+        lhs = phi.eval([alpha.apply_basis(args[0])] + [space.basis_element(a) for a in args[1:]])
+        yield args, lhs, phi.value(args)
 
 
 def triple_product(phi: SuperCochain, alg: HomSuperAlgebra) -> HomSuperAlgebra:
@@ -243,23 +211,13 @@ def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> 
     space = alg.space
     entries = {}
     for args in space.tuples(n):
-        parities = [space.parity(a) for a in args]
         total = Element()
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                inner = alg.bracket.value((args[i - 1], args[j - 1]))
-                if inner.is_zero():
-                    continue
-                weight = phi.value(
-                    tuple(args[m - 1] for m in range(1, n + 1) if m not in (i, j))
-                )
-                if weight == 0:
-                    continue
-                sign = pair_extraction_sign(parities, i, j)
-                if (i + j + 1) % 2:
-                    sign = -sign
+        for i, j, sign in pair_extractions([space.parity(a) for a in args]):
+            inner = alg.bracket.value((args[i - 1], args[j - 1]))
+            weight = phi.value(tuple(a for m, a in enumerate(args, 1) if m not in (i, j)))
+            if inner and weight:
                 total = total + inner.scale(sign * weight)
-        if not total.is_zero():
+        if total:
             entries[args] = total
     out = multiplicative_algebra(space, NaryBracket(n, entries), alpha)
     skew = check_super_skew(out)
@@ -273,22 +231,14 @@ def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:
     if alg.arity != 2:
         raise ValueError("supertrace condition lives over a binary algebra")
     space = alg.space
-    alpha = alg.twists[0]
-    k = phi.degree
     for pair in space.tuples(2):
         inner = alg.bracket.value(pair)
         if inner.is_zero():
             continue
-        for rest in space.tuples(k - 1):
+        for rest in space.tuples(phi.degree - 1):
             if phi.eval([inner] + [space.basis_element(r) for r in rest]) != 0:
                 return False
-    for args in space.tuples(k):
-        lhs = phi.eval(
-            [alpha.apply_basis(args[0])] + [space.basis_element(a) for a in args[1:]]
-        )
-        if lhs != phi.value(args):
-            return False
-    return True
+    return all(lhs == rhs for _, lhs, rhs in _first_slot_twists(phi, alg.twists[0]))
 
 
 @dataclass(frozen=True)
@@ -326,22 +276,12 @@ def derivation_transfer(
     if not base.passed:
         raise ValueError("transfer requires a verified derivation of the base algebra")
     space = alg.space
-    d = cand.map
     col = _Collector("phi-annihilation", cap)
-    k = phi.degree
-    for args in space.tuples(k):
+    slot_maps = (cand.map,) * phi.degree
+    identity_cols = {l: space.basis_element(l) for l in space.labels}
+    for args in space.tuples(phi.degree):
         col.tick()
-        total = ZERO
-        running = 0
-        for i in range(k):
-            if i > 0:
-                running = (running + space.parity(args[i - 1])) % 2
-            slot_args = [space.basis_element(a) for a in args]
-            slot_args[i] = d.apply_basis(args[i])
-            term = phi.eval(slot_args)
-            if d.parity and running:
-                term = -term
-            total += term
+        total = _leibniz_sum(phi.eval, ZERO, space, args, slot_maps, identity_cols)
         if total != 0:
             col.fail(args, total, ZERO)
     hypothesis = col.report()

@@ -76,13 +76,13 @@ class SuperSpace:
             raise ValueError("labels and parities must have equal length")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be unique")
-        if any(p not in (0, 1) for p in self.parities):
+        if any(type(p) is not int or p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "SuperSpace":
         pairs = list(pairs)
-        return cls(tuple(l for l, _ in pairs), tuple(int(p) for _, p in pairs))
+        return cls(tuple(l for l, _ in pairs), tuple(p for _, p in pairs))
 
     @property
     def dim(self) -> int:
@@ -143,6 +143,9 @@ class Element:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Element) and self.coeffs == other.coeffs
@@ -228,19 +231,18 @@ def pair_extraction_sign(parities: Sequence[int], i: int, j: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def permutation_sign(parities: Sequence[int], perm: Sequence[int]) -> int:
-    """Koszul sign of applying ``perm`` to a homogeneous tuple, by inversion count.
+def pair_extractions(parities: Sequence[int]):
+    """Yield ``(i, j, sign)`` for every slot pair i < j (1-based), i-major.
 
-    ``perm[k]`` is the source position (0-based) of the element landing in slot
-    k.  Each inversion contributes -(-1)^(p_a * p_b).  Serves as the
-    path-independent oracle for signs accumulated by adjacent swaps.
+    ``sign`` is (-1)^(i+j+1) times :func:`pair_extraction_sign`: the weight of
+    the pair term in the coboundary and in cochain-induced brackets.  The
+    wedge obstruction uses its negation.
     """
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign *= -1 if parities[perm[b]] * parities[perm[a]] == 0 else 1
-    return sign
+    n = len(parities)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            sign = pair_extraction_sign(parities, i, j)
+            yield i, j, sign if (i + j) % 2 else -sign
 
 
 # ---------------------------------------------------------------------------
@@ -533,48 +535,23 @@ def eval_bracket(alg: HomSuperAlgebra, args: Sequence[Element]) -> Element:
 
 def complete_skew_orbit(
     arity: int,
-    generators: Mapping[tuple[str, ...], Element],
+    generators: Mapping[tuple[str, ...], object],
     space: SuperSpace,
-) -> dict[tuple[str, ...], Element]:
-    """Extend generating structure constants to all permuted index tuples.
+    swaps: Sequence[int] | None = None,
+) -> dict:
+    """Extend generating values to every index tuple their orbit reaches.
 
-    Adjacent transpositions propagate values with the Koszul skew sign; a tuple
-    whose orbit forces v = -v with v nonzero, or two generators disagreeing on
-    one orbit, raise :class:`OrbitConflict`.
+    The orbit is generated by the adjacent transpositions at the 1-based
+    positions ``swaps`` (all of 1..arity-1 by default); each carries the
+    Koszul skew sign, applied by unary minus, so values may be
+    :class:`Element` brackets or ``Fraction`` cochain values (mappings are
+    read as elements).  A tuple whose orbit forces v = -v with v nonzero, or
+    two generators disagreeing on one orbit, raise :class:`OrbitConflict`.
+    Zero values are dropped from the result.
     """
-    table: dict[tuple[str, ...], Element] = {}
-    worklist = []
-    for args, value in generators.items():
-        args = tuple(args)
-        if not isinstance(value, Element):
-            value = Element(value)
-        _orbit_insert(table, worklist, args, value)
-    while worklist:
-        args, value = worklist.pop()
-        parities = [space.parity(a) for a in args]
-        for i in range(1, arity):
-            sign = adjacent_transposition_sign(parities, i)
-            swapped = args[: i - 1] + (args[i], args[i - 1]) + args[i + 1 :]
-            _orbit_insert(table, worklist, swapped, value.scale(sign))
-    return {args: v for args, v in table.items() if not v.is_zero()}
-
-
-def _orbit_insert(table, worklist, args, value):
-    existing = table.get(args)
-    if existing is None:
-        table[args] = value
-        worklist.append((args, value))
-    elif existing != value:
-        raise OrbitConflict(args, existing, value)
-
-
-def complete_skew_orbit_scalars(
-    degree: int,
-    generators: Mapping[tuple[str, ...], Fraction],
-    space: SuperSpace,
-) -> dict[tuple[str, ...], Fraction]:
-    """Orbit completion for scalar-valued super-skew forms (cochains)."""
-    table: dict[tuple[str, ...], Fraction] = {}
+    if swaps is None:
+        swaps = range(1, arity)
+    table = {}
     worklist = []
 
     def insert(args, value):
@@ -586,12 +563,11 @@ def complete_skew_orbit_scalars(
             raise OrbitConflict(args, existing, value)
 
     for args, value in generators.items():
-        insert(tuple(args), scalar(value))
+        insert(tuple(args), Element(value) if isinstance(value, Mapping) else value)
     while worklist:
         args, value = worklist.pop()
         parities = [space.parity(a) for a in args]
-        for i in range(1, degree):
-            sign = adjacent_transposition_sign(parities, i)
+        for i in swaps:
             swapped = args[: i - 1] + (args[i], args[i - 1]) + args[i + 1 :]
-            insert(swapped, sign * value)
-    return {args: v for args, v in table.items() if v != 0}
+            insert(swapped, value if adjacent_transposition_sign(parities, i) > 0 else -value)
+    return {args: v for args, v in table.items() if v}

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .axioms import (
     CheckReport,
@@ -30,6 +31,7 @@ from .axioms import (
     _choices,
     _Collector,
     _common_denominator,
+    _twist_commutation,
 )
 from .core import (
     Element,
@@ -102,40 +104,36 @@ def check_derivation(
     if spectator is None:
         spectator = map_power(alpha, cand.power)
     col = _Collector(f"derivation(power={cand.power})", cap)
-    for label in alg.space.labels:
-        col.tick()
-        lhs = d.apply(alpha.apply_basis(label))
-        rhs = alpha.apply(d.apply_basis(label))
-        if lhs != rhs:
-            col.fail((label,), lhs, rhs, note="twist commutation")
+    _twist_commutation(col, d, alg)
     slot_maps = (d,) * alg.arity
     spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
+    bracket = partial(eval_bracket, alg)
     for args in alg.space.tuples(alg.arity):
         col.tick()
         lhs = d.apply(alg.bracket.value(args))
-        rhs = _leibniz_sum(alg, args, slot_maps, spec_cols)
+        rhs = _leibniz_sum(bracket, Element(), alg.space, args, slot_maps, spec_cols)
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()
 
 
-def _leibniz_sum(alg: HomSuperAlgebra, args, slot_maps, spec_cols) -> Element:
-    """sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) [S x_1, .., f_i(x_i), .., S x_n].
+def _leibniz_sum(evaluate, zero, space, args, slot_maps, spec_cols):
+    """sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) F(S x_1, .., f_i(x_i), .., S x_n).
 
-    ``slot_maps`` holds f_i per slot and ``spec_cols`` the columns of the
-    spectator S.
+    The one home of the slot-wise graded Leibniz sum.  ``evaluate`` is the
+    multilinear form F, taking a list of elements (a bracket, or a cochain's
+    ``eval``), and ``zero`` the zero of its values; ``args`` are basis labels
+    with parities in ``space``, ``slot_maps`` holds f_i per slot and
+    ``spec_cols`` the columns of the spectator S.
     """
-    total = Element()
-    running = 0
+    total = zero
+    odd_prefix = 0  # parity of x_1 .. x_{i-1}
     for i, f in enumerate(slot_maps):
-        if i > 0:
-            running = (running + alg.space.parity(args[i - 1])) % 2
         term_args = [spec_cols[a] for a in args]
         term_args[i] = f.apply_basis(args[i])
-        term = eval_bracket(alg, term_args)
-        if f.parity and running:
-            term = term.scale(-1)
-        total = total + term
+        term = evaluate(term_args)
+        total = total + (-term if f.parity and odd_prefix else term)
+        odd_prefix ^= space.parity(args[i])
     return total
 
 
@@ -175,9 +173,10 @@ def check_quasi_derivation(
     col = _Collector(f"quasi-derivation(power={pair.power})", cap)
     slot_maps = (pair.d,) * alg.arity
     spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
+    bracket = partial(eval_bracket, alg)
     for args in alg.space.tuples(alg.arity):
         col.tick()
-        lhs = _leibniz_sum(alg, args, slot_maps, spec_cols)
+        lhs = _leibniz_sum(bracket, Element(), alg.space, args, slot_maps, spec_cols)
         rhs = pair.dprime.apply(alg.bracket.value(args))
         if lhs != rhs:
             col.fail(args, lhs, rhs)
@@ -200,10 +199,11 @@ def check_generalized_derivation(
     slot_maps, out_map = tup.maps[:n], tup.maps[n]
     col = _Collector(f"generalized-derivation(power={tup.power})", cap)
     spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
+    bracket = partial(eval_bracket, alg)
     for args in alg.space.tuples(n):
         col.tick()
         lhs = out_map.apply(alg.bracket.value(args))
-        rhs = _leibniz_sum(alg, args, slot_maps, spec_cols)
+        rhs = _leibniz_sum(bracket, Element(), alg.space, args, slot_maps, spec_cols)
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()

@@ -16,7 +16,9 @@ Leibniz identity actually satisfies.
 
 from __future__ import annotations
 
-from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP
+from functools import partial
+
+from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, adjoint_map
 from .core import (
     Element,
     GradedLinearMap,
@@ -30,6 +32,7 @@ from .derivations import (
     DerivationCandidate,
     GeneralizedTuple,
     QuasiPair,
+    _leibniz_sum,
     check_derivation,
     check_generalized_derivation,
     check_quasi_derivation,
@@ -92,6 +95,8 @@ def check_adjoint_expansion(
         [a^(n-1)(x), [y_1..y_n]] = sum_k (-1)^(|x| |Y|^{k-1})
                                    [a(y_1), .., [x, y_k], .., a(y_n)]
 
+    that is, ad_x is a Leibniz slot map of the nested bracket with spectator a.
+
     With explicit ``x`` and ``ys`` only that instance is checked; otherwise the
     identity is verified exhaustively over the basis.
     """
@@ -103,27 +108,16 @@ def check_adjoint_expansion(
     power = map_power(alpha, n - 1)
     xs = [x] if x is not None else list(space.labels)
     all_ys = [tuple(ys)] if ys is not None else list(space.tuples(n))
+    nested_eval = partial(eval_bracket, nested)
+    alpha_cols = {l: alpha.apply_basis(l) for l in space.labels}
     for xv in xs:
-        x_parity = space.parity(xv)
+        slot_maps = (adjoint_map(alg, [xv]),) * n
         for yt in all_ys:
             col.tick()
             lhs = eval_bracket(
                 alg, [power.apply_basis(xv), nested.bracket.value(yt)]
             )
-            rhs = Element()
-            running = 0
-            for k in range(n):
-                if k > 0:
-                    running = (running + space.parity(yt[k - 1])) % 2
-                inner = alg.bracket.value((xv, yt[k]))
-                if inner.is_zero():
-                    continue
-                args = [alpha.apply_basis(y) for y in yt]
-                args[k] = inner
-                term = eval_bracket(nested, args)
-                if x_parity and running:
-                    term = term.scale(-1)
-                rhs = rhs + term
+            rhs = _leibniz_sum(nested_eval, Element(), space, yt, slot_maps, alpha_cols)
             if lhs != rhs:
                 col.fail((xv,) + yt, lhs, rhs)
     return col.report()

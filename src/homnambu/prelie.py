@@ -28,8 +28,8 @@ from .core import (
     GradedLinearMap,
     HomSuperAlgebra,
     NaryBracket,
-    OrbitConflict,
     SuperSpace,
+    complete_skew_orbit,
     eval_tensor,
     multiplicative_algebra,
 )
@@ -57,18 +57,7 @@ class TriProduct:
     @classmethod
     def from_generators(cls, space, generators, twist) -> "TriProduct":
         """Complete only the first-pair transposition orbit of the generators."""
-        table = {}
-        for args, value in generators.items():
-            args = tuple(args)
-            if not isinstance(value, Element):
-                value = Element(value)
-            mirrored = value.scale(_pair_sign(space, args))
-            for key, val in ((args, value), (_swap01(args), mirrored)):
-                existing = table.get(key)
-                if existing is None:
-                    table[key] = val
-                elif existing != val:
-                    raise OrbitConflict(key, existing, val)
+        table = complete_skew_orbit(3, generators, space, swaps=(1,))
         return cls(space, NaryBracket(3, table), twist)
 
     def eval(self, args: list[Element]) -> Element:

@@ -151,21 +151,57 @@ def _unknown_cochain_label(doc):
     doc["cochains"] = [{"degree": 1, "values": [{"args": ["zz"], "value": "1"}]}]
 
 
+def _set(path, value):
+    """A mutation setting ``doc[path[0]][path[1]]..`` to ``value``; names the field."""
+
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    mutate.field = str(path[-1])
+    return mutate
+
+
+def _check_malformed(tmp_path, mutate) -> str:
+    """Run ``check`` on the mutated one-entry file; return its one error line."""
+    doc = _one_entry_doc()
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
 class TestMalformedFile:
     @pytest.mark.parametrize(
         "mutate",
         [_list_value, _string_degree, _int_bracket, _unknown_cochain_label],
     )
     def test_exit_two_with_one_error_line(self, tmp_path, mutate):
-        doc = _one_entry_doc()
-        mutate(doc)
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(doc))
-        result = run_cli("check", str(path))
-        assert result.returncode == 2
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        _check_malformed(tmp_path, mutate)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _set(("basis", 0, "parity"), "0"),
+            _set(("basis", 0, "parity"), False),
+            _set(("basis", 0, "parity"), True),
+            _set(("basis", 0, "label"), 5),
+            _set(("multiplicative",), "false"),
+            _set(("skew_complete",), "no"),
+        ],
+        ids=["parity-string", "parity-false", "parity-true", "label-int", "multiplicative-string", "skew-complete-string"],
+    )
+    def test_basis_entries_and_flags_are_typed(self, tmp_path, mutate):
+        """Each of these loaded silently (and could then pass) or blamed the
+        wrong field; each now exits 2 with one error line naming the field."""
+        assert f'"{mutate.field}"' in _check_malformed(tmp_path, mutate)
 
 
 class TestInduce:

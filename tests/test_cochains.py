@@ -50,6 +50,18 @@ class TestSuperCochain:
         with pytest.raises(OrbitConflict):
             SuperCochain(space, 2, {("x", "y"): 1, ("y", "x"): 1})
 
+    def test_verbatim_table_must_be_closed_under_its_orbits(self):
+        space = SuperSpace.from_pairs([("x", 0), ("y", 0), ("u", 1), ("v", 1)])
+        full = {("x", "y"): 2, ("y", "x"): -2, ("u", "v"): 3, ("v", "u"): 3}
+        assert SuperCochain(space, 2, full, complete=False).values == SuperCochain(space, 2, full).values
+        missing = dict(full)
+        del missing[("v", "u")]
+        wrong_sign = dict(full)
+        wrong_sign[("y", "x")] = 2
+        for table in (missing, wrong_sign):
+            with pytest.raises(ValueError):
+                SuperCochain(space, 2, table, complete=False)
+
     def test_multilinear_eval(self):
         space = SuperSpace.from_pairs([("x", 0), ("y", 0)])
         c = SuperCochain(space, 1, {("x",): 2, ("y",): 5})
@@ -189,11 +201,13 @@ class TestInducedBracket:
         assert cochain_induced_bracket(zero, alg, 4).bracket.is_zero()
 
     def test_arity_four_against_pair_sum_oracle(self):
+        """The odd pair (e3, e3) makes the Koszul extraction sign nontrivial."""
         alg, _ = L1(a=1, b=3)
-        phi2 = SuperCochain(alg.space, 2, {("e1", "e2"): 1})
-        four = cochain_induced_bracket(phi2, alg, 4)
-        for args in alg.space.tuples(4):
-            assert four.bracket.value(args) == hand_pair_sum(phi2, alg, args)
+        for values in ({("e1", "e2"): 1}, {("e1", "e2"): 1, ("e3", "e3"): 2}):
+            phi2 = SuperCochain(alg.space, 2, values)
+            four = cochain_induced_bracket(phi2, alg, 4)
+            for args in alg.space.tuples(4):
+                assert four.bracket.value(args) == hand_pair_sum(phi2, alg, args)
 
     def test_degree_mismatch(self):
         alg, phi = L1()

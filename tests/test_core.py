@@ -18,12 +18,26 @@ from homnambu.core import (
     map_power,
     multiplicative_algebra,
     pair_extraction_sign,
-    permutation_sign,
     prefix_degree,
     scalar,
     format_scalar,
     supercommutator_maps,
 )
+
+
+def permutation_sign(parities, perm) -> int:
+    """Koszul sign of applying ``perm`` to a homogeneous tuple, by inversion count.
+
+    ``perm[k]`` is the source position (0-based) of the element landing in slot
+    k.  Each inversion contributes -(-1)^(p_a * p_b).  Serves as the
+    path-independent oracle for signs accumulated by adjacent swaps.
+    """
+    sign = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b]:
+                sign *= -1 if parities[perm[b]] * parities[perm[a]] == 0 else 1
+    return sign
 
 
 def two_dim(parities=(0, 1)):
@@ -247,14 +261,24 @@ class TestOrbitCompletion:
         assert complete_skew_orbit(3, first, space) == first
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(0, 1), min_size=3, max_size=4))
-    def test_orbit_signs_match_permutation_oracle(self, parities):
+    @given(
+        st.lists(st.integers(0, 1), min_size=3, max_size=4),
+        st.sampled_from((Element({"out": 1}), F(2, 3))),
+        st.sampled_from((None, (1,))),
+    )
+    def test_orbit_signs_match_permutation_oracle(self, parities, value, swaps):
+        """Bracket values and cochain scalars alike; with ``swaps=(1,)`` only the
+        first-pair transposition is applied, so the orbit has two tuples."""
         labels = [f"b{i}" for i in range(len(parities))]
         space = SuperSpace.from_pairs(list(zip(labels, parities)) + [("out", 0)])
         seed = tuple(labels)
-        value = Element({"out": 1})
-        entries = complete_skew_orbit(len(labels), {seed: value}, space)
+        zero = value - value
+        entries = complete_skew_orbit(len(labels), {seed: value}, space, swaps=swaps)
         for perm in itertools.permutations(range(len(labels))):
             key = tuple(labels[i] for i in perm)
-            expected = value.scale(permutation_sign(parities, list(perm)))
-            assert entries.get(key, Element()) == expected
+            if swaps is None or perm[2:] == tuple(range(2, len(labels))):
+                sign = permutation_sign(parities, list(perm))
+                expected = value if sign > 0 else -value
+            else:
+                expected = zero
+            assert entries.get(key, zero) == expected

@@ -7,9 +7,14 @@ with ``solve_derivation_space`` and with the dense assembly and Gauss-Jordan
 elimination in ``derivation_oracle``; the nullspace vectors must be equal, in
 equal order.  The shared twist is diagonal, shear (several terms per column),
 singular or zero, and every power k in {0, 1, 2} and parity is tried.  The
-same comparison runs on every catalog entry and on nested osp12, whose odd
-derivation spaces (L1, L2) pin the Koszul signs that random algebras seldom
-reach.
+same comparison runs on every catalog entry and on nested osp12.
+
+Half of the random algebras are Grassmann envelopes: a drawn algebra
+tensored with the exterior algebra on one odd direction theta.  d/dtheta is
+then an odd power-0 derivation whose Leibniz sign is the Koszul sign itself,
+so these draws reach the sign that plain random algebras almost never do.
+Every solved map is also re-verified with ``check_derivation``, which pins
+the sign of the shared slot-wise Leibniz sum.
 """
 
 import itertools
@@ -20,13 +25,20 @@ from hypothesis import strategies as st
 
 from homnambu.catalog import catalog_build, catalog_list
 from homnambu.core import (
+    Element,
     GradedLinearMap,
     NaryBracket,
     SuperSpace,
     complete_skew_orbit,
     multiplicative_algebra,
 )
-from homnambu.derivations import derivation_constraints, derivation_variables, solve_derivation_space
+from homnambu.derivations import (
+    DerivationCandidate,
+    check_derivation,
+    derivation_constraints,
+    derivation_variables,
+    solve_derivation_space,
+)
 from homnambu.iterated import iterated_bracket
 from derivation_oracle import solve_oracle
 from test_nambu_kernel import even_maps, rationals
@@ -34,9 +46,39 @@ from test_nambu_kernel import even_maps, rationals
 TWIST_KINDS = ("diagonal", "shear", "singular", "zero")
 
 
+def grassmann_envelope(alg):
+    """``alg`` tensored with the exterior algebra on one odd generator theta.
+
+    Each label l gains a partner "t" + l of opposite parity standing for
+    theta * l.  A bracket with theta in slot j moves it to the front past
+    x_1 .. x_{j-1}, at the sign (-1)^(p_1 + .. + p_{j-1}); two thetas give
+    zero; the twist acts alike on both copies.
+    """
+    space = alg.space
+    theta = {l: "t" + l for l in space.labels}
+    big = SuperSpace(
+        space.labels + tuple(theta.values()), space.parities + tuple(1 - p for p in space.parities)
+    )
+
+    def lift(e):
+        return Element({theta[l]: c for l, c in e.coeffs.items()})
+
+    entries = dict(alg.bracket.entries)
+    for args, value in alg.bracket.entries.items():
+        odd_prefix = 0
+        for j, a in enumerate(args):
+            entries[args[:j] + (theta[a],) + args[j + 1 :]] = -lift(value) if odd_prefix else lift(value)
+            odd_prefix ^= space.parity(a)
+    alpha = alg.twists[0]
+    cols = {l: alpha.apply_basis(l) for l in space.labels}
+    cols.update({theta[l]: lift(alpha.apply_basis(l)) for l in space.labels})
+    return multiplicative_algebra(big, NaryBracket(alg.arity, entries), GradedLinearMap(big, 0, cols))
+
+
 @st.composite
 def multiplicative_algebras(draw):
-    dim = draw(st.integers(1, 4))
+    envelope = draw(st.booleans())
+    dim = draw(st.integers(1, 2 if envelope else 4))
     n = draw(st.integers(2, 4))
     labels = tuple(f"e{i}" for i in range(dim))
     parities = tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
@@ -64,7 +106,9 @@ def multiplicative_algebras(draw):
     kind = draw(st.sampled_from(TWIST_KINDS))
     alpha = GradedLinearMap.zero(space) if kind == "zero" else draw(even_maps(space, kind))
     event(f"dim {dim}, arity {n}, {'skew' if skew else 'raw'}, {kind} twist")
-    return multiplicative_algebra(space, NaryBracket(n, entries), alpha)
+    event("grassmann envelope" if envelope else "plain")
+    alg = multiplicative_algebra(space, NaryBracket(n, entries), alpha)
+    return grassmann_envelope(alg) if envelope else alg
 
 
 def assert_matches_oracle(alg, k, parity):
@@ -82,7 +126,9 @@ def assert_matches_oracle(alg, k, parity):
 @given(multiplicative_algebras(), st.integers(0, 2), st.integers(0, 1))
 def test_solver_matches_oracle(alg, k, parity):
     basis = assert_matches_oracle(alg, k, parity)
-    event(f"{'nonzero' if basis else 'zero'} derivation space")
+    event(f"{'nonzero' if basis else 'zero'} parity-{parity} derivation space")
+    for m in solve_derivation_space(alg, k, parity):
+        assert check_derivation(DerivationCandidate(m, k), alg).passed
 
 
 POWERS_AND_PARITIES = [(k, parity) for k in (0, 1, 2) for parity in (0, 1)]
