@@ -12,11 +12,11 @@ from .core import (
     adjacent_transposition_sign,
     complete_skew_orbit,
     eval_bracket,
+    koszul_sign,
     map_compose,
     map_power,
     multiplicative_algebra,
     pair_extraction_sign,
-    prefix_degree,
     scalar,
     supercommutator_maps,
 )
@@ -53,7 +53,6 @@ from .derivations import (
 from .iterated import (
     check_adjoint_expansion,
     iterated_bracket,
-    iterated_eval,
     iterated_generalized_tuple,
     iterated_transfer_derivation,
 )
@@ -61,8 +60,7 @@ from .rotabaxter import (
     RotaBaxterOperator,
     check_inverse_derivation_equiv,
     check_phi_rb_kernel_condition,
-    check_rb_binary,
-    check_rb_nary,
+    check_rb,
 )
 from .prelie import (
     TriProduct,

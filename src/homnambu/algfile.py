@@ -223,11 +223,15 @@ def load(doc) -> AlgebraBundle:
         except (TypeError, KeyError) as exc:
             raise AlgebraFileError(f"bad operator {i}: {exc}") from None
         parity = odoc.get("parity", 0)
+        if type(parity) is not int or parity not in (0, 1):
+            raise AlgebraFileError(f'operator {i}: "parity" must be the integer 0 or 1')
+        if kind == "rota_baxter" and parity:
+            raise AlgebraFileError(f'operator {i}: a rota_baxter operator needs "parity" 0')
         mat = _matrix(space, rows, f"operator {i}", parity=parity)
         weight = _scalar(odoc.get("weight", 0), f"operator {i}")
         power = odoc.get("power", 0)
-        if not isinstance(power, int) or power < 0:
-            raise AlgebraFileError(f"operator {i}: power must be a nonnegative integer")
+        if type(power) is not int or power < 0:
+            raise AlgebraFileError(f'operator {i}: "power" must be a nonnegative integer')
         try:
             operators.append(AttachedOperator(kind, mat, weight, power))
         except AlgebraFileError:

@@ -201,11 +201,15 @@ def adjacent_transposition_sign(parities: Sequence[int], i: int) -> int:
     return 1 if parities[i - 1] * parities[i] else -1
 
 
-def prefix_degree(parities: Sequence[int], i: int) -> int:
-    """Mod-2 sum of the first i parities; i = 0 gives 0."""
-    if not 0 <= i <= len(parities):
-        raise IndexError(f"prefix length {i} out of range")
-    return sum(parities[:i]) % 2
+def koszul_sign(parities: Sequence[int], perm: Sequence[int]) -> int:
+    """Sign of reordering graded x_1..x_n as x_perm[0], x_perm[1], .. (1-based).
+
+    (-1)^(sum of p_a * p_b over the inversions a < b of ``perm``): each odd
+    element passing another odd one costs a sign.
+    """
+    odd = [i for i in perm if parities[i - 1]]
+    crossings = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1 :])
+    return -1 if crossings % 2 else 1
 
 
 def segment_degree(parities: Sequence[int], i: int, j: int) -> int:

@@ -32,6 +32,7 @@ from .axioms import (
     _Collector,
     _common_denominator,
     _twist_commutation,
+    adjoint_map,
 )
 from .core import (
     Element,
@@ -39,6 +40,7 @@ from .core import (
     GradedLinearMap,
     HomSuperAlgebra,
     eval_bracket,
+    map_compose,
     map_power,
     supercommutator_maps,
 )
@@ -105,13 +107,8 @@ def check_derivation(
         spectator = map_power(alpha, cand.power)
     col = _Collector(f"derivation(power={cand.power})", cap)
     _twist_commutation(col, d, alg)
-    slot_maps = (d,) * alg.arity
-    spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
-    bracket = partial(eval_bracket, alg)
-    for args in alg.space.tuples(alg.arity):
+    for args, lhs, rhs in _leibniz_cells(alg, d, (d,) * alg.arity, spectator):
         col.tick()
-        lhs = d.apply(alg.bracket.value(args))
-        rhs = _leibniz_sum(bracket, Element(), alg.space, args, slot_maps, spec_cols)
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()
@@ -137,6 +134,22 @@ def _leibniz_sum(evaluate, zero, space, args, slot_maps, spec_cols):
     return total
 
 
+def _leibniz_cells(alg, out_map, slot_maps, spectator, cells=None):
+    """Yield ``(args, out_map([args]), Leibniz sum at args)`` per basis tuple.
+
+    The one cell loop of the Leibniz-rule family: derivations, quasi- and
+    generalized derivations and the adjoint expansion differ only in the
+    maps they pass.  ``cells`` defaults to every basis tuple of ``alg`` in
+    basis order.
+    """
+    space = alg.space
+    spec_cols = {l: spectator.apply_basis(l) for l in space.labels}
+    bracket = partial(eval_bracket, alg)
+    for args in space.tuples(alg.arity) if cells is None else cells:
+        value = out_map.apply(alg.bracket.value(args))
+        yield args, value, _leibniz_sum(bracket, Element(), space, args, slot_maps, spec_cols)
+
+
 def inner_derivation(alg: HomSuperAlgebra, xs, k: int) -> DerivationCandidate:
     """ad^k on a fixed tuple: y -> [x_1, .., x_{n-1}, a^k(y)], a power-(k+1) derivation.
 
@@ -144,40 +157,22 @@ def inner_derivation(alg: HomSuperAlgebra, xs, k: int) -> DerivationCandidate:
     raises :class:`FixedPointViolation` rather than silently generalizing.
     """
     alpha = _shared_twist(alg)
-    space = alg.space
-    elems = [space.basis_element(x) if isinstance(x, str) else x for x in xs]
-    if len(elems) != alg.arity - 1:
-        raise ValueError(f"inner derivation needs {alg.arity - 1} arguments")
-    for e in elems:
+    for x in xs:
+        e = alg.space.basis_element(x) if isinstance(x, str) else x
         if alpha.apply(e) != e:
             raise FixedPointViolation(f"twist does not fix {e!r}")
-    parity = 0
-    for e in elems:
-        p = e.parity_in(space)
-        if p is None:
-            raise ValueError("inner derivation arguments must be homogeneous")
-        parity = (parity + p) % 2
-    ak = map_power(alpha, k)
-    columns = {
-        l: eval_bracket(alg, elems + [ak.apply_basis(l)]) for l in space.labels
-    }
-    return DerivationCandidate(GradedLinearMap(space, parity, columns), k + 1)
+    return DerivationCandidate(map_compose(adjoint_map(alg, xs), map_power(alpha, k)), k + 1)
 
 
 def check_quasi_derivation(
     pair: QuasiPair, alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 ) -> CheckReport:
     """Leibniz sum of d absorbed by dprime applied to the whole bracket."""
-    alpha = _shared_twist(alg)
-    spectator = map_power(alpha, pair.power)
+    spectator = map_power(_shared_twist(alg), pair.power)
     col = _Collector(f"quasi-derivation(power={pair.power})", cap)
     slot_maps = (pair.d,) * alg.arity
-    spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
-    bracket = partial(eval_bracket, alg)
-    for args in alg.space.tuples(alg.arity):
+    for args, rhs, lhs in _leibniz_cells(alg, pair.dprime, slot_maps, spectator):
         col.tick()
-        lhs = _leibniz_sum(bracket, Element(), alg.space, args, slot_maps, spec_cols)
-        rhs = pair.dprime.apply(alg.bracket.value(args))
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()
@@ -196,14 +191,9 @@ def check_generalized_derivation(
         raise ValueError(f"generalized tuple needs {n + 1} maps for arity {n}")
     if spectator is None:
         spectator = map_power(alpha, tup.power)
-    slot_maps, out_map = tup.maps[:n], tup.maps[n]
     col = _Collector(f"generalized-derivation(power={tup.power})", cap)
-    spec_cols = {l: spectator.apply_basis(l) for l in alg.space.labels}
-    bracket = partial(eval_bracket, alg)
-    for args in alg.space.tuples(n):
+    for args, lhs, rhs in _leibniz_cells(alg, tup.maps[n], tup.maps[:n], spectator):
         col.tick()
-        lhs = out_map.apply(alg.bracket.value(args))
-        rhs = _leibniz_sum(bracket, Element(), alg.space, args, slot_maps, spec_cols)
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()

@@ -120,16 +120,6 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
-def in_span(basis: list[list[Fraction]], vector: list[Fraction]) -> bool:
-    """Exact membership of ``vector`` in the rational span of ``basis``."""
-    if all(v == 0 for v in vector):
-        return True
-    if not basis:
-        return False
-    stacked = [list(b) for b in basis]
-    return rank(stacked) == rank(stacked + [list(vector)])
-
-
 def invert_map(f: GradedLinearMap) -> GradedLinearMap:
     """Exact inverse of a linear map; raises ValueError when singular."""
     space = f.space

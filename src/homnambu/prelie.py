@@ -29,12 +29,14 @@ from .core import (
     HomSuperAlgebra,
     NaryBracket,
     SuperSpace,
+    adjacent_transposition_sign,
     complete_skew_orbit,
     eval_tensor,
+    koszul_sign,
     multiplicative_algebra,
 )
 from .linalg import invert_map
-from .rotabaxter import RotaBaxterOperator, check_rb_nary
+from .rotabaxter import RotaBaxterOperator, check_rb
 
 
 class TriProduct:
@@ -70,38 +72,35 @@ class TriProduct:
         return self.product.is_zero()
 
 
-def _swap01(args):
-    return (args[1], args[0], args[2])
-
-
-def _pair_sign(space, args):
-    return 1 if space.parity(args[0]) * space.parity(args[1]) else -1
-
-
 def check_first_pair_skew(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Axiom (1): skew symmetry in the first two slots."""
     col = _Collector("pre-lie-first-pair-skew", cap)
     space = t.space
-    for args in space.tuples(3):
+    for x, y, z in space.tuples(3):
         col.tick()
-        lhs = t.value(args)
-        rhs = t.value(_swap01(args)).scale(_pair_sign(space, args))
+        lhs = t.value((x, y, z))
+        sign = adjacent_transposition_sign((space.parity(x), space.parity(y)), 1)
+        rhs = t.value((y, x, z)).scale(sign)
         if lhs != rhs:
-            col.fail(args, lhs, rhs)
+            col.fail((x, y, z), lhs, rhs)
     return col.report()
+
+
+# The cyclic supercommutator as orders of (x, y, z), each with its Koszul sign.
+_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 def _cyclic_tensor(t: TriProduct) -> NaryBracket:
     space = t.space
     entries = {}
     for args in space.tuples(3):
-        x, y, z = args
-        px, py, pz = (space.parity(a) for a in args)
-        total = t.value((x, y, z))
-        s1 = -1 if px * ((py + pz) % 2) else 1
-        s2 = -1 if pz * ((px + py) % 2) else 1
-        total = total + t.value((y, z, x)).scale(s1) + t.value((z, x, y)).scale(s2)
-        if not total.is_zero():
+        parities = [space.parity(a) for a in args]
+        total = Element()
+        for order in _CYCLIC:
+            value = t.value(tuple(args[i - 1] for i in order))
+            if value:
+                total = total + value.scale(koszul_sign(parities, order))
+        if total:
             entries[args] = total
     return NaryBracket(3, entries)
 
@@ -113,50 +112,93 @@ def cyclic_supercommutator(t: TriProduct) -> HomSuperAlgebra:
     return multiplicative_algebra(t.space, _cyclic_tensor(t), t.twist)
 
 
+# The five-argument identities as signed-term tables.  A term
+# (c, inner, slot, order) reorders x_1..x_5 as y = (x_order[0], .., x_order[4])
+# and stands for
+#
+#     c * koszul_sign(order) * {a(y_1), .., inner(y_slot, y_slot+1, y_slot+2), .., a(y_5)}
+#
+# with the inner product ("t" the product, "cyc" its cyclic supercommutator)
+# in outer slot ``slot`` and the twist a on the remaining arguments.  Each
+# identity is (name, (left-side terms, right-side terms)); the derived
+# identities have an empty (zero) right side.
+_PRE_LIE_AXIOMS = (
+    ("pre-lie-nesting", (
+        ((1, "t", 3, (1, 2, 3, 4, 5)),),
+        (
+            (1, "cyc", 1, (1, 2, 3, 4, 5)),
+            (1, "cyc", 2, (3, 1, 2, 4, 5)),
+            (1, "t", 3, (3, 4, 1, 2, 5)),
+        ),
+    )),
+    ("pre-lie-cyclic-nesting", (
+        ((1, "cyc", 1, (1, 2, 3, 4, 5)),),
+        (
+            (1, "t", 3, (1, 2, 3, 4, 5)),
+            (1, "t", 3, (2, 3, 1, 4, 5)),
+            (1, "t", 3, (3, 1, 2, 4, 5)),
+        ),
+    )),
+)
+_DERIVED_IDENTITIES = (
+    ("derived-alternating", (
+        (
+            (1, "cyc", 1, (1, 2, 3, 4, 5)),
+            (-1, "cyc", 1, (1, 2, 4, 3, 5)),
+            (1, "cyc", 1, (1, 3, 4, 2, 5)),
+            (-1, "cyc", 1, (2, 3, 4, 1, 5)),
+        ),
+        (),
+    )),
+    ("derived-symmetrized", (
+        (
+            (1, "t", 3, (1, 2, 3, 4, 5)),
+            (1, "t", 3, (3, 4, 1, 2, 5)),
+            (1, "t", 3, (2, 4, 3, 1, 5)),
+            (1, "t", 3, (3, 1, 2, 4, 5)),
+            (1, "t", 3, (2, 3, 1, 4, 5)),
+            (1, "t", 3, (1, 4, 2, 3, 5)),
+        ),
+        (),
+    )),
+)
+
+
+def _five_argument_reports(t: TriProduct, identities, cap) -> list[CheckReport]:
+    """Sweep the basis 5-tuples once, one collector per (name, sides) identity."""
+    space = t.space
+    inner = {"t": t.product, "cyc": _cyclic_tensor(t)}
+    alpha_cols = {l: t.twist.apply_basis(l) for l in space.labels}
+    collectors = [(_Collector(name, cap), sides) for name, sides in identities]
+
+    def side(terms, args, parities):
+        total = Element()
+        for c, kind, slot, order in terms:
+            y = [args[i - 1] for i in order]
+            value = inner[kind].value(y[slot - 1 : slot + 2])
+            if not value:
+                continue  # a zero inner product makes the whole term zero
+            outer = [alpha_cols[a] for a in y[: slot - 1]]
+            outer += [value] + [alpha_cols[a] for a in y[slot + 2 :]]
+            total = total + t.eval(outer).scale(c * koszul_sign(parities, order))
+        return total
+
+    for args in space.tuples(5):
+        parities = [space.parity(a) for a in args]
+        for col, (left, right) in collectors:
+            col.tick()
+            lhs = side(left, args, parities)
+            rhs = side(right, args, parities)
+            if lhs != rhs:
+                col.fail(args, lhs, rhs)
+    return [col.report() for col, _ in collectors]
+
+
 def check_3_pre_lie(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """All three axioms, the five-argument ones over every basis 5-tuple."""
     skew = check_first_pair_skew(t, cap)
-    space = t.space
-    cyc = _cyclic_tensor(t)
-    alpha_cols = {l: t.twist.apply_basis(l) for l in space.labels}
-    base = {l: space.basis_element(l) for l in space.labels}
-
-    col2 = _Collector("pre-lie-nesting", cap)
-    col3 = _Collector("pre-lie-cyclic-nesting", cap)
-    for args in space.tuples(5):
-        x1, x2, x3, x4, x5 = args
-        p = [space.parity(a) for a in args]
-        c123 = cyc.value((x1, x2, x3))
-        c124 = cyc.value((x1, x2, x4))
-
-        col2.tick()
-        lhs2 = t.eval([alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
-        rhs2 = t.eval([c123, alpha_cols[x4], alpha_cols[x5]])
-        term = t.eval([alpha_cols[x3], c124, alpha_cols[x5]])
-        if p[2] * ((p[0] + p[1]) % 2):
-            term = term.scale(-1)
-        rhs2 = rhs2 + term
-        term = t.eval([alpha_cols[x3], alpha_cols[x4], t.value((x1, x2, x5))])
-        if ((p[0] + p[1]) % 2) * ((p[2] + p[3]) % 2):
-            term = term.scale(-1)
-        rhs2 = rhs2 + term
-        if lhs2 != rhs2:
-            col2.fail(args, lhs2, rhs2)
-
-        col3.tick()
-        lhs3 = t.eval([c123, alpha_cols[x4], alpha_cols[x5]])
-        rhs3 = t.eval([alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
-        term = t.eval([alpha_cols[x2], alpha_cols[x3], t.value((x1, x4, x5))])
-        if p[0] * ((p[1] + p[2]) % 2):
-            term = term.scale(-1)
-        rhs3 = rhs3 + term
-        term = t.eval([alpha_cols[x3], alpha_cols[x1], t.value((x2, x4, x5))])
-        if p[2] * ((p[0] + p[1]) % 2):
-            term = term.scale(-1)
-        rhs3 = rhs3 + term
-        if lhs3 != rhs3:
-            col3.fail(args, lhs3, rhs3)
-    return merge_reports("3-pre-lie", skew, col2.report(), col3.report())
+    nesting, cyclic = _five_argument_reports(t, _PRE_LIE_AXIOMS, cap)
+    return merge_reports("3-pre-lie", skew, nesting, cyclic)
 
 
 def sub_adjacent(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP):
@@ -175,43 +217,8 @@ def sub_adjacent(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP):
 
 def check_derived_identities(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Two five-argument consequences that every verified product satisfies."""
-    space = t.space
-    cyc = _cyclic_tensor(t)
-    alpha_cols = {l: t.twist.apply_basis(l) for l in space.labels}
-
-    col_a = _Collector("derived-alternating", cap)
-    col_b = _Collector("derived-symmetrized", cap)
-    for args in space.tuples(5):
-        x1, x2, x3, x4, x5 = args
-        p = [space.parity(a) for a in args]
-
-        col_a.tick()
-        total = t.eval([cyc.value((x1, x2, x3)), alpha_cols[x4], alpha_cols[x5]])
-        term = t.eval([cyc.value((x1, x2, x4)), alpha_cols[x3], alpha_cols[x5]])
-        total = total - term.scale(1 if not p[2] * p[3] else -1)
-        term = t.eval([cyc.value((x1, x3, x4)), alpha_cols[x2], alpha_cols[x5]])
-        total = total + term.scale(-1 if p[1] * ((p[2] + p[3]) % 2) else 1)
-        term = t.eval([cyc.value((x2, x3, x4)), alpha_cols[x1], alpha_cols[x5]])
-        total = total - term.scale(-1 if p[0] * ((p[1] + p[2] + p[3]) % 2) else 1)
-        if not total.is_zero():
-            col_a.fail(args, total, Element())
-
-        col_b.tick()
-        total = t.eval([alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
-        term = t.eval([alpha_cols[x3], alpha_cols[x4], t.value((x1, x2, x5))])
-        total = total + term.scale(-1 if ((p[0] + p[1]) % 2) * ((p[2] + p[3]) % 2) else 1)
-        term = t.eval([alpha_cols[x2], alpha_cols[x4], t.value((x3, x1, x5))])
-        exp = p[0] * ((p[1] + p[2] + p[3]) % 2) + p[2] * p[3]
-        total = total + term.scale(-1 if exp % 2 else 1)
-        term = t.eval([alpha_cols[x3], alpha_cols[x1], t.value((x2, x4, x5))])
-        total = total + term.scale(-1 if p[2] * ((p[0] + p[1]) % 2) else 1)
-        term = t.eval([alpha_cols[x2], alpha_cols[x3], t.value((x1, x4, x5))])
-        total = total + term.scale(-1 if p[0] * ((p[1] + p[2]) % 2) else 1)
-        term = t.eval([alpha_cols[x1], alpha_cols[x4], t.value((x2, x3, x5))])
-        total = total + term.scale(-1 if p[3] * ((p[1] + p[2]) % 2) else 1)
-        if not total.is_zero():
-            col_b.fail(args, total, Element())
-    return merge_reports("derived-identities", col_a.report(), col_b.report())
+    alternating, symmetrized = _five_argument_reports(t, _DERIVED_IDENTITIES, cap)
+    return merge_reports("derived-identities", alternating, symmetrized)
 
 
 def _require_ternary_hom_lie(alg3: HomSuperAlgebra, cap=DEFAULT_COUNTEREXAMPLE_CAP):
@@ -228,7 +235,7 @@ def rb_induced_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProd
     _require_ternary_hom_lie(alg3)
     if rb.weight != 0:
         raise ValueError("the induced product needs a weight-0 operator")
-    if not check_rb_nary(rb, alg3).passed:
+    if not check_rb(rb, alg3).passed:
         raise ValueError("operator is not Rota-Baxter on this algebra")
     space = alg3.space
     R = rb.map
@@ -272,7 +279,7 @@ def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
     _require_ternary_hom_lie(alg3)
     if rb.weight != 0:
         raise ValueError("the compatible product needs a weight-0 operator")
-    if not check_rb_nary(rb, alg3).passed:
+    if not check_rb(rb, alg3).passed:
         raise ValueError("operator is not Rota-Baxter on this algebra")
     inverse = invert_map(rb.map)
     space = alg3.space

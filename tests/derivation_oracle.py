@@ -1,4 +1,4 @@
-"""Brute-force oracle for the exact derivation solver.
+"""Brute-force oracles for the derivation solver and the Leibniz-rule checkers.
 
 Builds the constraint system the direct way: one dense ``Fraction`` row per
 (basis tuple, output coordinate), every Leibniz term evaluated with the
@@ -7,14 +7,23 @@ elimination over ``Fraction``.  Nothing is deduplicated or scaled, so the
 rows keep the raw rational coefficients of the defining equations.
 :func:`solve_oracle` returns the canonical nullspace vectors that
 :func:`homnambu.derivations.solve_derivation_space` must reproduce exactly.
+
+The report oracles below are the per-checker loops that the derivation,
+quasi-derivation, generalized-derivation and adjoint-expansion checks ran
+before they shared one cell loop.  Each writes its Leibniz sum out with the
+sign (-1)^(|f_i| (p_1 + .. + p_{i-1})) computed from the prefix, and the
+adjoint expansion evaluates the nested bracket by the recursion of
+``iterated_oracle`` rather than from the nested tensor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from homnambu.axioms import CheckReport, Counterexample
 from homnambu.core import Element, HomSuperAlgebra, eval_bracket, map_power
 from homnambu.derivations import derivation_variables
+from iterated_oracle import iterated_eval
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -130,3 +139,80 @@ def solve_oracle(alg: HomSuperAlgebra, k: int, parity: int) -> list[list[Fractio
     """Nullspace vectors over ``derivation_variables(space, parity)``."""
     rows, variables = dense_constraints(alg, k, parity)
     return dense_nullspace(rows, len(variables))
+
+
+def _report(identity, cells, cap):
+    """A report from (args, lhs, rhs, note) cells in checking order."""
+    failing = [Counterexample(tuple(args), lhs, rhs, note) for args, lhs, rhs, note in cells if lhs != rhs]
+    return CheckReport(identity, not failing, tuple(failing[:cap]), len(failing), len(cells))
+
+
+def _leibniz(evaluate, space, args, slot_maps, spectator):
+    """sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) F(S x_1, .., f_i(x_i), .., S x_n)."""
+    total = Element()
+    for i, f in enumerate(slot_maps):
+        term_args = [spectator.apply_basis(a) for a in args]
+        term_args[i] = f.apply_basis(args[i])
+        exponent = f.parity * sum(space.parity(a) for a in args[:i])
+        total = total + evaluate(term_args).scale((-1) ** exponent)
+    return total
+
+
+def _leibniz_cells(alg, out_map, slot_maps, spectator, flip=False):
+    bracket = lambda elems: eval_bracket(alg, elems)
+    cells = []
+    for args in alg.space.tuples(alg.arity):
+        lhs = out_map.apply(alg.bracket.value(args))
+        rhs = _leibniz(bracket, alg.space, args, slot_maps, spectator)
+        cells.append((args, rhs, lhs, "") if flip else (args, lhs, rhs, ""))
+    return cells
+
+
+def derivation_report(cand, alg, cap, spectator=None):
+    """Twist commutation on every basis vector, then the Leibniz rule."""
+    alpha = alg.twists[0]
+    d = cand.map
+    spectator = map_power(alpha, cand.power) if spectator is None else spectator
+    cells = [
+        ((l,), d.apply(alpha.apply_basis(l)), alpha.apply(d.apply_basis(l)), "twist commutation")
+        for l in alg.space.labels
+    ]
+    cells += _leibniz_cells(alg, d, (d,) * alg.arity, spectator)
+    return _report(f"derivation(power={cand.power})", cells, cap)
+
+
+def quasi_derivation_report(pair, alg, cap):
+    """The Leibniz sum of d (the left side) against dprime of the bracket."""
+    spectator = map_power(alg.twists[0], pair.power)
+    cells = _leibniz_cells(alg, pair.dprime, (pair.d,) * alg.arity, spectator, flip=True)
+    return _report(f"quasi-derivation(power={pair.power})", cells, cap)
+
+
+def generalized_derivation_report(tup, alg, cap, spectator=None):
+    n = alg.arity
+    if spectator is None:
+        spectator = map_power(alg.twists[0], tup.power)
+    cells = _leibniz_cells(alg, tup.maps[n], tup.maps[:n], spectator)
+    return _report(f"generalized-derivation(power={tup.power})", cells, cap)
+
+
+def adjoint_expansion_report(alg, n, cap):
+    """[a^(n-1)(x), [y_1..y_n]] against sum_k (-1)^(|x| |Y|^{k-1}) [a(y_1), .., [x, y_k], .., a(y_n)]."""
+    space = alg.space
+    alpha = alg.twist
+    power = map_power(alpha, n - 1)
+    nested = lambda elems: iterated_eval(alg, elems, n)
+    cells = []
+    for x in space.labels:
+        ex = space.basis_element(x)
+        for ys in space.tuples(n):
+            value = nested([space.basis_element(y) for y in ys])
+            lhs = eval_bracket(alg, [power.apply_basis(x), value])
+            rhs = Element()
+            for k in range(n):
+                term_args = [alpha.apply_basis(y) for y in ys]
+                term_args[k] = eval_bracket(alg, [ex, space.basis_element(ys[k])])
+                exponent = space.parity(x) * sum(space.parity(y) for y in ys[:k])
+                rhs = rhs + nested(term_args).scale((-1) ** exponent)
+            cells.append(((x,) + ys, lhs, rhs, ""))
+    return _report(f"adjoint-expansion(n={n})", cells, cap)

@@ -38,7 +38,8 @@ from homnambu.derivations import (
     inner_derivation,
     solve_derivation_space,
 )
-from homnambu.iterated import iterated_bracket, iterated_eval
+from homnambu.iterated import iterated_bracket
+from iterated_oracle import iterated_eval
 from homnambu.linalg import invert_map
 from homnambu.prelie import (
     check_3_pre_lie,
@@ -53,8 +54,7 @@ from homnambu.rotabaxter import (
     RotaBaxterOperator,
     check_inverse_derivation_equiv,
     check_phi_rb_kernel_condition,
-    check_rb_binary,
-    check_rb_nary,
+    check_rb,
     _subset_sum,
 )
 
@@ -288,14 +288,14 @@ def test_criterion_10_rota_baxter():
     ok = True
     g5 = algebra_of("g5_1_1", a=2)
     halving = diag(g5.space, [F(1, 2), 1])
-    ok &= check_rb_binary(RotaBaxterOperator(halving, F(0)), g5).passed
+    ok &= check_rb(RotaBaxterOperator(halving, F(0)), g5).passed
     equiv = check_inverse_derivation_equiv(halving, g5)
     ok &= equiv.rb.passed and equiv.inverse_derivation.passed and equiv.agree
     ok &= invert_map(halving).matrix() == [[F(2), F(0)], [F(0), F(1)]]
     for entry in catalog_list():
         alg = entry.build().algebra
         rb = RotaBaxterOperator(GradedLinearMap.identity(alg.space), F(-1))
-        ok &= check_rb_binary(rb, alg).passed
+        ok &= check_rb(rb, alg).passed
     # subset-sum expansion against the printed seven-term form
     bundle = catalog_build("L1", a=2, b=3)
     tern = cochain_induced_bracket(bundle.cochains[0], bundle.algebra, 3)
@@ -331,9 +331,9 @@ def test_criterion_11_rb_transfer():
         rb = RotaBaxterOperator(
             GradedLinearMap.from_matrix(alg.space, rows), F(0)
         )
-        ok &= check_rb_binary(rb, alg).passed
+        ok &= check_rb(rb, alg).passed
         for n in (3, 4):
-            ok &= check_rb_nary(rb, iterated_bracket(alg, n)).passed
+            ok &= check_rb(rb, iterated_bracket(alg, n)).passed
     record_criterion(
         "11", "every verified weight-0 operator in the test set transfers to the "
         "nested arity-3 and arity-4 brackets", ok
@@ -374,7 +374,7 @@ def test_criterion_13_pre_lie_battery():
     ]
     for alg3, R in test_set:
         rb = RotaBaxterOperator(R, F(0))
-        ok &= check_rb_nary(rb, alg3).passed
+        ok &= check_rb(rb, alg3).passed
         product = rb_induced_product(alg3, rb)
         ok &= check_3_pre_lie(product).passed
         _, adjacent = sub_adjacent(product)

@@ -164,13 +164,26 @@ def _set(path, value):
     return mutate
 
 
-def _check_malformed(tmp_path, mutate) -> str:
-    """Run ``check`` on the mutated one-entry file; return its one error line."""
+def _with_operator(**fields):
+    """A mutation attaching one zero rota_baxter operator with ``fields`` overridden."""
+
+    def mutate(doc):
+        operator = {"kind": "rota_baxter", "power": 0, "weight": "0", "parity": 0,
+                    "matrix": [["0", "0"], ["0", "0"]]}
+        operator.update(fields)
+        doc["operators"] = [operator]
+
+    mutate.field = next(iter(fields))
+    return mutate
+
+
+def _check_malformed(tmp_path, mutate, command="check") -> str:
+    """Run ``command`` on the mutated one-entry file; return its one error line."""
     doc = _one_entry_doc()
     mutate(doc)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
-    result = run_cli("check", str(path))
+    result = run_cli(command, str(path))
     assert result.returncode == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()
@@ -202,6 +215,23 @@ class TestMalformedFile:
         """Each of these loaded silently (and could then pass) or blamed the
         wrong field; each now exits 2 with one error line naming the field."""
         assert f'"{mutate.field}"' in _check_malformed(tmp_path, mutate)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _with_operator(parity=1),
+            _with_operator(parity=True),
+            _with_operator(parity=False),
+            _with_operator(power=True),
+            _with_operator(power="1"),
+        ],
+        ids=["rota-baxter-odd", "parity-true", "parity-false", "power-true", "power-string"],
+    )
+    def test_operator_fields_are_typed(self, tmp_path, mutate):
+        """An odd rota_baxter operator made rb-verify die with a traceback (exit 1);
+        boolean parity and power loaded as 1/0 and could pass.  Each now exits 2
+        with one error line naming the field."""
+        assert f'"{mutate.field}"' in _check_malformed(tmp_path, mutate, "rb-verify")
 
 
 class TestInduce:

@@ -17,8 +17,8 @@ from homnambu.core import (
     map_compose,
     map_power,
     multiplicative_algebra,
+    koszul_sign,
     pair_extraction_sign,
-    prefix_degree,
     scalar,
     format_scalar,
     supercommutator_maps,
@@ -80,12 +80,15 @@ class TestSigns:
         with pytest.raises(IndexError):
             adjacent_transposition_sign([0, 1], 2)
 
-    def test_prefix_degree(self):
-        assert prefix_degree([1, 1, 0], 2) == 0
-        assert prefix_degree([1, 0, 1], 3) == 0
-        assert prefix_degree([], 0) == 0
-        with pytest.raises(IndexError):
-            prefix_degree([1], 2)
+    def test_koszul_sign_matches_permutation_oracle(self):
+        """Each inversion costs -(-1)^(p_a p_b) in the skew sign and (-1)^(p_a p_b)
+        in the Koszul sign, so the two differ by the sign of the permutation."""
+        for n in range(6):
+            for parities in itertools.product((0, 1), repeat=n):
+                for perm in itertools.permutations(range(n)):
+                    inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
+                    expected = permutation_sign(parities, perm) * (-1) ** inversions
+                    assert koszul_sign(parities, [i + 1 for i in perm]) == expected
 
     def test_pair_extraction_examples(self):
         for i, j in itertools.combinations(range(1, 4), 2):

@@ -9,10 +9,10 @@ from homnambu.derivations import DerivationCandidate, check_derivation
 from homnambu.iterated import (
     check_adjoint_expansion,
     iterated_bracket,
-    iterated_eval,
     iterated_generalized_tuple,
     iterated_transfer_derivation,
 )
+from iterated_oracle import iterated_eval
 
 
 def algebra_of(name, **params):

@@ -25,7 +25,7 @@ from homnambu.prelie import (
     rb_morphism_report,
     sub_adjacent,
 )
-from homnambu.rotabaxter import RotaBaxterOperator, check_rb_nary
+from homnambu.rotabaxter import RotaBaxterOperator, check_rb
 
 
 def diag(space, values, parity=0):
@@ -264,7 +264,7 @@ class TestImageProduct:
         tern = iterated_bracket(g5, 3)
         assert tern.bracket.is_zero()
         rb = RotaBaxterOperator(diag(tern.space, [F(1, 2), 1]), F(0))
-        assert check_rb_nary(rb, tern).passed
+        assert check_rb(rb, tern).passed
         prod = image_product(tern, rb)
         assert prod.is_zero()
 

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,15 +8,16 @@ from hypothesis import strategies as st
 
 from homnambu.catalog import catalog_build, catalog_list
 from homnambu.cochains import cochain_induced_bracket
-from homnambu.core import Element, GradedLinearMap, eval_bracket
+from homnambu.axioms import CheckReport, Counterexample
+from homnambu.core import Element, GradedLinearMap, HomSuperAlgebra, NaryBracket, eval_bracket
 from homnambu.iterated import iterated_bracket
 from homnambu.rotabaxter import (
     RotaBaxterOperator,
     check_inverse_derivation_equiv,
     check_phi_rb_kernel_condition,
-    check_rb_binary,
-    check_rb_nary,
+    check_rb,
 )
+import random_inputs
 
 
 def algebra_of(name, **params):
@@ -36,23 +39,23 @@ class TestBinary:
         for entry in binary_entries():
             alg = entry.build().algebra
             rb = RotaBaxterOperator(GradedLinearMap.zero(alg.space), F(0))
-            assert check_rb_binary(rb, alg).passed
+            assert check_rb(rb, alg).passed
 
     def test_identity_at_weight_minus_one(self):
         for entry in binary_entries():
             alg = entry.build().algebra
             rb = RotaBaxterOperator(GradedLinearMap.identity(alg.space), F(-1))
-            assert check_rb_binary(rb, alg).passed
+            assert check_rb(rb, alg).passed
 
     def test_g5_halving_operator(self):
         g5 = algebra_of("g5_1_1", a=2)
         rb = RotaBaxterOperator(diag(g5.space, [F(1, 2), 1]), F(0))
-        assert check_rb_binary(rb, g5).passed
+        assert check_rb(rb, g5).passed
 
     def test_identity_weight_zero_fails_on_nonzero_bracket(self):
         g3 = algebra_of("g3_1_1", a=2)
         rb = RotaBaxterOperator(GradedLinearMap.identity(g3.space), F(0))
-        report = check_rb_binary(rb, g3)
+        report = check_rb(rb, g3)
         assert not report.passed
 
     def test_twist_commutation_required(self):
@@ -61,7 +64,7 @@ class TestBinary:
         rows = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0],
                 [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
         rb = RotaBaxterOperator(GradedLinearMap.from_matrix(osp.space, rows), F(0))
-        report = check_rb_binary(rb, osp)
+        report = check_rb(rb, osp)
         assert any(c.note == "twist commutation" for c in report.counterexamples)
 
     def test_odd_operator_rejected(self):
@@ -84,10 +87,10 @@ class TestBinary:
         scaled_identity = RotaBaxterOperator(
             GradedLinearMap.identity(g5.space).scale(mu), mu * F(-1)
         )
-        assert check_rb_binary(scaled_identity, g5).passed
+        assert check_rb(scaled_identity, g5).passed
         halving = diag(g5.space, [F(1, 2), 1])
         scaled = RotaBaxterOperator(halving.scale(mu), mu * F(0))
-        assert check_rb_binary(scaled, g5).passed
+        assert check_rb(scaled, g5).passed
 
 
 def ternary_L1(a=1, b=3):
@@ -99,26 +102,26 @@ class TestNary:
     def test_zero_operator(self):
         tern = ternary_L1()
         rb = RotaBaxterOperator(GradedLinearMap.zero(tern.space), F(0))
-        assert check_rb_nary(rb, tern).passed
+        assert check_rb(rb, tern).passed
 
     def test_transfer_from_binary(self):
         g5 = algebra_of("g5_1_1", a=2)
         rb = RotaBaxterOperator(diag(g5.space, [F(1, 2), 1]), F(0))
-        assert check_rb_binary(rb, g5).passed
+        assert check_rb(rb, g5).passed
         for n in (3, 4):
-            assert check_rb_nary(rb, iterated_bracket(g5, n)).passed
+            assert check_rb(rb, iterated_bracket(g5, n)).passed
 
     def test_identity_weight_zero_fails_on_nonzero_ternary(self):
         tern = ternary_L1()
         rb = RotaBaxterOperator(GradedLinearMap.identity(tern.space), F(0))
-        report = check_rb_nary(rb, tern)
+        report = check_rb(rb, tern)
         assert not report.passed
 
     def test_projection_on_induced_ternary(self):
         bundle = catalog_build("L1", a=1, b=3)
         tern = cochain_induced_bracket(bundle.cochains[0], bundle.algebra, 3)
         rb = RotaBaxterOperator(bundle.operators[0].map, F(0))
-        assert check_rb_nary(rb, tern).passed
+        assert check_rb(rb, tern).passed
 
 
 def seven_term_reference(rb, alg, args):
@@ -137,6 +140,79 @@ def seven_term_reference(rb, alg, args):
         + eval_bracket(alg, [x[0], x[1], x[2]]).scale(w * w)
     )
     return rb.map.apply(total)
+
+
+def three_term_reference(rb, alg, args):
+    """The printed binary identity's right side, R(R(x)y + xR(y) + weight xy)."""
+    x, y = args
+    rx, ry = rb.map.apply_basis(x), rb.map.apply_basis(y)
+    ex, ey = alg.space.basis_element(x), alg.space.basis_element(y)
+    return rb.map.apply(
+        eval_bracket(alg, [rx, ey])
+        + eval_bracket(alg, [ex, ry])
+        + eval_bracket(alg, [ex, ey]).scale(rb.weight)
+    )
+
+
+def printed_form_report(rb, alg, cap):
+    """The full report from the printed three-term (binary) or seven-term
+    (ternary) form: twist commutation cells first, then every basis tuple."""
+    R = rb.map
+    space = alg.space
+    cells = []
+    for twist in dict.fromkeys(alg.twists):
+        for label in space.labels:
+            lhs, rhs = R.apply(twist.apply_basis(label)), twist.apply(R.apply_basis(label))
+            cells.append(Counterexample((label,), lhs, rhs, "twist commutation"))
+    reference = three_term_reference if alg.arity == 2 else seven_term_reference
+    for args in space.tuples(alg.arity):
+        lhs = eval_bracket(alg, [R.apply_basis(a) for a in args])
+        cells.append(Counterexample(args, lhs, reference(rb, alg, args)))
+    failing = [c for c in cells if c.lhs != c.rhs]
+    name = "rota-baxter" if alg.arity == 2 else "rota-baxter-nary"
+    return CheckReport(
+        f"{name}(weight={rb.weight})", not failing, tuple(failing[:cap]), len(failing), len(cells)
+    )
+
+
+def random_rb_case(rng):
+    """A random graded algebra of arity 2 or 3 with a random even operator.
+
+    A third of the operators pass by construction: zero, or mu times the
+    identity at weight -mu on a binary algebra.
+    """
+    space = random_inputs.space(rng)
+    n = rng.choice((2, 2, 3))
+    entries = random_inputs.graded_tensor(rng, space, n)
+    if rng.random() < 0.3:
+        twists = tuple(random_inputs.graded_map(rng, space) for _ in range(n - 1))
+    else:
+        twists = (random_inputs.graded_map(rng, space),) * (n - 1)
+    alg = HomSuperAlgebra(space, NaryBracket(n, entries), twists)
+    kind = rng.choice(("zero", "scalar", "random", "random"))
+    weight = rng.choice((F(0),) + random_inputs.VALUES)
+    if kind == "zero":
+        R = GradedLinearMap.zero(space)
+    elif kind == "scalar" and n == 2:
+        mu = rng.choice(random_inputs.VALUES)
+        R, weight = GradedLinearMap.identity(space).scale(mu), -mu
+    else:
+        R = random_inputs.graded_map(rng, space)
+    return RotaBaxterOperator(R, weight), alg
+
+
+def test_check_rb_matches_printed_forms():
+    """check_rb's subset sum against the printed forms, at caps 0, 2 and unlimited."""
+    rng = random.Random(7)
+    cases, failing = 80, 0
+    for _ in range(cases):
+        rb, alg = random_rb_case(rng)
+        full = printed_form_report(rb, alg, 10**6)
+        for cap in (0, 2, 10**6):
+            expected = dataclasses.replace(full, counterexamples=full.counterexamples[:cap])
+            assert check_rb(rb, alg, cap) == expected
+        failing += not full.passed
+    assert cases / 3 <= failing <= cases * 5 / 6
 
 
 class TestSubsetSumExpansion:
@@ -160,7 +236,7 @@ class TestSubsetSumExpansion:
         g5 = algebra_of("g5_1_1", a=2)
         four = iterated_bracket(g5, 4)
         rb = RotaBaxterOperator(GradedLinearMap.zero(four.space), F(3))
-        assert check_rb_nary(rb, four).passed  # exercises all 15 subsets
+        assert check_rb(rb, four).passed  # exercises all 15 subsets
 
 
 class TestInverseDerivationEquivalence:
