@@ -72,6 +72,20 @@ class _Collector:
         if len(self.kept) < self.cap:
             self.kept.append(Counterexample(tuple(args), lhs, rhs, note))
 
+    def fail_cells(self, acc, value, sort_key, head=(), swap=False):
+        """Fail the kernel cells whose two sides differ, in basis order after ``head``.
+
+        ``value`` turns a side back into the reported value, for kept cells
+        only; ``swap`` reports the right side as lhs.
+        """
+        width = len(next(iter(acc.values()), ())) // 2
+        bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
+        self.failures += len(bad)
+        room = self.cap - len(self.kept)
+        for ys in sorted(bad, key=sort_key)[:room] if bad and room > 0 else ():
+            sides = value(acc[ys][:width]), value(acc[ys][width:])
+            self.kept.append(Counterexample(head + ys, *(sides[::-1] if swap else sides)))
+
     def report(self) -> CheckReport:
         return CheckReport(
             identity=self.identity,
@@ -196,113 +210,137 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     with a_j the j-th twist; the twist subscript on the right lags the argument
     index by one after the inner bracket, exactly as the identity is stated.
 
-    One scatter-accumulate pass over the tensor's support decides every cell.
-    Denominators are cleared first (sigma for the tensor, tau_j for twist j).
-    Each twist occurs once in every term of either side, so both sides scale
-    by sigma^2 prod(tau_j) and integer arithmetic stays exact.  The x-tuples
-    are visited in basis order: the prefixes of the support and their twist
-    preimages, since every other x-tuple makes both sides vanish.  For each
-    one, every nonzero term of the left side (through the twist images of the
-    x's) and of the right side (through the twist preimages around the inner
-    bracket) is added into a per-y-tuple accumulator holding both sides.  A
-    cell whose two sides differ fails; failures are reported in
-    lexicographic order, the first ``cap`` with both sides divided back by
-    the common scale.  ``tuples_checked`` counts all d^(2n-1) cells, though
-    the cells that are zero on both sides are never visited.
+    That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted
+    derivation with out map ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .], so
+    one :func:`_leibniz_kernel` call per x-tuple decides all of its y-cells.
+    The x-tuples are visited in basis order: the prefixes of the support and
+    their twist preimages, since every other x-tuple makes both sides vanish.
+    Denominators are cleared once (sigma for the tensor, tau for the twists),
+    so both sides scale by sigma^2 tau^(n-1).  ``tuples_checked`` counts all
+    d^(2n-1) cells, though the cells that are zero on both sides are never
+    visited.
     """
     n = alg.arity
     space = alg.space
     labels = space.labels
-    width = len(labels)
-    position = {l: k for k, l in enumerate(labels)}
-    parity = dict(zip(labels, space.parities))
-    entries = alg.bracket.entries
-    sigma = _common_denominator(c for v in entries.values() for c in v.coeffs.values())
-    terms = {  # integer structure constants, (label, coeff) per output
-        args: [(l, int(c * sigma)) for l, c in v.coeffs.items()]
-        for args, v in entries.items()
-    }
-    scale = sigma * sigma
-    forward, reverse = [], []  # per twist: integer columns and preimages
-    for t in alg.twists:
-        tau = _common_denominator(c for l in labels for c in t.apply_basis(l).coeffs.values())
-        scale *= tau
-        cols = {
-            l: [(out, int(c * tau)) for out, c in t.apply_basis(l).coeffs.items()]
-            for l in labels
-        }
-        pre: dict[str, list] = {}
-        for src, image in cols.items():
-            for out, c in image:
-                pre.setdefault(out, []).append((src, c))
-        forward.append(cols)
-        reverse.append(pre)
-
-    rows: dict[tuple, dict[str, tuple]] = {}  # rows[prefix][last] = support key
-    by_out: dict[str, list] = {}  # by_out[e] = [(ys, coeff of e in T[ys])]
+    sigma, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
+    tau, forward = _integer_columns(alg.twists, labels)
+    reverse = [_preimages(cols) for cols in forward]
+    # slot j carries twist j before the inner bracket and twist j-1 after it
+    kernel = _leibniz_kernel(terms, labels, space, reverse, [None] + reverse)
+    rows: dict[tuple, dict] = {}  # rows[prefix][last] = T[prefix + (last,)]
     for args, value in terms.items():
-        rows.setdefault(args[:-1], {})[args[-1]] = args
-        for e, c in value:
-            by_out.setdefault(e, []).append((args, c))
-    # accumulator slots: left side at k, right side at width + k, per output label
-    lhs_slots = {args: [(position[l], c) for l, c in v] for args, v in terms.items()}
-    rhs_slots = {args: [(width + k, c) for k, c in v] for args, v in lhs_slots.items()}
-
-    # outer[e]: for every support key p and slot i with p[i] = e, the parity
-    # of p[:i] (that of y_1..y_{i-1}, the twists being even), the right-side
-    # slots of T[p], and the twist preimages (left, right, coeff) around slot i
-    outer = defaultdict(list)
-    for p in terms:
-        for i, e in enumerate(p):
-            right = _choices(p[i + 1 :], reverse[i:])
-            partials = [
-                (lt, rt, lc * rc) for lt, lc in _choices(p[:i], reverse[:i]) for rt, rc in right
-            ]
-            if partials:
-                outer[e].append((sum(parity[q] for q in p[:i]) % 2, rhs_slots[p], partials))
-
+        rows.setdefault(args[:-1], {})[args[-1]] = value
     relevant = set(rows)
     for prefix in rows:
         relevant.update(xs for xs, _ in _choices(prefix, reverse))
 
-    failures = 0
-    kept = []
+    col = _Collector("nambu", cap)
+    col.tick(space.dim ** (2 * n - 1))
+    value = _as_element(labels, sigma * sigma * tau ** (n - 1))
     for xs in sorted(relevant, key=space.sort_key):
-        acc = defaultdict(lambda: [0] * (2 * width))  # y-tuple -> [lhs | rhs]
+        ad = defaultdict(lambda: defaultdict(int))  # ad_{ax}, over the twist images of xs
         for w, cw in _choices(xs, forward):
-            for e, key in rows.get(w, {}).items():
-                base = lhs_slots[key]
-                for ys, c in by_out.get(e, ()):
-                    vec = acc[ys]
-                    f = cw * c
-                    for k, ck in base:
-                        vec[k] += f * ck
-        x_odd = sum(parity[x] for x in xs) % 2
-        for b, key in rows.get(xs, {}).items():
-            for e, ce in terms[key]:
-                for head, base, partials in outer.get(e, ()):
-                    f0 = -ce if x_odd and head else ce
-                    for lt, rt, coeff in partials:
+            for e, image in rows.get(w, {}).items():
+                for l, c in image:
+                    ad[e][l] += cw * c
+        out_cols = {e: list(image.items()) for e, image in ad.items()}
+        odd = sum(space.parity(x) for x in xs) % 2
+        acc = kernel(out_cols, [rows.get(xs, {})] * n, odd)
+        col.fail_cells(acc, value, space.sort_key, head=xs)
+    return col.report()
+
+
+def _leibniz_kernel(terms, outputs, space, before, after):
+    """The one twisted-Leibniz scatter, over the support of an integer tensor T.
+
+    At every cell y (an argument tuple of T) it accumulates both sides of
+
+        O(T(y)) = sum_i (-1)^(|f| (p(y_1) + .. + p(y_{i-1})))
+                  T(S_1 y_1, .., S_{i-1} y_{i-1}, f_i(y_i), S'_{i+1} y_{i+1}, .., S'_n y_n)
+
+    ``terms`` maps each support key of T to its (output, numerator) list,
+    ordered by ``outputs``.  ``before[j]`` and ``after[j]`` are the preimage
+    lists (:func:`_preimages`) of S_j and S'_j; parities come from ``space``.
+    The support indexes are built here, once.  Returns ``scatter(out_cols,
+    slot_cols, odd, lhs_scale=1)``, where ``out_cols`` and ``slot_cols[i]``
+    hold the numerator columns of O and f_i and ``odd`` is |f|.  It maps
+    each cell some term reaches to [lhs_scale * left side | right side],
+    one entry per output on each side.
+    """
+    width = len(outputs)
+    position = {e: k for k, e in enumerate(outputs)}
+    parity = dict(zip(space.labels, space.parities))
+    by_out = defaultdict(list)  # by_out[e] = [(y, coeff of e in T[y])]
+    for args, value in terms.items():
+        for e, c in value:
+            by_out[e].append((args, c))
+    # outer[i][e]: for every support key p with p[i] = e and every pick of
+    # spectator preimages around slot i, the parity of the left pick, the
+    # right-side accumulator slots of T[p], the picks and their coefficient
+    outer = [defaultdict(list) for _ in after]
+    for p, value in terms.items():
+        base = [(width + position[e], c) for e, c in value]
+        for i, e in enumerate(p):
+            right = _choices(p[i + 1 :], after[i + 1 :])
+            for lt, lc in _choices(p[:i], before[:i]) if right else ():
+                odd_prefix = sum(parity[y] for y in lt) % 2
+                outer[i][e].extend((odd_prefix, base, lt, rt, lc * rc) for rt, rc in right)
+
+    zero = [0] * (2 * width)
+
+    def scatter(out_cols, slot_cols, odd, lhs_scale=1):
+        acc = defaultdict(zero.copy)
+        for e, image in out_cols.items():
+            column = [(position[r], lhs_scale * c) for r, c in image]
+            for ys, c in by_out.get(e, ()):
+                vec = acc[ys]
+                for k, ck in column:
+                    vec[k] += c * ck
+        for index, cols in zip(outer, slot_cols):
+            for b, image in cols.items():
+                for e, ce in image:
+                    for odd_prefix, base, lt, rt, coeff in index.get(e, ()):
+                        f = (-ce if odd and odd_prefix else ce) * coeff
                         vec = acc[lt + (b,) + rt]
-                        f = f0 * coeff
                         for k, ck in base:
                             vec[k] += f * ck
-        bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
-        failures += len(bad)
-        if bad and len(kept) < cap:
-            bad.sort(key=space.sort_key)
-            for ys in bad[: cap - len(kept)]:
-                vec = acc[ys]
-                lhs, rhs = (
-                    Element({labels[k]: Fraction(v, scale) for k, v in enumerate(half)})
-                    for half in (vec[:width], vec[width:])
-                )
-                kept.append(Counterexample(xs + ys, lhs, rhs))
-    return CheckReport("nambu", failures == 0, tuple(kept), failures, space.dim ** (2 * n - 1))
+        return acc
+
+    return scatter
 
 
-def _common_denominator(coeffs) -> int:
-    return math.lcm(1, *(c.denominator for c in coeffs))
+def _numerators(table):
+    """(denominator, numerators): a table of coefficient dicts over one denominator.
+
+    Each key's dict becomes a list of (inner key, integer numerator) pairs.
+    """
+    den = math.lcm(1, *(c.denominator for coeffs in table.values() for c in coeffs.values()))
+    return den, {
+        key: [(l, int(c * den)) for l, c in coeffs.items()] for key, coeffs in table.items()
+    }
+
+
+def _integer_columns(maps, labels):
+    """(denominator, columns): each map's columns as numerator lists over one denominator."""
+    den, cols = _numerators(
+        {(j, l): m.apply_basis(l).coeffs for j, m in enumerate(maps) for l in labels}
+    )
+    return den, [{l: cols[j, l] for l in labels} for j in range(len(maps))]
+
+
+def _preimages(cols) -> dict:
+    """pre[r] = [(c, coeff)] for every entry (r, coeff) of column c."""
+    pre: dict[str, list] = {}
+    for c, image in cols.items():
+        for r, coeff in image:
+            pre.setdefault(r, []).append((c, coeff))
+    return pre
+
+
+def _as_element(labels, scale):
+    """Turn one side of a kernel accumulator back into an :class:`Element`."""
+    return lambda half: Element({l: Fraction(v, scale) for l, v in zip(labels, half)})
 
 
 def _choices(target, maps):

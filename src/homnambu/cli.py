@@ -213,7 +213,7 @@ def cmd_induce(args) -> int:
     if args.method == "phi":
         if not bundle.cochains:
             raise InputProblem(f"{bundle.name} carries no cochains")
-        if args.cochain >= len(bundle.cochains):
+        if not 0 <= args.cochain < len(bundle.cochains):
             raise InputProblem(f"no cochain with index {args.cochain}")
         phi = bundle.cochains[args.cochain]
         if phi.degree != n - 2:
@@ -291,7 +291,7 @@ def cmd_derive(args) -> int:
 def _pick_operator(bundle: AlgebraBundle, index, kind: str):
     candidates = [op for op in bundle.operators if op.kind == kind]
     if index is not None:
-        if index >= len(bundle.operators):
+        if not 0 <= index < len(bundle.operators):
             raise InputProblem(f"no operator with index {index}")
         op = bundle.operators[index]
         if op.kind != kind:

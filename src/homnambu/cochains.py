@@ -22,6 +22,9 @@ from .axioms import (
     CheckReport,
     _Collector,
     DEFAULT_COUNTEREXAMPLE_CAP,
+    _integer_columns,
+    _leibniz_kernel,
+    _numerators,
     check_super_skew,
 )
 from .core import (
@@ -36,7 +39,7 @@ from .core import (
     pair_extractions,
     scalar,
 )
-from .derivations import DerivationCandidate, _leibniz_sum, check_derivation
+from .derivations import DerivationCandidate, check_derivation
 
 
 class SuperCochain:
@@ -275,15 +278,18 @@ def derivation_transfer(
     base = check_derivation(cand, alg)
     if not base.passed:
         raise ValueError("transfer requires a verified derivation of the base algebra")
+    # phi is a tensor with the one output 0, D the slot map and the identity
+    # the spectator; the out map is zero
     space = alg.space
+    labels = space.labels
+    sigma, terms = _numerators({args: {0: v} for args, v in phi.values.items()})
+    delta, (d,) = _integer_columns([cand.map], labels)
+    identity = [{l: [(l, 1)] for l in labels}] * phi.degree
+    kernel = _leibniz_kernel(terms, (0,), space, identity, identity)
     col = _Collector("phi-annihilation", cap)
-    slot_maps = (cand.map,) * phi.degree
-    identity_cols = {l: space.basis_element(l) for l in space.labels}
-    for args in space.tuples(phi.degree):
-        col.tick()
-        total = _leibniz_sum(phi.eval, ZERO, space, args, slot_maps, identity_cols)
-        if total != 0:
-            col.fail(args, total, ZERO)
+    col.tick(space.dim ** phi.degree)
+    acc = kernel({}, [d] * phi.degree, cand.map.parity)
+    col.fail_cells(acc, lambda half: Fraction(half[0], sigma * delta), space.sort_key, swap=True)
     hypothesis = col.report()
     if not hypothesis.passed:
         return TransferReport(hypothesis, None)

@@ -8,11 +8,11 @@ argument is twisted by a^k and moving D past the first i-1 arguments costs
 The solver sets the matrix entries of an unknown parity-homogeneous map as
 variables and returns the exact nullspace basis of the commutation and
 Leibniz constraints.  One parity class is solved at a time since the Leibniz
-sign depends on the parity of the unknown map.  The Leibniz rows are
-assembled from the tensor's support rather than from all d^n basis tuples:
-each stored entry contributes its left-side terms at its own index tuple and
-its right-side terms at the tuples whose spectator images hit it, found
-through precomputed preimage lists of a^k.  Denominators are cleared once,
+sign depends on the parity of the unknown map.  The rows come from the
+kernel the checkers share, one call per matrix unit, over the tensor's
+support rather than all d^n basis tuples: each stored entry contributes its
+left-side terms at its own index tuple and its right-side terms at the
+tuples whose spectator images hit it.  Denominators are cleared once,
 every row is reduced to a primitive integer row, and each distinct row is
 kept once, so the elimination sees a few hundred rows where the defining
 equations number tens of thousands.
@@ -23,14 +23,16 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .axioms import (
     CheckReport,
     DEFAULT_COUNTEREXAMPLE_CAP,
-    _choices,
+    _as_element,
     _Collector,
-    _common_denominator,
+    _integer_columns,
+    _leibniz_kernel,
+    _numerators,
+    _preimages,
     _twist_commutation,
     adjoint_map,
 )
@@ -39,7 +41,6 @@ from .core import (
     FixedPointViolation,
     GradedLinearMap,
     HomSuperAlgebra,
-    eval_bracket,
     map_compose,
     map_power,
     supercommutator_maps,
@@ -107,47 +108,44 @@ def check_derivation(
         spectator = map_power(alpha, cand.power)
     col = _Collector(f"derivation(power={cand.power})", cap)
     _twist_commutation(col, d, alg)
-    for args, lhs, rhs in _leibniz_cells(alg, d, (d,) * alg.arity, spectator):
-        col.tick()
-        if lhs != rhs:
-            col.fail(args, lhs, rhs)
+    _leibniz_checker(alg, spectator)(col, d, (d,) * alg.arity)
     return col.report()
 
 
-def _leibniz_sum(evaluate, zero, space, args, slot_maps, spec_cols):
-    """sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) F(S x_1, .., f_i(x_i), .., S x_n).
+def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
+    """The Leibniz-rule family's checker, on :func:`axioms._leibniz_kernel`.
 
-    The one home of the slot-wise graded Leibniz sum.  ``evaluate`` is the
-    multilinear form F, taking a list of elements (a bracket, or a cochain's
-    ``eval``), and ``zero`` the zero of its values; ``args`` are basis labels
-    with parities in ``space``, ``slot_maps`` holds f_i per slot and
-    ``spec_cols`` the columns of the spectator S.
-    """
-    total = zero
-    odd_prefix = 0  # parity of x_1 .. x_{i-1}
-    for i, f in enumerate(slot_maps):
-        term_args = [spec_cols[a] for a in args]
-        term_args[i] = f.apply_basis(args[i])
-        term = evaluate(term_args)
-        total = total + (-term if f.parity and odd_prefix else term)
-        odd_prefix ^= space.parity(args[i])
-    return total
+    Returns ``check(col, out_map, slot_maps, head=(), cell=None, swap=False)``,
+    which adds to ``col`` every basis tuple y where
 
+        out_map([y]) != sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) [S y_1, .., f_i(y_i), .., S y_n]
 
-def _leibniz_cells(alg, out_map, slot_maps, spectator, cells=None):
-    """Yield ``(args, out_map([args]), Leibniz sum at args)`` per basis tuple.
-
-    The one cell loop of the Leibniz-rule family: derivations, quasi- and
-    generalized derivations and the adjoint expansion differ only in the
-    maps they pass.  ``cells`` defaults to every basis tuple of ``alg`` in
-    basis order.
+    with S = ``spectator`` and f_i = ``slot_maps[i]``, in basis order after
+    ``head``.  ``cell`` checks that one tuple only; ``swap`` reports the
+    Leibniz sum as lhs.  Derivations, quasi- and generalized derivations and
+    the adjoint expansion differ only in the maps they pass.
     """
     space = alg.space
-    spec_cols = {l: spectator.apply_basis(l) for l in space.labels}
-    bracket = partial(eval_bracket, alg)
-    for args in space.tuples(alg.arity) if cells is None else cells:
-        value = out_map.apply(alg.bracket.value(args))
-        yield args, value, _leibniz_sum(bracket, Element(), space, args, slot_maps, spec_cols)
+    labels = space.labels
+    n = alg.arity
+    sigma, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
+    tau, (spec,) = _integer_columns([spectator], labels)
+    pre = [_preimages(spec)] * n
+    kernel = _leibniz_kernel(terms, labels, space, pre, pre)
+    lhs_scale = tau ** (n - 1)  # each right-side term holds n - 1 spectator entries
+
+    def check(col, out_map, slot_maps, head=(), cell=None, swap=False):
+        delta, (out, *slots) = _integer_columns([out_map, *slot_maps], labels)
+        odd = next((f.parity for f in slot_maps if not f.is_zero()), 0)
+        acc = kernel(out, slots, odd, lhs_scale)
+        if cell is not None:
+            space.sort_key(cell)  # unknown labels raise
+            acc = {cell: acc[cell]} if cell in acc else {}
+        col.tick(space.dim ** n if cell is None else 1)
+        value = _as_element(labels, sigma * delta * lhs_scale)
+        col.fail_cells(acc, value, space.sort_key, head, swap)
+
+    return check
 
 
 def inner_derivation(alg: HomSuperAlgebra, xs, k: int) -> DerivationCandidate:
@@ -170,11 +168,7 @@ def check_quasi_derivation(
     """Leibniz sum of d absorbed by dprime applied to the whole bracket."""
     spectator = map_power(_shared_twist(alg), pair.power)
     col = _Collector(f"quasi-derivation(power={pair.power})", cap)
-    slot_maps = (pair.d,) * alg.arity
-    for args, rhs, lhs in _leibniz_cells(alg, pair.dprime, slot_maps, spectator):
-        col.tick()
-        if lhs != rhs:
-            col.fail(args, lhs, rhs)
+    _leibniz_checker(alg, spectator)(col, pair.dprime, (pair.d,) * alg.arity, swap=True)
     return col.report()
 
 
@@ -192,10 +186,7 @@ def check_generalized_derivation(
     if spectator is None:
         spectator = map_power(alpha, tup.power)
     col = _Collector(f"generalized-derivation(power={tup.power})", cap)
-    for args, lhs, rhs in _leibniz_cells(alg, tup.maps[n], tup.maps[:n], spectator):
-        col.tick()
-        if lhs != rhs:
-            col.fail(args, lhs, rhs)
+    _leibniz_checker(alg, spectator)(col, tup.maps[n], tup.maps[:n])
     return col.report()
 
 
@@ -245,72 +236,31 @@ def derivation_constraints(
     space = alg.space
     labels = space.labels
     variables = derivation_variables(space, parity)
-    var_index = {v: i for i, v in enumerate(variables)}
-    nvars = len(variables)
-    rows: dict = {}  # distinct primitive rows (None for zero) in first-seen order
-
-    # D(alpha(c)) = alpha(D(c)), coordinate by coordinate
-    scale = _common_denominator(
-        v for l in labels for v in alpha.apply_basis(l).coeffs.values()
-    )
-    for c in labels:
-        alpha_c = alpha.apply_basis(c)
-        for rho in labels:
-            row = [0] * nvars
-            for w, coeff in alpha_c.coeffs.items():
-                idx = var_index.get((rho, w))
-                if idx is not None:
-                    row[idx] += int(coeff * scale)
-            for r in labels:
-                idx = var_index.get((r, c))
-                if idx is not None:
-                    row[idx] -= int(alpha.apply_basis(r).coeffs.get(rho, 0) * scale)
-            rows[linalg.primitive_row(row)] = None
-
-    # Leibniz rule at every (x_1..x_n, rho) some term reaches: entry p of the
-    # tensor gives the left side at x = p, and right-side term i at every x
-    # with (p_i, x_i) a variable and S(x_j) hitting p_j for j != i
     n = alg.arity
-    entries = alg.bracket.entries
-    spectator = map_power(alpha, k)
-    sigma = _common_denominator(c for v in entries.values() for c in v.coeffs.values())
-    tau = _common_denominator(
-        v for l in labels for v in spectator.apply_basis(l).coeffs.values()
+    width = len(labels)
+    _, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
+    tau, (twist, spec) = _integer_columns([alpha, map_power(alpha, k)], labels)
+    pre = [_preimages(spec)] * n
+    # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor
+    # alpha; then the bracket's, with spectator alpha^k.  Both are linear in
+    # D, so the residual (left minus right side) of the matrix unit E_{r,c}
+    # at (x, rho) is the entry of that unknown in the row of (x, rho).
+    kernels = (
+        (_leibniz_kernel({(c,): twist[c] for c in labels}, labels, space, [], [None]), 1, 1),
+        (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
     )
-    preimages: dict[str, list] = {}  # preimages[y] = [(x, S[y, x] * tau)]
-    for x in labels:
-        for y, c in spectator.apply_basis(x).coeffs.items():
-            preimages.setdefault(y, []).append((x, int(c * tau)))
-    # every term holds one tensor entry (scaled by sigma) and, on the right
-    # side, n - 1 spectator entries (scaled by tau each)
-    lhs_scale = tau ** (n - 1)
-    by_row = {r: [(x, var_index[r, x]) for x in labels if (r, x) in var_index] for r in labels}
-    by_col = {b: [(r, var_index[r, b]) for r in labels if (r, b) in var_index] for b in labels}
-    parity_of = dict(zip(labels, space.parities))
-    acc = defaultdict(lambda: [0] * nvars)  # (args, rho) -> row
-    for p, value in entries.items():
-        out = [(rho, int(c * sigma)) for rho, c in value.coeffs.items()]
-        for b, t in out:
-            for rho, idx in by_col[b]:
-                acc[p, rho][idx] += t * lhs_scale
-        odd_prefix = 0  # parity of p_1..p_{i-1}, that of x_1..x_{i-1} (S is even)
-        for i, r in enumerate(p):
-            sign = -1 if parity and odd_prefix else 1
-            odd_prefix ^= parity_of[r]
-            right = _choices(p[i + 1 :], [preimages] * (n - 1 - i))
-            spectators = [
-                (lt, rt, sign * lc * rc)
-                for lt, lc in _choices(p[:i], [preimages] * i)
-                for rt, rc in right
-            ]
-            for x, idx in by_row[r]:
-                for lt, rt, s in spectators:
-                    args = lt + (x,) + rt
-                    for rho, t in out:
-                        acc[args, rho][idx] -= s * t
-    for row in acc.values():
-        rows[linalg.primitive_row(row)] = None
-    return [list(row) for row in rows if row is not None], variables
+    rows: dict = {}  # distinct primitive rows in first-seen order
+    for kernel, arity, lhs_scale in kernels:
+        acc = defaultdict(([0] * len(variables)).copy)  # (x, rho) -> row
+        for idx, (r, c) in enumerate(variables):
+            unit = {c: [(r, 1)]}
+            for args, vec in kernel(unit, [unit] * arity, parity, lhs_scale).items():
+                for rho in range(width):
+                    if vec[rho] != vec[width + rho]:
+                        acc[args, rho][idx] = vec[rho] - vec[width + rho]
+        for row in dict.fromkeys(map(tuple, acc.values())):
+            rows[linalg.primitive_row(row)] = None
+    return [list(row) for row in rows], variables
 
 
 def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[GradedLinearMap]:

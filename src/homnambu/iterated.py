@@ -29,7 +29,7 @@ from .derivations import (
     DerivationCandidate,
     GeneralizedTuple,
     QuasiPair,
-    _leibniz_cells,
+    _leibniz_checker,
     check_derivation,
     check_generalized_derivation,
     check_quasi_derivation,
@@ -88,18 +88,13 @@ def check_adjoint_expansion(
     _require_binary_multiplicative(alg)
     alpha = alg.twist
     space = alg.space
-    nested = iterated_bracket(alg, n)
     col = _Collector(f"adjoint-expansion(n={n})", cap)
     power = map_power(alpha, n - 1)
-    xs = [x] if x is not None else list(space.labels)
-    all_ys = [tuple(ys)] if ys is not None else list(space.tuples(n))
-    for xv in xs:
+    check = _leibniz_checker(iterated_bracket(alg, n), alpha)
+    cell = None if ys is None else tuple(ys)
+    for xv in [x] if x is not None else space.labels:
         outer = adjoint_map(alg, [power.apply_basis(xv)])
-        slot_maps = (adjoint_map(alg, [xv]),) * n
-        for yt, lhs, rhs in _leibniz_cells(nested, outer, slot_maps, alpha, all_ys):
-            col.tick()
-            if lhs != rhs:
-                col.fail((xv,) + yt, lhs, rhs)
+        check(col, outer, (adjoint_map(alg, [xv]),) * n, head=(xv,), cell=cell)
     return col.report()
 
 

@@ -9,10 +9,11 @@ rows keep the raw rational coefficients of the defining equations.
 :func:`homnambu.derivations.solve_derivation_space` must reproduce exactly.
 
 The report oracles below are the per-checker loops that the derivation,
-quasi-derivation, generalized-derivation and adjoint-expansion checks ran
-before they shared one cell loop.  Each writes its Leibniz sum out with the
-sign (-1)^(|f_i| (p_1 + .. + p_{i-1})) computed from the prefix, and the
-adjoint expansion evaluates the nested bracket by the recursion of
+quasi-derivation, generalized-derivation and adjoint-expansion checks and
+the phi-annihilation hypothesis of ``derivation_transfer`` ran before they
+shared one kernel.  Each writes its Leibniz sum out with the sign
+(-1)^(|f_i| (p_1 + .. + p_{i-1})) computed from the prefix, and the adjoint
+expansion evaluates the nested bracket by the recursion of
 ``iterated_oracle`` rather than from the nested tensor.
 """
 
@@ -196,23 +197,41 @@ def generalized_derivation_report(tup, alg, cap, spectator=None):
     return _report(f"generalized-derivation(power={tup.power})", cells, cap)
 
 
-def adjoint_expansion_report(alg, n, cap):
-    """[a^(n-1)(x), [y_1..y_n]] against sum_k (-1)^(|x| |Y|^{k-1}) [a(y_1), .., [x, y_k], .., a(y_n)]."""
+def adjoint_expansion_report(alg, n, cap, x=None, ys=None):
+    """[a^(n-1)(x), [y_1..y_n]] against sum_k (-1)^(|x| |Y|^{k-1}) [a(y_1), .., [x, y_k], .., a(y_n)].
+
+    An explicit ``x`` or ``ys`` restricts the cells to it.
+    """
     space = alg.space
     alpha = alg.twist
     power = map_power(alpha, n - 1)
     nested = lambda elems: iterated_eval(alg, elems, n)
     cells = []
-    for x in space.labels:
-        ex = space.basis_element(x)
-        for ys in space.tuples(n):
-            value = nested([space.basis_element(y) for y in ys])
-            lhs = eval_bracket(alg, [power.apply_basis(x), value])
+    for xv in space.labels if x is None else [x]:
+        ex = space.basis_element(xv)
+        for yt in space.tuples(n) if ys is None else [tuple(ys)]:
+            value = nested([space.basis_element(y) for y in yt])
+            lhs = eval_bracket(alg, [power.apply_basis(xv), value])
             rhs = Element()
             for k in range(n):
-                term_args = [alpha.apply_basis(y) for y in ys]
-                term_args[k] = eval_bracket(alg, [ex, space.basis_element(ys[k])])
-                exponent = space.parity(x) * sum(space.parity(y) for y in ys[:k])
+                term_args = [alpha.apply_basis(y) for y in yt]
+                term_args[k] = eval_bracket(alg, [ex, space.basis_element(yt[k])])
+                exponent = space.parity(xv) * sum(space.parity(y) for y in yt[:k])
                 rhs = rhs + nested(term_args).scale((-1) ** exponent)
-            cells.append(((x,) + ys, lhs, rhs, ""))
+            cells.append(((xv,) + yt, lhs, rhs, ""))
     return _report(f"adjoint-expansion(n={n})", cells, cap)
+
+
+def phi_annihilation_report(d, phi, cap):
+    """sum_i (-1)^(|D| (p_1 + .. + p_{i-1})) phi(x_1, .., D x_i, .., x_m) = 0 on every basis tuple."""
+    space = phi.space
+    cells = []
+    for args in space.tuples(phi.degree):
+        total = ZERO
+        for i in range(phi.degree):
+            term_args = [space.basis_element(a) for a in args]
+            term_args[i] = d.apply_basis(args[i])
+            exponent = d.parity * sum(space.parity(a) for a in args[:i])
+            total += (-1) ** exponent * phi.eval(term_args)
+        cells.append((args, total, ZERO, ""))
+    return _report("phi-annihilation", cells, cap)

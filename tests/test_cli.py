@@ -287,6 +287,13 @@ class TestInduce:
         assert result.returncode == 1
         assert "wedge-obstruction" in result.stdout
 
+    def test_negative_cochain_index_exit_two(self):
+        result = run_cli(
+            "induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3", "--cochain", "-1"
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["error: no cochain with index -1"]
+
     def test_output_reloads(self, tmp_path):
         result = run_cli("induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3")
         path = tmp_path / "tern.json"
@@ -326,6 +333,14 @@ class TestRbVerify:
     def test_missing_operator(self):
         result = run_cli("rb-verify", "catalog:g4_1_1?a=2")
         assert result.returncode == 2
+
+    def test_negative_operator_index_exit_two(self, tmp_path):
+        induced = run_cli("induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3")
+        path = tmp_path / "tern.json"
+        path.write_text(induced.stdout)
+        result = run_cli("rb-verify", str(path), "--operator", "-1")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["error: no operator with index -1"]
 
 
 class TestPrelie:
