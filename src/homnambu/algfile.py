@@ -117,7 +117,7 @@ def strip_comments(text: str) -> str:
 def parse(text: str) -> AlgebraBundle:
     try:
         doc = json.loads(strip_comments(text))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise AlgebraFileError(f"not valid JSON: {exc}") from None
     return load(doc)
 

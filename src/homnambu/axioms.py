@@ -80,11 +80,20 @@ class _Collector:
         """
         width = len(next(iter(acc.values()), ())) // 2
         bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
+        halves = (slice(width), slice(width, None))[:: -1 if swap else 1]
+        self._keep(bad, lambda ys: [value(acc[ys][h]) for h in halves], sort_key, head)
+
+    def fail_diff(self, left, right, sort_key, note=""):
+        """Fail the cells where two sparse tables (:func:`_compose`) differ, in basis order."""
+        bad = [x for x in left.keys() | right.keys() if left.get(x) != right.get(x)]
+        self._keep(bad, lambda x: (left.get(x, Element()), right.get(x, Element())), sort_key, note=note)
+
+    def _keep(self, bad, sides, sort_key, head=(), note=""):
+        """Count the failing cells ``bad``; keep the first ones in basis order, up to the cap."""
         self.failures += len(bad)
         room = self.cap - len(self.kept)
         for ys in sorted(bad, key=sort_key)[:room] if bad and room > 0 else ():
-            sides = value(acc[ys][:width]), value(acc[ys][width:])
-            self.kept.append(Counterexample(head + ys, *(sides[::-1] if swap else sides)))
+            self.kept.append(Counterexample(head + ys, *sides(ys), note))
 
     def report(self) -> CheckReport:
         return CheckReport(
@@ -143,32 +152,20 @@ def check_super_skew(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 
 
 def _twist_commutation(col: _Collector, f: GradedLinearMap, alg: HomSuperAlgebra):
-    """f(a(x)) = a(f(x)) on every basis vector, for each distinct twist a."""
+    """f(a(x)) = a(f(x)) on every basis vector, for each distinct twist a (a 1-ary tensor)."""
     for twist in dict.fromkeys(alg.twists):
-        for label in alg.space.labels:
-            col.tick()
-            lhs = f.apply(twist.apply_basis(label))
-            rhs = twist.apply(f.apply_basis(label))
-            if lhs != rhs:
-                col.fail((label,), lhs, rhs, note="twist commutation")
+        col.tick(alg.space.dim)
+        a = {(c,): image for c, image in twist.columns.items()}
+        col.fail_diff(_compose(a, f), _compose(a, slot_maps=[f]), alg.space.sort_key, "twist commutation")
 
 
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist."""
+    alpha = _shared_twist(alg)
     col = _Collector("multiplicative", cap)
-    alpha = alg.twists[0]
-    for t in alg.twists[1:]:
-        if t != alpha:
-            raise ValueError("multiplicativity check needs a single shared twist")
-    n = alg.arity
-    space = alg.space
-    twisted = {l: alpha.apply_basis(l) for l in space.labels}
-    for args in space.tuples(n):
-        col.tick()
-        lhs = alpha.apply(alg.bracket.value(args))
-        rhs = eval_bracket(alg, [twisted[a] for a in args])
-        if lhs != rhs:
-            col.fail(args, lhs, rhs)
+    col.tick(alg.space.dim ** alg.arity)
+    T = alg.bracket.entries
+    col.fail_diff(_compose(T, alpha), _compose(T, slot_maps=[alpha] * alg.arity), alg.space.sort_key)
     return col.report()
 
 
@@ -308,6 +305,42 @@ def _leibniz_kernel(terms, outputs, space, before, after):
         return acc
 
     return scatter
+
+
+def _compose(entries, out_map=None, slot_maps=None):
+    """The sparse table of O∘T∘(M_1⊗..⊗M_n), scattered over the support of T.
+
+    ``entries`` maps T's argument tuples to elements, like :attr:`NaryBracket.entries`,
+    and so does the result (nonzero values only).  O is ``out_map``, M_i is
+    ``slot_maps[i]``; ``None`` is the identity.  The value at x sums
+    prod_i <y_i | M_i x_i> O(T(y)) over the support keys y, with no Koszul
+    sign: the maps must be even, or T unary.
+    """
+    keys = list(entries)
+    n = len(keys[0]) if keys else 0
+    pre = [
+        {y[i]: [(y[i], 1)] for y in keys} if m is None
+        else _preimages({c: image.coeffs.items() for c, image in m.columns.items()})
+        for i, m in enumerate(slot_maps or [None] * n)
+    ]
+    out = None if out_map is None else {c: image.coeffs for c, image in out_map.columns.items()}
+    table: dict[tuple, dict] = {}
+    for y, value in entries.items():
+        image = value.coeffs.items() if out is None else [
+            (r, v * cr) for l, v in value.coeffs.items() for r, cr in out[l].items()
+        ]
+        for xs, c in _choices(y, pre):
+            cell = table.setdefault(xs, {})
+            for r, v in image:
+                cell[r] = cell.get(r, 0) + c * v
+    return {xs: e for xs, cell in table.items() if (e := Element(cell))}
+
+
+def _shared_twist(alg: HomSuperAlgebra) -> GradedLinearMap:
+    alpha = alg.twists[0]
+    if any(t != alpha for t in alg.twists[1:]):
+        raise ValueError("operation requires a single shared twist")
+    return alpha
 
 
 def _numerators(table):

@@ -2,8 +2,9 @@
 
 Sources are either files in the algebra format or references like
 ``catalog:g3_1_1?a=5``.  Exit codes: 0 all selected checks pass, 1 some
-identity fails, 2 on any input problem.  Output is deterministic: two runs on
-the same input produce byte-identical text.
+identity fails, 2 on any input problem, 3 on an internal error (the traceback
+goes to stderr).  Output is deterministic: two runs on the same input produce
+byte-identical text.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .rotabaxter import RotaBaxterOperator, check_rb
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputProblem(Exception):
@@ -93,7 +95,7 @@ def resolve_source(source: str, extra_params: str = "") -> AlgebraBundle:
     try:
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputProblem(f"cannot read {source}: {exc}") from None
     try:
         return algfile.parse(text)
@@ -441,6 +443,11 @@ def main(argv=None) -> int:
     except (AlgebraFileError, OrbitConflict, catalog.CatalogError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .axioms import (
     _leibniz_kernel,
     _numerators,
     _preimages,
+    _shared_twist,
     _twist_commutation,
     adjoint_map,
 )
@@ -82,13 +83,6 @@ class GeneralizedTuple:
         parities = {m.parity for m in self.maps if not m.is_zero()}
         if len(parities) > 1:
             raise ValueError("all maps of a generalized tuple must share a parity")
-
-
-def _shared_twist(alg: HomSuperAlgebra) -> GradedLinearMap:
-    alpha = alg.twists[0]
-    if any(t != alpha for t in alg.twists[1:]):
-        raise ValueError("operation requires a single shared twist")
-    return alpha
 
 
 def check_derivation(

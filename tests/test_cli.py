@@ -181,8 +181,13 @@ def _check_malformed(tmp_path, mutate, command="check") -> str:
     """Run ``command`` on the mutated one-entry file; return its one error line."""
     doc = _one_entry_doc()
     mutate(doc)
+    return _check_unreadable(tmp_path, json.dumps(doc).encode(), command)
+
+
+def _check_unreadable(tmp_path, content: bytes, command="check") -> str:
+    """Run ``command`` on a file holding ``content``; return its one error line."""
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(content)
     result = run_cli(command, str(path))
     assert result.returncode == 2
     assert result.stdout == ""
@@ -232,6 +237,34 @@ class TestMalformedFile:
         boolean parity and power loaded as 1/0 and could pass.  Each now exits 2
         with one error line naming the field."""
         assert f'"{mutate.field}"' in _check_malformed(tmp_path, mutate, "rb-verify")
+
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000],
+        ids=["not-utf8", "nested-past-recursion-limit"],
+    )
+    def test_unreadable_text_exit_two(self, tmp_path, content):
+        """A file that is not UTF-8 and one nested past the recursion limit each
+        died with a traceback (exit 1); each now exits 2 with one error line."""
+        _check_unreadable(tmp_path, content)
+
+
+class TestInternalError:
+    def test_exit_three_with_traceback(self, monkeypatch, capsys):
+        """An exception that is neither an identity failure nor an input
+        problem exits 3, so exit 1 keeps meaning that an identity failed."""
+        from homnambu import cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken checker")
+
+        monkeypatch.setattr(cli, "check_grading", broken)
+        assert cli.main(["check", "catalog:g3_1_1"]) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert captured.err.rstrip().endswith("RuntimeError: broken checker")
 
 
 class TestInduce:
