@@ -15,7 +15,6 @@ scalars.  ``emit(parse(text))`` is byte-identical for canonical input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import check_grading
@@ -28,6 +27,7 @@ from .core import (
     SuperSpace,
     complete_skew_orbit,
     format_scalar,
+    record,
     scalar,
 )
 
@@ -38,7 +38,7 @@ class AlgebraFileError(ValueError):
     """Anything wrong with a document: schema, scalars, orbits, grading."""
 
 
-@dataclass(frozen=True)
+@record
 class AttachedOperator:
     kind: str
     map: GradedLinearMap
@@ -50,7 +50,7 @@ class AttachedOperator:
             raise AlgebraFileError(f"unknown operator kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraBundle:
     name: str
     algebra: HomSuperAlgebra

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -19,12 +18,13 @@ from .core import (
     HomSuperAlgebra,
     adjacent_transposition_sign,
     eval_bracket,
+    record,
 )
 
 DEFAULT_COUNTEREXAMPLE_CAP = 16
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     args: tuple[str, ...]
     lhs: object
@@ -38,7 +38,7 @@ class Counterexample:
         return f"{loc}: lhs={self.lhs!r} rhs={self.rhs!r}"
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     identity: str
     passed: bool

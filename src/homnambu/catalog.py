@@ -23,9 +23,8 @@ quantify over the entries that declare it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from .algfile import AlgebraBundle, AttachedOperator
 from .cochains import SuperCochain
@@ -36,6 +35,7 @@ from .core import (
     SuperSpace,
     complete_skew_orbit,
     multiplicative_algebra,
+    record,
     scalar,
 )
 
@@ -47,7 +47,7 @@ class CatalogError(ValueError):
     """Unknown entry or violated parameter constraint."""
 
 
-@dataclass(frozen=True)
+@record
 class ParamSpec:
     name: str
     default: Fraction
@@ -61,7 +61,7 @@ class ParamSpec:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     summary: str

@@ -15,7 +15,6 @@ under twisting its first slot; both conditions are checked exhaustively here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import (
@@ -37,6 +36,7 @@ from .core import (
     complete_skew_orbit,
     multiplicative_algebra,
     pair_extractions,
+    record,
     scalar,
 )
 from .derivations import DerivationCandidate, check_derivation
@@ -150,7 +150,7 @@ def wedge_obstruction(
     return total
 
 
-@dataclass(frozen=True)
+@record
 class InductionReport:
     wedge: CheckReport
     twist: CheckReport
@@ -244,7 +244,7 @@ def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:
     return all(lhs == rhs for _, lhs, rhs in _first_slot_twists(phi, alg.twists[0]))
 
 
-@dataclass(frozen=True)
+@record
 class TransferReport:
     """Hypothesis check plus, when it holds, the transferred-derivation check."""
 

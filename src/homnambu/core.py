@@ -17,9 +17,8 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -60,11 +59,56 @@ class FixedPointViolation(ValueError):
     """An argument tuple required to be fixed by the twist is not."""
 
 
+def record(cls):
+    """Make ``cls`` an immutable record of its annotated fields, in order.
+
+    What ``@dataclass(frozen=True)`` makes, without its import cost: class
+    attributes are the defaults, ``__post_init__`` runs last in ``__init__``,
+    and equality is field by field, within one class only.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & kwargs or kwargs.keys() - fields:
+            raise TypeError(f"{cls.__qualname__}() got too many, repeated or unknown arguments")
+        given = {**defaults, **given, **kwargs}
+        for f in fields:
+            if f not in given:
+                raise TypeError(f"{cls.__qualname__}() missing argument {f!r}")
+            object.__setattr__(self, f, given[f])
+        post_init(self)
+
+    def values(self):
+        return tuple(getattr(self, f) for f in fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__):
+        setattr(cls, method.__name__, method)
+    cls.__delattr__ = __setattr__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Graded spaces and elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SuperSpace:
     """Finite ordered homogeneous basis with Z2 parities."""
 
@@ -451,7 +495,7 @@ class NaryBracket:
         return not self.entries
 
 
-@dataclass(frozen=True)
+@record
 class HomSuperAlgebra:
     """A graded space, an n-bracket and the family of n-1 even twist maps."""
 

@@ -21,7 +21,6 @@ equations number tens of thousands.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import (
@@ -44,12 +43,13 @@ from .core import (
     HomSuperAlgebra,
     map_compose,
     map_power,
+    record,
     supercommutator_maps,
 )
 from . import linalg
 
 
-@dataclass(frozen=True)
+@record
 class DerivationCandidate:
     map: GradedLinearMap
     power: int
@@ -59,7 +59,7 @@ class DerivationCandidate:
             raise ValueError("power must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record
 class QuasiPair:
     d: GradedLinearMap
     dprime: GradedLinearMap
@@ -72,7 +72,7 @@ class QuasiPair:
             raise ValueError("quasi-pair maps must share a parity")
 
 
-@dataclass(frozen=True)
+@record
 class GeneralizedTuple:
     """n maps acting one per argument slot plus one map on the output."""
 

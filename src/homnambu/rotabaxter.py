@@ -10,7 +10,6 @@ recomputes verbatim and compares with the subset sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, _twist_commutation
@@ -22,13 +21,14 @@ from .core import (
     ZERO,
     eval_bracket,
     pair_extractions,
+    record,
     scalar,
 )
 from .derivations import DerivationCandidate, check_derivation
 from .linalg import invert_map
 
 
-@dataclass(frozen=True)
+@record
 class RotaBaxterOperator:
     map: GradedLinearMap
     weight: Fraction
@@ -73,7 +73,7 @@ def check_rb(rb: RotaBaxterOperator, alg: HomSuperAlgebra, cap: int = DEFAULT_CO
     return col.report()
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceReport:
     """Weight-0 verdict for R against the derivation verdict for its inverse."""
 
@@ -84,9 +84,7 @@ class EquivalenceReport:
     def agree(self) -> bool:
         return self.rb.passed == self.inverse_derivation.passed
 
-    @property
-    def passed(self) -> bool:
-        return self.agree
+    passed = agree
 
     def summary(self) -> str:
         return (
@@ -110,7 +108,7 @@ def check_inverse_derivation_equiv(
     return EquivalenceReport(rb_report, deriv_report)
 
 
-@dataclass(frozen=True)
+@record
 class KernelConditionReport:
     """Kernel-membership sum versus the n-ary verdict on the induced bracket."""
 
@@ -121,9 +119,7 @@ class KernelConditionReport:
     def agree(self) -> bool:
         return self.kernel.passed == self.nary.passed
 
-    @property
-    def passed(self) -> bool:
-        return self.agree
+    passed = agree
 
 
 def check_phi_rb_kernel_condition(

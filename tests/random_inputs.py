@@ -1,5 +1,8 @@
 """Seeded random inputs shared by the differential tests of the identity families.
 
+It also holds :func:`capped`, the capped form of an oracle's report that
+those tests compare the fast checkers against at each cap.
+
 Everything is drawn from a ``random.Random`` the caller seeds, so a failing
 case reproduces from the seed alone.  Scalars come from a small set of
 rationals with denominators; tensors are graded (every value has the parity
@@ -11,9 +14,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as F
 
+from homnambu.axioms import CheckReport
 from homnambu.core import Element, GradedLinearMap, SuperSpace
 
 VALUES = (F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3))
+
+
+def capped(report: CheckReport, cap: int) -> CheckReport:
+    """``report`` keeping only its first ``cap`` counterexamples; every other field as is."""
+    return CheckReport(
+        report.identity,
+        report.passed,
+        report.counterexamples[:cap],
+        report.failures,
+        report.tuples_checked,
+    )
 
 
 def space(rng, max_dim: int = 3) -> SuperSpace:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homnambu import algfile, axioms, catalog, cochains, core, derivations, rotabaxter
 from homnambu.core import (
     Element,
     GradedLinearMap,
+    HomSuperAlgebra,
     NaryBracket,
     OrbitConflict,
     SuperSpace,
@@ -19,6 +21,7 @@ from homnambu.core import (
     multiplicative_algebra,
     koszul_sign,
     pair_extraction_sign,
+    record,
     scalar,
     format_scalar,
     supercommutator_maps,
@@ -285,3 +288,152 @@ class TestOrbitCompletion:
             else:
                 expected = zero
             assert entries.get(key, zero) == expected
+
+
+# ---------------------------------------------------------------------------
+# Frozen records
+# ---------------------------------------------------------------------------
+
+RECORD_MODULES = (algfile, axioms, catalog, cochains, core, derivations, rotabaxter)
+
+
+def record_classes():
+    """Every class in the engine that :func:`record` decorated."""
+    return {
+        obj
+        for module in RECORD_MODULES
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__init__.__qualname__ == "record.<locals>.__init__"
+    }
+
+
+def record_samples() -> dict:
+    """Valid field values, by keyword, for one instance of each record class."""
+    space = two_dim()
+    ident = GradedLinearMap.identity(space)
+    odd = GradedLinearMap(space, 1, {"e0": Element({"e1": 1})})
+    alg = HomSuperAlgebra(space, NaryBracket(2, {("e0", "e0"): {"e0": 1}}), (ident,))
+    report = axioms.CheckReport("nambu", False, (axioms.Counterexample(("e0",), 1, 2),), 1, 4)
+    other = axioms.CheckReport("skew", True, (), 0, 4)
+    return {
+        SuperSpace: dict(labels=("a", "b"), parities=(0, 1)),
+        HomSuperAlgebra: dict(space=space, bracket=alg.bracket, twists=(ident,), multiplicative_flag=True),
+        algfile.AttachedOperator: dict(kind="map", map=ident, weight=F(1, 2), power=1),
+        algfile.AlgebraBundle: dict(
+            name="A", algebra=alg, cochains=(cochains.SuperCochain(space, 1, {("e0",): 1}),), operators=()
+        ),
+        axioms.Counterexample: dict(args=("e0", "e1"), lhs=Element({"e0": 1}), rhs=Element(), note="n"),
+        axioms.CheckReport: dict(
+            identity="nambu", passed=False, counterexamples=report.counterexamples, failures=1, tuples_checked=4
+        ),
+        catalog.ParamSpec: dict(name="a", default=F(2), constraint="nonzero"),
+        catalog.CatalogEntry: dict(name="E", summary="s", parameters=(), profile=("p",), builder=len),
+        cochains.InductionReport: dict(wedge=report, twist=other),
+        cochains.TransferReport: dict(hypothesis=other, conclusion=None),
+        derivations.DerivationCandidate: dict(map=odd, power=2),
+        derivations.QuasiPair: dict(d=odd, dprime=odd, power=1),
+        derivations.GeneralizedTuple: dict(maps=(ident, ident, ident), power=0),
+        rotabaxter.RotaBaxterOperator: dict(map=ident, weight=F(3)),
+        rotabaxter.EquivalenceReport: dict(rb=report, inverse_derivation=other),
+        rotabaxter.KernelConditionReport: dict(kernel=other, nary=report),
+    }
+
+
+RECORD_SAMPLES = record_samples()
+
+
+def test_every_record_class_has_a_sample():
+    assert set(RECORD_SAMPLES) == record_classes()
+    assert len(RECORD_SAMPLES) == 16
+
+
+@pytest.mark.parametrize("cls", list(RECORD_SAMPLES), ids=lambda cls: cls.__name__)
+class TestRecords:
+    def test_fields_in_annotation_order(self, cls):
+        values = RECORD_SAMPLES[cls]
+        assert list(values) == list(cls.__annotations__)
+        by_keyword, by_position = cls(**values), cls(*values.values())
+        for name, value in values.items():
+            assert getattr(by_keyword, name) == value
+        assert by_keyword == by_position
+
+    def test_equal_fields_equal_hash(self, cls):
+        values = RECORD_SAMPLES[cls]
+        a, b = cls(**values), cls(**values)
+        assert a == b and not a != b
+        try:
+            expected = hash(tuple(values.values()))
+        except TypeError:  # a field is unhashable, as NaryBracket is
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == expected
+
+    def test_other_class_with_same_fields_is_unequal(self, cls):
+        values = RECORD_SAMPLES[cls]
+        twin = record(type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__)}))
+        a, b = cls(**values), twin(**values)
+        assert a != b and b != a and not a == b
+        assert a != tuple(values.values())
+
+    def test_fields_are_frozen(self, cls):
+        values = RECORD_SAMPLES[cls]
+        a = cls(**values)
+        for name in values:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == cls(**values)
+
+    def test_defaults_apply(self, cls):
+        values = RECORD_SAMPLES[cls]
+        defaults = {name: vars(cls)[name] for name in values if name in vars(cls)}
+        a = cls(**{name: v for name, v in values.items() if name not in defaults})
+        for name, default in defaults.items():
+            assert getattr(a, name) == default
+
+    def test_bad_arguments_raise_type_error(self, cls):
+        values = RECORD_SAMPLES[cls]
+        first = next(iter(values))
+        with pytest.raises(TypeError):
+            cls(**{name: v for name, v in values.items() if name != first})
+        with pytest.raises(TypeError):
+            cls(**values, unknown=1)
+        with pytest.raises(TypeError):
+            cls(values[first], **values)
+        with pytest.raises(TypeError):
+            cls(*values.values(), None)
+
+    def test_repr_names_every_field(self, cls):
+        values = RECORD_SAMPLES[cls]
+        fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        assert repr(cls(**values)) == f"{cls.__name__}({fields})"
+
+
+def test_record_repr_and_default_literal():
+    assert repr(axioms.Counterexample(("e0",), 1, 2)) == "Counterexample(args=('e0',), lhs=1, rhs=2, note='')"
+
+
+def test_records_differing_in_one_field_are_unequal():
+    values = RECORD_SAMPLES[axioms.CheckReport]
+    report = axioms.CheckReport(**values)
+    for name, other in (("identity", "skew"), ("failures", 2), ("counterexamples", ())):
+        assert report != axioms.CheckReport(**{**values, name: other})
+
+
+def test_post_init_still_validates():
+    space = two_dim()
+    ident = GradedLinearMap.identity(space)
+    odd = GradedLinearMap(space, 1, {"e0": Element({"e1": 1})})
+    with pytest.raises(ValueError, match="unique"):
+        SuperSpace(("a", "a"), (0, 1))
+    with pytest.raises(ValueError, match="even"):
+        rotabaxter.RotaBaxterOperator(odd, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derivations.DerivationCandidate(ident, -1)
+    with pytest.raises(algfile.AlgebraFileError, match="unknown operator kind"):
+        algfile.AttachedOperator("bogus", ident)
+    assert rotabaxter.RotaBaxterOperator(ident, "1/2").weight == F(1, 2)
