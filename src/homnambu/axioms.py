@@ -16,8 +16,8 @@ from .core import (
     Element,
     GradedLinearMap,
     HomSuperAlgebra,
-    adjacent_transposition_sign,
     eval_bracket,
+    koszul_sign,
     record,
 )
 
@@ -105,6 +105,14 @@ class _Collector:
         )
 
 
+def _diff_report(identity, space, n, left, right, cap, note="") -> CheckReport:
+    """Fail the cells where two sparse n-ary tables differ, out of all d^n basis tuples."""
+    col = _Collector(identity, cap)
+    col.tick(space.dim ** n)
+    col.fail_diff(left, right, space.sort_key, note)
+    return col.report()
+
+
 def merge_reports(identity: str, *reports: CheckReport) -> CheckReport:
     return CheckReport(
         identity=identity,
@@ -135,19 +143,23 @@ def check_grading(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -
 
 def check_super_skew(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Adjacent-transposition skew symmetry over all basis tuples and positions."""
-    col = _Collector("super-skew", cap)
-    n = alg.arity
-    space = alg.space
-    for args in space.tuples(n):
-        col.tick()
-        parities = alg.parity_tuple(args)
-        lhs = alg.bracket.value(args)
-        for i in range(1, n):
-            swapped = args[: i - 1] + (args[i], args[i - 1]) + args[i + 1 :]
-            sign = adjacent_transposition_sign(parities, i)
-            rhs = alg.bracket.value(swapped).scale(sign)
-            if lhs != rhs:
-                col.fail(args, lhs, rhs, note=f"swap at {i}")
+    return _skew_report("super-skew", alg.bracket.entries, alg.space, alg.arity, range(1, alg.arity), cap)
+
+
+def _skew_report(identity, entries, space, n, swaps, cap, notes=True) -> CheckReport:
+    """T = -T∘(swap at i) on every basis n-tuple, for each 1-based i in ``swaps``.
+
+    Failures come in basis order, then by i, noted "swap at i" if ``notes``.
+    """
+    col = _Collector(identity, cap)
+    col.tick(space.dim ** n)
+    same = tuple(range(1, n + 1))
+    rhs = [(i, _permute(entries, same[: i - 1] + (i + 1, i) + same[i + 1 :], space, -1)) for i in swaps]
+    bad = [
+        (space.sort_key(x), i, x, r) for i, r in rhs for x in entries.keys() | r.keys() if entries.get(x) != r.get(x)
+    ]
+    for _, i, x, r in sorted(bad, key=lambda b: b[:2]):
+        col.fail(x, entries.get(x, Element()), r.get(x, Element()), f"swap at {i}" if notes else "")
     return col.report()
 
 
@@ -155,18 +167,15 @@ def _twist_commutation(col: _Collector, f: GradedLinearMap, alg: HomSuperAlgebra
     """f(a(x)) = a(f(x)) on every basis vector, for each distinct twist a (a 1-ary tensor)."""
     for twist in dict.fromkeys(alg.twists):
         col.tick(alg.space.dim)
-        a = {(c,): image for c, image in twist.columns.items()}
+        a = _unary(twist)
         col.fail_diff(_compose(a, f), _compose(a, slot_maps=[f]), alg.space.sort_key, "twist commutation")
 
 
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist."""
     alpha = _shared_twist(alg)
-    col = _Collector("multiplicative", cap)
-    col.tick(alg.space.dim ** alg.arity)
-    T = alg.bracket.entries
-    col.fail_diff(_compose(T, alpha), _compose(T, slot_maps=[alpha] * alg.arity), alg.space.sort_key)
-    return col.report()
+    n, T = alg.arity, alg.bracket.entries
+    return _diff_report("multiplicative", alg.space, n, _compose(T, alpha), _compose(T, slot_maps=[alpha] * n), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +183,18 @@ def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
 # ---------------------------------------------------------------------------
 
 def check_hom_jacobi(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
-    """Cyclic sum (-1)^{|x||z|} [alpha(x), [y, z]] = 0 over basis triples."""
+    """Cyclic sum (-1)^{|x||z|} [alpha(x), [y, z]] = 0 over basis triples.
+
+    That is (-1)^{|x||z|} times the Koszul-signed cyclic sum of J = T∘(alpha, T).
+    """
     if alg.arity != 2:
         raise ValueError("the cyclic Jacobi check applies to binary brackets")
-    col = _Collector("hom-jacobi", cap)
-    alpha = alg.twists[0]
     space = alg.space
-    twisted = {l: alpha.apply_basis(l) for l in space.labels}
-    for x, y, z in space.tuples(3):
-        col.tick()
-        total = Element()
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            sign = -1 if space.parity(a) * space.parity(c) else 1
-            inner = alg.bracket.value((b, c))
-            if inner.is_zero():
-                continue
-            total = total + eval_bracket(alg, [twisted[a], inner]).scale(sign)
-        if not total.is_zero():
-            col.fail((x, y, z), total, Element())
-    return col.report()
+    T = alg.bracket.entries
+    J = _compose(T, slot_maps=[alg.twists[0], T])
+    total = _sum_tables(_permute(J, order, space) for order in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    signed = {x: v.scale(-1) if space.parity(x[0]) * space.parity(x[2]) else v for x, v in total.items()}
+    return _diff_report("hom-jacobi", space, 3, signed, {}, cap)
 
 
 def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
@@ -311,16 +313,18 @@ def _compose(entries, out_map=None, slot_maps=None):
     """The sparse table of O∘T∘(M_1⊗..⊗M_n), scattered over the support of T.
 
     ``entries`` maps T's argument tuples to elements, like :attr:`NaryBracket.entries`,
-    and so does the result (nonzero values only).  O is ``out_map``, M_i is
-    ``slot_maps[i]``; ``None`` is the identity.  The value at x sums
-    prod_i <y_i | M_i x_i> O(T(y)) over the support keys y, with no Koszul
-    sign: the maps must be even, or T unary.
+    and so does the result (nonzero values only).  O is ``out_map``; M_i is
+    ``slot_maps[i]``, a map or an inner table of the same kind as ``entries``
+    (operadic composition: its arguments take slot i's place in the result).
+    ``None`` is the identity.  The value at x sums prod_i <y_i | M_i x_i>
+    O(T(y)) over the support keys y, with no Koszul sign: the maps and inner
+    tables must be even, or T unary.
     """
     keys = list(entries)
     n = len(keys[0]) if keys else 0
-    pre = [
-        {y[i]: [(y[i], 1)] for y in keys} if m is None
-        else _preimages({c: image.coeffs.items() for c, image in m.columns.items()})
+    pre = [  # pre[i][y_i] = [(u, coeff)]: the argument tuples u that M_i sends onto y_i
+        {y[i]: [((y[i],), 1)] for y in keys} if m is None
+        else _preimages({u: e.coeffs.items() for u, e in (m if isinstance(m, dict) else _unary(m)).items()})
         for i, m in enumerate(slot_maps or [None] * n)
     ]
     out = None if out_map is None else {c: image.coeffs for c, image in out_map.columns.items()}
@@ -329,11 +333,42 @@ def _compose(entries, out_map=None, slot_maps=None):
         image = value.coeffs.items() if out is None else [
             (r, v * cr) for l, v in value.coeffs.items() for r, cr in out[l].items()
         ]
-        for xs, c in _choices(y, pre):
+        picks = [((), 1)]
+        for coord, pool in zip(y, pre):
+            picks = [(head + u, c * cu) for head, c in picks for u, cu in pool.get(coord, ())]
+        for xs, c in picks:
             cell = table.setdefault(xs, {})
             for r, v in image:
                 cell[r] = cell.get(r, 0) + c * v
     return {xs: e for xs, cell in table.items() if (e := Element(cell))}
+
+
+def _unary(m) -> dict:
+    """A linear map as the 1-ary table (c,) -> m(c)."""
+    return {(c,): image for c, image in m.columns.items()}
+
+
+def _permute(table, order, space, scale=1):
+    """The table x -> scale * koszul_sign(|x|, order) * table[x_order], x_order = (x[order[k] - 1])_k."""
+    where = [order.index(k) for k in range(1, len(order) + 1)]
+    parity = dict(zip(space.labels, space.parities))
+    out = {}
+    for y, value in table.items():
+        x = tuple(y[w] for w in where)
+        sign = scale * koszul_sign([parity[a] for a in x], order)
+        out[x] = value if sign == 1 else value.scale(sign)
+    return out
+
+
+def _sum_tables(tables):
+    """Add sparse tables cell by cell; zero cells are dropped."""
+    total: dict[tuple, dict] = {}
+    for table in tables:
+        for x, value in table.items():
+            cell = total.setdefault(x, {})
+            for r, c in value.coeffs.items():
+                cell[r] = cell.get(r, 0) + c
+    return {x: e for x, cell in total.items() if (e := Element(cell))}
 
 
 def _shared_twist(alg: HomSuperAlgebra) -> GradedLinearMap:

@@ -24,12 +24,14 @@ from .axioms import (
     _integer_columns,
     _leibniz_kernel,
     _numerators,
-    check_super_skew,
+    _permute,
+    _sum_tables,
 )
 from .core import (
     Element,
     HomSuperAlgebra,
     NaryBracket,
+    OrbitConflict,
     SuperSpace,
     ZERO,
     ONE,
@@ -102,6 +104,9 @@ class SuperCochain:
             and self.degree == other.degree
             and self.values == other.values
         )
+
+    def __hash__(self):
+        return hash((self.space, self.degree, frozenset(self.values.items())))
 
 
 def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
@@ -210,23 +215,28 @@ def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> 
         raise ValueError("induced brackets start from a binary algebra")
     if phi.degree != n - 2:
         raise ValueError(f"arity {n} needs a degree-{n - 2} cochain, got {phi.degree}")
-    alpha = alg.twists[0]
     space = alg.space
-    entries = {}
-    for args in space.tuples(n):
-        total = Element()
-        for i, j, sign in pair_extractions([space.parity(a) for a in args]):
-            inner = alg.bracket.value((args[i - 1], args[j - 1]))
-            weight = phi.value(tuple(a for m, a in enumerate(args, 1) if m not in (i, j)))
-            if inner and weight:
-                total = total + inner.scale(sign * weight)
-        if total:
-            entries[args] = total
-    out = multiplicative_algebra(space, NaryBracket(n, entries), alpha)
-    skew = check_super_skew(out)
-    if not skew.passed:  # the construction is skew by design; guards sign bugs
-        raise AssertionError(f"induced bracket lost skew symmetry: {skew.summary()}")
-    return out
+    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in alg.bracket.entries.items()}
+    entries = _pair_sum(pairs, n, space)
+    try:  # the construction is skew by design; guards sign bugs
+        skew = complete_skew_orbit(n, entries, space) == entries
+    except OrbitConflict:
+        skew = False
+    if not skew:
+        raise AssertionError("induced bracket lost skew symmetry")
+    return multiplicative_algebra(space, NaryBracket(n, entries), alg.twists[0])
+
+
+def _pair_sum(table, n, space):
+    """Sum over slot pairs i < j of (-1)^(i+j+1) _permute(table, rest + (i, j)).
+
+    The pair in ``table``'s last two slots moves to slots i, j with the weight of :func:`core.pair_extractions`.
+    """
+    slots = range(1, n + 1)
+    return _sum_tables(
+        _permute(table, tuple(m for m in slots if m not in (i, j)) + (i, j), space, 1 if (i + j) % 2 else -1)
+        for i, j in itertools.combinations(slots, 2)
+    )
 
 
 def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:

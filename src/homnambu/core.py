@@ -491,6 +491,9 @@ class NaryBracket:
             and self.entries == other.entries
         )
 
+    def __hash__(self):
+        return hash((self.arity, frozenset(self.entries.items())))
+
     def is_zero(self) -> bool:
         return not self.entries
 

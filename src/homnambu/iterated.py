@@ -16,12 +16,11 @@ Leibniz identity actually satisfies.
 
 from __future__ import annotations
 
-from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, adjoint_map
+from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, adjoint_map
 from .core import (
     GradedLinearMap,
     HomSuperAlgebra,
     NaryBracket,
-    eval_bracket,
     map_power,
     multiplicative_algebra,
 )
@@ -48,24 +47,13 @@ def iterated_bracket(alg: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     _require_binary_multiplicative(alg)
     if n < 2:
         raise ValueError("arity must be at least 2")
-    alpha = alg.twist
-    space = alg.space
-    entries = dict(alg.bracket.entries)
-    for m in range(3, n + 1):
-        twist_cols = {l: map_power(alpha, m - 2).apply_basis(l) for l in space.labels}
-        extended = {}
-        for args, value in entries.items():
-            for b in space.labels:
-                img = twist_cols[b]
-                if img.is_zero():
-                    continue
-                out = eval_bracket(alg, [value, img])
-                if not out.is_zero():
-                    extended[args + (b,)] = out
-        entries = extended
     if n == 2:
         return alg
-    return multiplicative_algebra(space, NaryBracket(n, entries), map_power(alpha, n - 1))
+    alpha = alg.twist
+    entries = T = alg.bracket.entries
+    for m in range(3, n + 1):
+        entries = _compose(T, slot_maps=[entries, map_power(alpha, m - 2)])
+    return multiplicative_algebra(alg.space, NaryBracket(n, entries), map_power(alpha, n - 1))
 
 
 def check_adjoint_expansion(

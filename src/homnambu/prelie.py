@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from .axioms import (
     CheckReport,
-    _Collector,
     DEFAULT_COUNTEREXAMPLE_CAP,
     _compose,
+    _diff_report,
+    _permute,
+    _skew_report,
+    _sum_tables,
     check_grading,
     check_nambu_identity,
     check_super_skew,
@@ -30,10 +33,8 @@ from .core import (
     HomSuperAlgebra,
     NaryBracket,
     SuperSpace,
-    adjacent_transposition_sign,
     complete_skew_orbit,
     eval_tensor,
-    koszul_sign,
     multiplicative_algebra,
 )
 from .linalg import invert_map
@@ -75,16 +76,7 @@ class TriProduct:
 
 def check_first_pair_skew(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Axiom (1): skew symmetry in the first two slots."""
-    col = _Collector("pre-lie-first-pair-skew", cap)
-    space = t.space
-    for x, y, z in space.tuples(3):
-        col.tick()
-        lhs = t.value((x, y, z))
-        sign = adjacent_transposition_sign((space.parity(x), space.parity(y)), 1)
-        rhs = t.value((y, x, z)).scale(sign)
-        if lhs != rhs:
-            col.fail((x, y, z), lhs, rhs)
-    return col.report()
+    return _skew_report("pre-lie-first-pair-skew", t.product.entries, t.space, 3, (1,), cap, notes=False)
 
 
 # The cyclic supercommutator as orders of (x, y, z), each with its Koszul sign.
@@ -92,18 +84,7 @@ _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 def _cyclic_tensor(t: TriProduct) -> NaryBracket:
-    space = t.space
-    entries = {}
-    for args in space.tuples(3):
-        parities = [space.parity(a) for a in args]
-        total = Element()
-        for order in _CYCLIC:
-            value = t.value(tuple(args[i - 1] for i in order))
-            if value:
-                total = total + value.scale(koszul_sign(parities, order))
-        if total:
-            entries[args] = total
-    return NaryBracket(3, entries)
+    return NaryBracket(3, _sum_tables(_permute(t.product.entries, order, t.space) for order in _CYCLIC))
 
 
 def cyclic_supercommutator(t: TriProduct) -> HomSuperAlgebra:
@@ -166,33 +147,22 @@ _DERIVED_IDENTITIES = (
 
 
 def _five_argument_reports(t: TriProduct, identities, cap) -> list[CheckReport]:
-    """Sweep the basis 5-tuples once, one collector per (name, sides) identity."""
-    space = t.space
-    inner = {"t": t.product, "cyc": _cyclic_tensor(t)}
-    alpha_cols = {l: t.twist.apply_basis(l) for l in space.labels}
-    collectors = [(_Collector(name, cap), sides) for name, sides in identities]
+    """One report per (name, sides) identity, each over every basis 5-tuple."""
+    space, T = t.space, t.product.entries
+    inner = {"t": T, "cyc": _cyclic_tensor(t).entries}
+    nested = {}  # (kind, slot) -> T∘(a.., inner, ..a), the inner product in outer slot ``slot``
 
-    def side(terms, args, parities):
-        total = Element()
+    def side(terms):
         for c, kind, slot, order in terms:
-            y = [args[i - 1] for i in order]
-            value = inner[kind].value(y[slot - 1 : slot + 2])
-            if not value:
-                continue  # a zero inner product makes the whole term zero
-            outer = [alpha_cols[a] for a in y[: slot - 1]]
-            outer += [value] + [alpha_cols[a] for a in y[slot + 2 :]]
-            total = total + t.eval(outer).scale(c * koszul_sign(parities, order))
-        return total
+            if (kind, slot) not in nested:
+                maps = [inner[kind] if s == slot else t.twist for s in (1, 2, 3)]
+                nested[kind, slot] = _compose(T, slot_maps=maps)
+            yield _permute(nested[kind, slot], order, space, c)
 
-    for args in space.tuples(5):
-        parities = [space.parity(a) for a in args]
-        for col, (left, right) in collectors:
-            col.tick()
-            lhs = side(left, args, parities)
-            rhs = side(right, args, parities)
-            if lhs != rhs:
-                col.fail(args, lhs, rhs)
-    return [col.report() for col, _ in collectors]
+    return [
+        _diff_report(name, space, 5, _sum_tables(side(left)), _sum_tables(side(right)), cap)
+        for name, (left, right) in identities
+    ]
 
 
 def check_3_pre_lie(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
@@ -246,11 +216,8 @@ def rb_morphism_report(
     t: TriProduct, alg3: HomSuperAlgebra, rb: RotaBaxterOperator, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 ) -> CheckReport:
     """R maps the cyclic supercommutator back onto the original bracket."""
-    col = _Collector("rb-morphism", cap)
-    col.tick(t.space.dim ** 3)
     cyc, T = _cyclic_tensor(t).entries, alg3.bracket.entries
-    col.fail_diff(_compose(cyc, rb.map), _compose(T, slot_maps=[rb.map] * 3), t.space.sort_key)
-    return col.report()
+    return _diff_report("rb-morphism", t.space, 3, _compose(cyc, rb.map), _compose(T, slot_maps=[rb.map] * 3), cap)
 
 
 def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
@@ -275,7 +242,5 @@ def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
 
 def compatibility_report(t: TriProduct, alg3: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Entrywise equality of the cyclic supercommutator with a ternary bracket."""
-    col = _Collector("supercommutator-compatibility", cap)
-    col.tick(t.space.dim ** 3)
-    col.fail_diff(_cyclic_tensor(t).entries, alg3.bracket.entries, t.space.sort_key)
-    return col.report()
+    cyc, T = _cyclic_tensor(t).entries, alg3.bracket.entries
+    return _diff_report("supercommutator-compatibility", t.space, 3, cyc, T, cap)

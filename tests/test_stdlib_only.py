@@ -2,8 +2,10 @@
 
 Every module under ``src/homnambu`` is parsed, not imported, and every
 absolute import must name ``homnambu`` itself or a standard-library module;
-relative imports stay inside the package by construction.  A clean
-interpreter that imports the CLI must not load the heavy start-up modules.
+relative imports stay inside the package by construction.  Every name a
+module imports is used in it (the package ``__init__`` re-exports, so it is
+exempt).  A clean interpreter that imports the CLI must not load the heavy
+start-up modules.
 """
 
 import ast
@@ -35,6 +37,26 @@ def test_engine_imports_only_the_standard_library():
         if name != "homnambu" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names bound by the module's imports that no expression in it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_imported_name_is_used():
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 10
+    unused = {(path.name, name) for path in modules for name in unused_imports(path)}
+    assert not unused
 
 
 # Standard-library modules each one-shot CLI command would pay for at start-up.
