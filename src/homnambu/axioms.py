@@ -88,11 +88,19 @@ class _Collector:
         bad = [x for x in left.keys() | right.keys() if left.get(x) != right.get(x)]
         self._keep(bad, lambda x: (left.get(x, Element()), right.get(x, Element())), sort_key, note=note)
 
+    def first(self, bad, sort_key) -> list:
+        """The cells of ``bad`` that the cap still has room to keep, in basis order."""
+        room = self.cap - len(self.kept)
+        return sorted(bad, key=sort_key)[:room] if bad and room > 0 else []
+
     def _keep(self, bad, sides, sort_key, head=(), note=""):
         """Count the failing cells ``bad``; keep the first ones in basis order, up to the cap."""
-        self.failures += len(bad)
-        room = self.cap - len(self.kept)
-        for ys in sorted(bad, key=sort_key)[:room] if bad and room > 0 else ():
+        self.fail_first(len(bad), self.first(bad, sort_key), sides, head, note)
+
+    def fail_first(self, failures, first, sides, head=(), note=""):
+        """Count ``failures`` failing cells; keep cells of ``first`` (:meth:`first`), up to the cap."""
+        self.failures += failures
+        for ys in first[: max(self.cap - len(self.kept), 0)]:
             self.kept.append(Counterexample(head + ys, *sides(ys), note))
 
     def report(self) -> CheckReport:
@@ -211,17 +219,23 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
 
     That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted
     derivation with out map ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .], so
-    one :func:`_leibniz_kernel` call per x-tuple decides all of its y-cells.
-    The x-tuples are visited in basis order: the prefixes of the support and
-    their twist preimages, since every other x-tuple makes both sides vanish.
-    Denominators are cleared once (sigma for the tensor, tau for the twists),
-    so both sides scale by sigma^2 tau^(n-1).  ``tuples_checked`` counts all
-    d^(2n-1) cells, though the cells that are zero on both sides are never
-    visited.
+    one :func:`_leibniz_kernel` scatter decides all of an x-tuple's y-cells.
+    The scatter is linear in (ad_{ax}, ad_x) jointly, so each x-tuple's
+    integer inputs are reduced to g times a primitive key (:func:`_primitive`)
+    and the scatter runs once per distinct key: its failing cells serve every
+    x-tuple with that key, their two sides scaled by that x-tuple's g.  On a
+    nested bracket, ad_x depends on x only through the nested element, so few
+    keys serve many x-tuples.  The x-tuples are visited in basis order: the
+    prefixes of the support and their twist preimages, since every other
+    x-tuple makes both sides vanish.  Denominators are cleared once (sigma
+    for the tensor, tau for the twists), so both sides scale by
+    sigma^2 tau^(n-1).  ``tuples_checked`` counts all d^(2n-1) cells, though
+    the cells that are zero on both sides are never visited.
     """
     n = alg.arity
     space = alg.space
     labels = space.labels
+    width = len(labels)
     sigma, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
     tau, forward = _integer_columns(alg.twists, labels)
     reverse = [_preimages(cols) for cols in forward]
@@ -237,17 +251,42 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     col = _Collector("nambu", cap)
     col.tick(space.dim ** (2 * n - 1))
     value = _as_element(labels, sigma * sigma * tau ** (n - 1))
+    memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
     for xs in sorted(relevant, key=space.sort_key):
         ad = defaultdict(lambda: defaultdict(int))  # ad_{ax}, over the twist images of xs
         for w, cw in _choices(xs, forward):
             for e, image in rows.get(w, {}).items():
                 for l, c in image:
                     ad[e][l] += cw * c
-        out_cols = {e: list(image.items()) for e, image in ad.items()}
         odd = sum(space.parity(x) for x in xs) % 2
-        acc = kernel(out_cols, [rows.get(xs, {})] * n, odd)
-        col.fail_cells(acc, value, space.sort_key, head=xs)
+        g, key = _primitive(odd, {e: image.items() for e, image in ad.items()}, rows.get(xs, {}))
+        if key not in memo:
+            out_cols, slot_cols = cols = ({}, {})
+            for t, c, r, v in key[1:]:
+                cols[t].setdefault(c, []).append((r, v))
+            acc = kernel(out_cols, [slot_cols] * n, odd)
+            bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
+            memo[key] = len(bad), {ys: acc[ys] for ys in col.first(bad, space.sort_key)}
+        failures, first = memo[key]
+        col.fail_first(failures, list(first), lambda ys: [
+            value([g * v for v in half]) for half in (first[ys][:width], first[ys][width:])
+        ], head=xs)
     return col.report()
+
+
+def _primitive(odd, *tables):
+    """(g, key): integer column tables as g times the primitive ones that ``key`` lists.
+
+    Each table maps a column to its (row, numerator) pairs.  ``key`` is
+    ``odd`` followed by every nonzero (table index, column, row, numerator)
+    in sorted order, the numerators divided by their gcd and signed so that
+    the first is positive; inputs equal up to a scalar share one key.
+    """
+    cells = sorted((t, c, r, v) for t, table in enumerate(tables) for c, image in table.items() for r, v in image if v)
+    g = math.gcd(*(cell[3] for cell in cells)) or 1
+    if cells and cells[0][3] < 0:
+        g = -g
+    return g, (odd, *((t, c, r, v // g) for t, c, r, v in cells))
 
 
 def _leibniz_kernel(terms, outputs, space, before, after):

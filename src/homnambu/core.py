@@ -533,9 +533,6 @@ class HomSuperAlgebra:
             raise ValueError("algebra does not declare a single shared twist")
         return self.twists[0]
 
-    def parity_tuple(self, args: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.space.parity(a) for a in args)
-
 
 def multiplicative_algebra(
     space: SuperSpace, bracket: NaryBracket, alpha: GradedLinearMap

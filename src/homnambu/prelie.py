@@ -34,7 +34,6 @@ from .core import (
     NaryBracket,
     SuperSpace,
     complete_skew_orbit,
-    eval_tensor,
     multiplicative_algebra,
 )
 from .linalg import invert_map
@@ -63,9 +62,6 @@ class TriProduct:
         """Complete only the first-pair transposition orbit of the generators."""
         table = complete_skew_orbit(3, generators, space, swaps=(1,))
         return cls(space, NaryBracket(3, table), twist)
-
-    def eval(self, args: list[Element]) -> Element:
-        return eval_tensor(self.product, self.space, args)
 
     def value(self, args) -> Element:
         return self.product.value(args)

@@ -15,8 +15,13 @@ from homnambu.axioms import (
     DEFAULT_COUNTEREXAMPLE_CAP,
     merge_reports,
 )
-from homnambu.core import Element, NaryBracket
+from homnambu.core import Element, NaryBracket, eval_tensor
 from homnambu.prelie import TriProduct
+
+
+def _eval(t: TriProduct, args: list[Element]) -> Element:
+    """The ternary product extended multilinearly to elements."""
+    return eval_tensor(t.product, t.space, args)
 
 
 def _swap01(args):
@@ -72,13 +77,13 @@ def check_3_pre_lie(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Che
         c124 = cyc.value((x1, x2, x4))
 
         col2.tick()
-        lhs2 = t.eval([alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
-        rhs2 = t.eval([c123, alpha_cols[x4], alpha_cols[x5]])
-        term = t.eval([alpha_cols[x3], c124, alpha_cols[x5]])
+        lhs2 = _eval(t, [alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
+        rhs2 = _eval(t, [c123, alpha_cols[x4], alpha_cols[x5]])
+        term = _eval(t, [alpha_cols[x3], c124, alpha_cols[x5]])
         if p[2] * ((p[0] + p[1]) % 2):
             term = term.scale(-1)
         rhs2 = rhs2 + term
-        term = t.eval([alpha_cols[x3], alpha_cols[x4], t.value((x1, x2, x5))])
+        term = _eval(t, [alpha_cols[x3], alpha_cols[x4], t.value((x1, x2, x5))])
         if ((p[0] + p[1]) % 2) * ((p[2] + p[3]) % 2):
             term = term.scale(-1)
         rhs2 = rhs2 + term
@@ -86,13 +91,13 @@ def check_3_pre_lie(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Che
             col2.fail(args, lhs2, rhs2)
 
         col3.tick()
-        lhs3 = t.eval([c123, alpha_cols[x4], alpha_cols[x5]])
-        rhs3 = t.eval([alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
-        term = t.eval([alpha_cols[x2], alpha_cols[x3], t.value((x1, x4, x5))])
+        lhs3 = _eval(t, [c123, alpha_cols[x4], alpha_cols[x5]])
+        rhs3 = _eval(t, [alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
+        term = _eval(t, [alpha_cols[x2], alpha_cols[x3], t.value((x1, x4, x5))])
         if p[0] * ((p[1] + p[2]) % 2):
             term = term.scale(-1)
         rhs3 = rhs3 + term
-        term = t.eval([alpha_cols[x3], alpha_cols[x1], t.value((x2, x4, x5))])
+        term = _eval(t, [alpha_cols[x3], alpha_cols[x1], t.value((x2, x4, x5))])
         if p[2] * ((p[0] + p[1]) % 2):
             term = term.scale(-1)
         rhs3 = rhs3 + term
@@ -114,28 +119,28 @@ def check_derived_identities(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CA
         p = [space.parity(a) for a in args]
 
         col_a.tick()
-        total = t.eval([cyc.value((x1, x2, x3)), alpha_cols[x4], alpha_cols[x5]])
-        term = t.eval([cyc.value((x1, x2, x4)), alpha_cols[x3], alpha_cols[x5]])
+        total = _eval(t, [cyc.value((x1, x2, x3)), alpha_cols[x4], alpha_cols[x5]])
+        term = _eval(t, [cyc.value((x1, x2, x4)), alpha_cols[x3], alpha_cols[x5]])
         total = total - term.scale(1 if not p[2] * p[3] else -1)
-        term = t.eval([cyc.value((x1, x3, x4)), alpha_cols[x2], alpha_cols[x5]])
+        term = _eval(t, [cyc.value((x1, x3, x4)), alpha_cols[x2], alpha_cols[x5]])
         total = total + term.scale(-1 if p[1] * ((p[2] + p[3]) % 2) else 1)
-        term = t.eval([cyc.value((x2, x3, x4)), alpha_cols[x1], alpha_cols[x5]])
+        term = _eval(t, [cyc.value((x2, x3, x4)), alpha_cols[x1], alpha_cols[x5]])
         total = total - term.scale(-1 if p[0] * ((p[1] + p[2] + p[3]) % 2) else 1)
         if not total.is_zero():
             col_a.fail(args, total, Element())
 
         col_b.tick()
-        total = t.eval([alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
-        term = t.eval([alpha_cols[x3], alpha_cols[x4], t.value((x1, x2, x5))])
+        total = _eval(t, [alpha_cols[x1], alpha_cols[x2], t.value((x3, x4, x5))])
+        term = _eval(t, [alpha_cols[x3], alpha_cols[x4], t.value((x1, x2, x5))])
         total = total + term.scale(-1 if ((p[0] + p[1]) % 2) * ((p[2] + p[3]) % 2) else 1)
-        term = t.eval([alpha_cols[x2], alpha_cols[x4], t.value((x3, x1, x5))])
+        term = _eval(t, [alpha_cols[x2], alpha_cols[x4], t.value((x3, x1, x5))])
         exp = p[0] * ((p[1] + p[2] + p[3]) % 2) + p[2] * p[3]
         total = total + term.scale(-1 if exp % 2 else 1)
-        term = t.eval([alpha_cols[x3], alpha_cols[x1], t.value((x2, x4, x5))])
+        term = _eval(t, [alpha_cols[x3], alpha_cols[x1], t.value((x2, x4, x5))])
         total = total + term.scale(-1 if p[2] * ((p[0] + p[1]) % 2) else 1)
-        term = t.eval([alpha_cols[x2], alpha_cols[x3], t.value((x1, x4, x5))])
+        term = _eval(t, [alpha_cols[x2], alpha_cols[x3], t.value((x1, x4, x5))])
         total = total + term.scale(-1 if p[0] * ((p[1] + p[2]) % 2) else 1)
-        term = t.eval([alpha_cols[x1], alpha_cols[x4], t.value((x2, x3, x5))])
+        term = _eval(t, [alpha_cols[x1], alpha_cols[x4], t.value((x2, x3, x5))])
         total = total + term.scale(-1 if p[3] * ((p[1] + p[2]) % 2) else 1)
         if not total.is_zero():
             col_b.fail(args, total, Element())
