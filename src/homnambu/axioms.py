@@ -83,10 +83,13 @@ class _Collector:
         halves = (slice(width), slice(width, None))[:: -1 if swap else 1]
         self._keep(bad, lambda ys: [value(acc[ys][h]) for h in halves], sort_key, head)
 
-    def fail_diff(self, left, right, sort_key, note=""):
-        """Fail the cells where two sparse tables (:func:`_compose`) differ, in basis order."""
+    def fail_diff(self, left, right, sort_key, note="", value=lambda side: side):
+        """Fail the cells where two sparse tables (:func:`_compose`) differ, in basis order.
+
+        ``value`` turns a cell's element (zero where absent) into the reported side.
+        """
         bad = [x for x in left.keys() | right.keys() if left.get(x) != right.get(x)]
-        self._keep(bad, lambda x: (left.get(x, Element()), right.get(x, Element())), sort_key, note=note)
+        self._keep(bad, lambda x: (value(left.get(x, Element())), value(right.get(x, Element()))), sort_key, note=note)
 
     def first(self, bad, sort_key) -> list:
         """The cells of ``bad`` that the cap still has room to keep, in basis order."""
@@ -113,11 +116,11 @@ class _Collector:
         )
 
 
-def _diff_report(identity, space, n, left, right, cap, note="") -> CheckReport:
+def _diff_report(identity, space, n, left, right, cap, note="", value=lambda side: side) -> CheckReport:
     """Fail the cells where two sparse n-ary tables differ, out of all d^n basis tuples."""
     col = _Collector(identity, cap)
     col.tick(space.dim ** n)
-    col.fail_diff(left, right, space.sort_key, note)
+    col.fail_diff(left, right, space.sort_key, note, value)
     return col.report()
 
 

@@ -9,7 +9,11 @@ n-ary product: each term picks a pair of slots, brackets them and weighs by f
 of the remaining slots, with an alternating pair sign and the Koszul sign of
 pulling the pair out.  The induced product is an n-Hom-Lie structure exactly
 when the wedge obstruction vanishes for every anchor tuple and f is invariant
-under twisting its first slot; both conditions are checked exhaustively here.
+under twisting its first slot.  Both conditions, the coboundary and the
+supertrace test are compositions, pair sums and differences of sparse tables
+(:func:`axioms._compose`), with the cochain as a one-output table
+(:meth:`SuperCochain.table`): they decide every basis tuple but visit only
+the supports.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .axioms import (
     CheckReport,
     _Collector,
     DEFAULT_COUNTEREXAMPLE_CAP,
+    _compose,
+    _diff_report,
     _integer_columns,
     _leibniz_kernel,
     _numerators,
@@ -34,10 +40,9 @@ from .core import (
     OrbitConflict,
     SuperSpace,
     ZERO,
-    ONE,
     complete_skew_orbit,
     multiplicative_algebra,
-    pair_extractions,
+    multilinear_terms,
     record,
     scalar,
 )
@@ -80,19 +85,11 @@ class SuperCochain:
         """Multilinear extension to arbitrary elements."""
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
-        total = ZERO
-        supports = [list(e.coeffs.items()) for e in args]
-        if any(not s for s in supports):
-            return ZERO
-        for combo in itertools.product(*supports):
-            v = self.values.get(tuple(l for l, _ in combo))
-            if v is None:
-                continue
-            coeff = ONE
-            for _, c in combo:
-                coeff *= c
-            total += coeff * v
-        return total
+        return sum((coeff * v for v, coeff in multilinear_terms(self.values, args)), ZERO)
+
+    def table(self) -> dict:
+        """The cochain as a one-output sparse table, args -> Element({0: value})."""
+        return {args: Element({0: v}) for args, v in self.values.items()}
 
     def is_zero(self) -> bool:
         return not self.values
@@ -109,28 +106,36 @@ class SuperCochain:
         return hash((self.space, self.degree, frozenset(self.values.items())))
 
 
+def _check_space(phi: SuperCochain, alg: HomSuperAlgebra):
+    if phi.space != alg.space:
+        raise ValueError("cochain on a different space")
+
+
+def _scalar(side: Element) -> Fraction:
+    """A one-output cell back to its cochain value, ZERO where the table has none."""
+    return side.coeffs.get(0, ZERO)
+
+
+def _first_slot(phi: SuperCochain, m) -> dict:
+    """phi∘(m, id, .., id); ``m`` is a map or the bracket's table."""
+    return _compose(phi.table(), slot_maps=[m] + [None] * (phi.degree - 1))
+
+
 def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     """Degree k -> k+1: sum over slot pairs of f(bracketed pair, twisted rest).
 
     Pair (i, j) contributes with sign (-1)^(i+j+1) times the Koszul extraction
-    sign; for k = 1 this collapses to x, y -> f([x, y]).
+    sign (:func:`_pair_sum`); for k = 1 this collapses to x, y -> f([x, y]).
     """
+    _check_space(f, alg)
     if alg.arity != 2:
         raise ValueError("coboundary is defined over a binary algebra")
-    alpha = alg.twists[0]
-    space = alg.space
     k = f.degree
-    out = {}
-    for args in space.tuples(k + 1):
-        total = ZERO
-        for i, j, sign in pair_extractions([space.parity(a) for a in args]):
-            inner = alg.bracket.value((args[i - 1], args[j - 1]))
-            if inner:
-                rest = [alpha.apply_basis(a) for m, a in enumerate(args, 1) if m not in (i, j)]
-                total += sign * f.eval([inner] + rest)
-        if total:
-            out[args] = total
-    return SuperCochain(space, k + 1, out, complete=False)
+    pulled = _compose(f.table(), slot_maps=[alg.bracket.entries] + [alg.twists[0]] * (k - 1))
+    # f(T(p), alpha(r)) sits at p + r; moving p behind r relabels the cells,
+    # it swaps no graded arguments, so it takes no Koszul sign
+    delta = _pair_sum({x[2:] + x[:2]: v for x, v in pulled.items()}, k + 1, alg.space)
+    return SuperCochain(alg.space, k + 1, {x: _scalar(v) for x, v in delta.items()}, complete=False)
 
 
 def wedge_obstruction(
@@ -140,19 +145,26 @@ def wedge_obstruction(
 
     ``anchor`` has length n-3 and pins the first slots of the inner copy of
     phi; for ternary products it is empty and the inner copy is phi itself.
+    The value is a lookup in :func:`_wedge_table`.
     """
+    _check_space(phi, alg)
+    if alg.arity != 2:
+        raise ValueError("wedge obstruction lives over a binary algebra")
     n = phi.degree + 2
     if len(anchor) != n - 3 or len(ys) != n:
         raise ValueError("anchor/argument lengths inconsistent with the degree")
-    space = alg.space
-    anchor_elems = [space.basis_element(a) for a in anchor]
-    total = ZERO
-    for i, j, sign in pair_extractions([space.parity(y) for y in ys]):
-        inner = alg.bracket.value((ys[i - 1], ys[j - 1]))
-        outer = phi.value(tuple(y for m, y in enumerate(ys, 1) if m not in (i, j)))
-        if inner and outer:
-            total -= sign * outer * phi.eval(anchor_elems + [inner])
-    return total
+    return _scalar(_wedge_table(phi, alg).get(tuple(anchor) + tuple(ys), Element()))
+
+
+def _wedge_table(phi: SuperCochain, alg: HomSuperAlgebra) -> dict:
+    """The wedge obstruction at every anchor + ys, a one-output table over 2n-3 slots.
+
+    The pair sum -sum_{i<j} (pair sign) phi(ys_rest) phi(anchor, [ys_i, ys_j])
+    is linear in the bracketed pair, so it is -phi(anchor, [ys]_phi) with
+    [ys]_phi the induced bracket (:func:`_induced_table`): -phi∘(id, .., id, [..]_phi).
+    """
+    induced = _induced_table(phi, alg)
+    return {x: -v for x, v in _compose(phi.table(), slot_maps=[None] * (phi.degree - 1) + [induced]).items()}
 
 
 @record
@@ -171,35 +183,23 @@ class InductionReport:
 def check_induction_conditions(
     phi: SuperCochain, alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 ) -> InductionReport:
-    """Both conditions for the induced n-ary product to be n-Hom-Lie."""
+    """Both conditions for the induced n-ary product to be n-Hom-Lie.
+
+    The wedge obstruction vanishes at every anchor + ys, over d^(2n-3) basis
+    tuples, and phi(alpha x_1, x_2, ..) = phi(x) at every basis tuple x, the
+    left side reported as lhs.
+    """
+    _check_space(phi, alg)
     if alg.arity != 2:
         raise ValueError("induction conditions live over a binary algebra")
     n = phi.degree + 2
     space = alg.space
-    alpha = alg.twists[0]
-
-    wedge_col = _Collector("wedge-obstruction", cap)
-    for anchor in space.tuples(n - 3):
-        for ys in space.tuples(n):
-            wedge_col.tick()
-            value = wedge_obstruction(phi, anchor, ys, alg)
-            if value != 0:
-                wedge_col.fail(anchor + ys, value, ZERO)
-
-    twist_col = _Collector("twist-invariance", cap)
-    for args, lhs, rhs in _first_slot_twists(phi, alpha):
-        twist_col.tick()
-        if lhs != rhs:
-            twist_col.fail(args, lhs, rhs)
-    return InductionReport(wedge_col.report(), twist_col.report())
-
-
-def _first_slot_twists(phi: SuperCochain, alpha):
-    """(x, phi(alpha x_1, x_2, ..), phi(x)) for every basis tuple x."""
-    space = phi.space
-    for args in space.tuples(phi.degree):
-        lhs = phi.eval([alpha.apply_basis(args[0])] + [space.basis_element(a) for a in args[1:]])
-        yield args, lhs, phi.value(args)
+    return InductionReport(
+        _diff_report("wedge-obstruction", space, 2 * n - 3, _wedge_table(phi, alg), {}, cap, value=_scalar),
+        _diff_report(
+            "twist-invariance", space, phi.degree, _first_slot(phi, alg.twists[0]), phi.table(), cap, value=_scalar
+        ),
+    )
 
 
 def triple_product(phi: SuperCochain, alg: HomSuperAlgebra) -> HomSuperAlgebra:
@@ -211,13 +211,13 @@ def triple_product(phi: SuperCochain, alg: HomSuperAlgebra) -> HomSuperAlgebra:
 
 def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     """The n-ary product induced by a degree-(n-2) cochain; twists all equal alpha."""
+    _check_space(phi, alg)
     if alg.arity != 2:
         raise ValueError("induced brackets start from a binary algebra")
     if phi.degree != n - 2:
         raise ValueError(f"arity {n} needs a degree-{n - 2} cochain, got {phi.degree}")
     space = alg.space
-    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in alg.bracket.entries.items()}
-    entries = _pair_sum(pairs, n, space)
+    entries = _induced_table(phi, alg)
     try:  # the construction is skew by design; guards sign bugs
         skew = complete_skew_orbit(n, entries, space) == entries
     except OrbitConflict:
@@ -227,10 +227,17 @@ def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> 
     return multiplicative_algebra(space, NaryBracket(n, entries), alg.twists[0])
 
 
+def _induced_table(phi: SuperCochain, alg: HomSuperAlgebra) -> dict:
+    """The induced bracket's entries: the pair sum of phi(r) T(p) at r + p."""
+    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in alg.bracket.entries.items()}
+    return _pair_sum(pairs, phi.degree + 2, alg.space)
+
+
 def _pair_sum(table, n, space):
     """Sum over slot pairs i < j of (-1)^(i+j+1) _permute(table, rest + (i, j)).
 
-    The pair in ``table``'s last two slots moves to slots i, j with the weight of :func:`core.pair_extractions`.
+    The pair in ``table``'s last two slots moves to slots i, j with the weight
+    (-1)^(i+j+1) times :func:`core.pair_extraction_sign`.
     """
     slots = range(1, n + 1)
     return _sum_tables(
@@ -241,17 +248,10 @@ def _pair_sum(table, n, space):
 
 def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:
     """Vanishes on brackets in the first slot and is twist-invariant there."""
+    _check_space(phi, alg)
     if alg.arity != 2:
         raise ValueError("supertrace condition lives over a binary algebra")
-    space = alg.space
-    for pair in space.tuples(2):
-        inner = alg.bracket.value(pair)
-        if inner.is_zero():
-            continue
-        for rest in space.tuples(phi.degree - 1):
-            if phi.eval([inner] + [space.basis_element(r) for r in rest]) != 0:
-                return False
-    return all(lhs == rhs for _, lhs, rhs in _first_slot_twists(phi, alg.twists[0]))
+    return not _first_slot(phi, alg.bracket.entries) and _first_slot(phi, alg.twists[0]) == phi.table()
 
 
 @record
@@ -285,6 +285,7 @@ def derivation_transfer(
     every slot and basis tuple; when it fails the conclusion is not evaluated
     and no claim is made about it.
     """
+    _check_space(phi, alg)
     base = check_derivation(cand, alg)
     if not base.passed:
         raise ValueError("transfer requires a verified derivation of the base algebra")

@@ -279,20 +279,6 @@ def pair_extraction_sign(parities: Sequence[int], i: int, j: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def pair_extractions(parities: Sequence[int]):
-    """Yield ``(i, j, sign)`` for every slot pair i < j (1-based), i-major.
-
-    ``sign`` is (-1)^(i+j+1) times :func:`pair_extraction_sign`: the weight of
-    the pair term in the coboundary and in cochain-induced brackets.  The
-    wedge obstruction uses its negation.
-    """
-    n = len(parities)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            sign = pair_extraction_sign(parities, i, j)
-            yield i, j, sign if (i + j) % 2 else -sign
-
-
 # ---------------------------------------------------------------------------
 # Graded linear maps
 # ---------------------------------------------------------------------------
@@ -551,25 +537,24 @@ def eval_tensor(tensor: "NaryBracket", space: SuperSpace, args: Sequence[Element
             if label not in space:
                 raise KeyError(f"unknown basis label {label!r}")
     out = {}
-    entries = tensor.entries
-    supports = [list(e.coeffs.items()) for e in args]
-    if any(not s for s in supports):
-        return Element()
-    for combo in itertools.product(*supports):
-        key = tuple(label for label, _ in combo)
-        base = entries.get(key)
-        if base is None:
-            continue
-        coeff = ONE
-        for _, c in combo:
-            coeff *= c
+    for base, coeff in multilinear_terms(tensor.entries, args):
         for label, c in base.coeffs.items():
-            s = out.get(label, ZERO) + coeff * c
-            if s:
-                out[label] = s
-            else:
-                del out[label]
+            out[label] = out.get(label, ZERO) + coeff * c
     return Element(out)
+
+
+def multilinear_terms(values: Mapping, args: Sequence[Element]):
+    """(values[key], coefficient product) for every basis pick ``key`` of ``args`` that ``values`` holds.
+
+    The one loop behind the multilinear extension of brackets and cochains.
+    """
+    for combo in itertools.product(*(e.coeffs.items() for e in args)):
+        base = values.get(tuple(label for label, _ in combo))
+        if base is not None:
+            coeff = ONE
+            for _, c in combo:
+                coeff *= c
+            yield base, coeff
 
 
 def eval_bracket(alg: HomSuperAlgebra, args: Sequence[Element]) -> Element:

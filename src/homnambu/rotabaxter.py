@@ -15,7 +15,7 @@ from fractions import Fraction
 from .axioms import (
     CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, _diff_report, _sum_tables, _twist_commutation
 )
-from .cochains import SuperCochain, _pair_sum, cochain_induced_bracket
+from .cochains import SuperCochain, _check_space, _pair_sum, cochain_induced_bracket
 from .core import (
     GradedLinearMap,
     HomSuperAlgebra,
@@ -136,6 +136,7 @@ def check_phi_rb_kernel_condition(
     when the hypotheses of the displayed equivalence hold; the report records
     both so the equivalence itself is exercised.
     """
+    _check_space(phi, alg)
     if alg.arity != 2:
         raise ValueError("kernel condition starts from a binary algebra")
     induced = cochain_induced_bracket(phi, alg, n)

@@ -23,8 +23,8 @@ from homnambu.core import (
     eval_bracket,
     map_power,
     multiplicative_algebra,
-    pair_extractions,
 )
+from cochain_oracle import pair_extractions
 
 
 def _parity_tuple(alg: HomSuperAlgebra, args) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from homnambu.core import (
     pair_extraction_sign,
 )
 from homnambu.derivations import DerivationCandidate, check_derivation
+from homnambu.rotabaxter import check_phi_rb_kernel_condition
 
 
 def L1(a=1, b=3):
@@ -326,3 +327,28 @@ class TestDerivationTransfer:
         )
         with pytest.raises(ValueError):
             derivation_transfer(not_deriv, phi, alg, 3)
+
+
+ENTRY_POINTS = {
+    "coboundary": lambda phi, alg: coboundary(phi, alg),
+    "wedge_obstruction": lambda phi, alg: wedge_obstruction(phi, (), ("e1", "e2", "e3"), alg),
+    "check_induction_conditions": lambda phi, alg: check_induction_conditions(phi, alg),
+    "cochain_induced_bracket": lambda phi, alg: cochain_induced_bracket(phi, alg, 3),
+    "is_supertrace": lambda phi, alg: is_supertrace(phi, alg),
+    "derivation_transfer": lambda phi, alg: derivation_transfer(
+        DerivationCandidate(GradedLinearMap.zero(alg.space), 0), phi, alg, 3
+    ),
+    "check_phi_rb_kernel_condition": lambda phi, alg: check_phi_rb_kernel_condition(
+        GradedLinearMap.identity(alg.space), phi, alg, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_cochain_on_another_space_is_rejected(entry):
+    """L1's labels with every parity flipped: e3 is even there, so phi(e3) = 1 is a valid cochain."""
+    alg, _ = L1()
+    flipped = SuperSpace(alg.space.labels, tuple(1 - p for p in alg.space.parities))
+    phi = SuperCochain(flipped, 1, {("e3",): 1})
+    with pytest.raises(ValueError, match="cochain on a different space"):
+        ENTRY_POINTS[entry](phi, alg)

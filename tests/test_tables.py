@@ -9,8 +9,13 @@ give equal reports at caps 0, 2 and unlimited, and equal tables entry for
 entry.  The draws include failing inputs: non-skew tensors failing at
 several swap positions, Hom-Jacobi failures at cells with x and z odd, and
 random operators and cochains for the kernel condition.
+
+The cochain identities (the coboundary, the wedge obstruction, twist
+invariance and the supertrace test) are compared in the same way with the
+dense loops kept in ``cochain_oracle``.
 """
 
+import functools
 import itertools
 import random
 
@@ -19,7 +24,14 @@ import pytest
 from homnambu import cli, cochains, prelie
 from homnambu.axioms import check_hom_jacobi, check_super_skew
 from homnambu.catalog import catalog_build
-from homnambu.cochains import SuperCochain, cochain_induced_bracket
+from homnambu.cochains import (
+    SuperCochain,
+    check_induction_conditions,
+    coboundary,
+    cochain_induced_bracket,
+    is_supertrace,
+    wedge_obstruction,
+)
 from homnambu.core import (
     Element,
     GradedLinearMap,
@@ -31,6 +43,7 @@ from homnambu.core import (
 )
 from homnambu.iterated import iterated_bracket
 from homnambu.rotabaxter import check_phi_rb_kernel_condition
+import cochain_oracle
 import prelie_oracle
 import random_inputs
 import table_oracle as oracle
@@ -176,6 +189,57 @@ def test_kernel_condition_matches_oracle():
         )
         failing += not full.passed
     assert cases / 4 <= failing < cases
+
+
+def has_odd_pair_term(phi, alg):
+    """Whether some f(T(p), alpha(r)) is nonzero with p = (a, b) of odd parity |a| + |b|.
+
+    Only such terms see a sign if the coboundary's move of the pair behind
+    the rest were a graded swap, (-1)^(|p||r|), instead of a relabelling.
+    """
+    space, alpha = alg.space, alg.twists[0]
+    return any(
+        phi.eval([value] + [alpha.apply_basis(a) for a in rest]) != 0
+        for p, value in alg.bracket.entries.items()
+        if (space.parity(p[0]) + space.parity(p[1])) % 2
+        for rest in space.tuples(phi.degree - 1)
+    )
+
+
+def test_cochain_identities_match_oracle():
+    rng = random.Random(26)
+    cases, failing_wedge, nonzero_coboundary, odd_pairs, supertraces = 60, 0, 0, 0, 0
+    for case in range(cases):
+        degree = 1 + case % 3
+        space = odd_space(rng, 3 if degree < 3 else 2)
+        alg = skew_binary(rng, space)
+        phi = cochain(rng, space, degree)
+        delta = coboundary(phi, alg)
+        assert delta == cochain_oracle.coboundary(phi, alg)
+        oracle_reports = functools.cache(cochain_oracle.check_induction_conditions)  # one sweep per cap
+        for part in ("wedge", "twist"):
+            full = assert_same_reports(
+                lambda *args: getattr(check_induction_conditions(*args), part),
+                lambda *args: getattr(oracle_reports(*args), part),
+                phi,
+                alg,
+            )
+            failing_wedge += part == "wedge" and not full.passed
+        supertrace = is_supertrace(phi, alg)
+        assert supertrace == cochain_oracle.is_supertrace(phi, alg)
+        # each lookup builds the whole table; past 128 cells the uncapped
+        # wedge report above already compares every nonzero cell's value
+        if space.dim ** (2 * degree + 1) <= 128:
+            for anchor in space.tuples(degree - 1):
+                for ys in space.tuples(degree + 2):
+                    assert wedge_obstruction(phi, anchor, ys, alg) == cochain_oracle.wedge_obstruction(phi, anchor, ys, alg)
+        nonzero_coboundary += not delta.is_zero()
+        odd_pairs += has_odd_pair_term(phi, alg) and not delta.is_zero()
+        supertraces += supertrace
+    assert failing_wedge >= cases / 6
+    assert nonzero_coboundary >= cases / 6
+    assert odd_pairs >= cases / 12
+    assert 0 < supertraces < cases
 
 
 NON_SKEW = {("e1", "e2", "e3"): Element({"e3": 1})}  # distinct labels: no conflict
