@@ -61,13 +61,16 @@ class AlgebraBundle:
 _FRACTION_RE = None  # compiled lazily
 
 
-def _scalar(value, where: str) -> Fraction:
+def _scalar(value, where: str, seen: dict) -> Fraction:
+    """The rational ``value`` names; ``seen`` holds the strings parsed so far in this document."""
     global _FRACTION_RE
     if isinstance(value, bool):
         raise AlgebraFileError(f"{where}: scalars must be integers or 'p/q' strings")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if value in seen:
+            return seen[value]
         if _FRACTION_RE is None:
             import re
 
@@ -77,19 +80,20 @@ def _scalar(value, where: str) -> Fraction:
                 f"bad scalar {value!r} in {where}: expected 'p' or 'p/q'"
             )
         try:
-            return scalar(value)
+            seen[value] = scalar(value)
+            return seen[value]
         except ZeroDivisionError:
             raise AlgebraFileError(f"bad scalar {value!r} in {where}: zero denominator") from None
     raise AlgebraFileError(f"{where}: scalars must be integers or 'p/q' strings")
 
 
-def _matrix(space: SuperSpace, rows, where: str, parity: int = 0) -> GradedLinearMap:
+def _matrix(space: SuperSpace, rows, where: str, seen: dict, parity: int = 0) -> GradedLinearMap:
     d = space.dim
     if not isinstance(rows, list) or len(rows) != d or any(
         not isinstance(r, list) or len(r) != d for r in rows
     ):
         raise AlgebraFileError(f"{where}: expected a {d}x{d} row-major matrix")
-    values = [[_scalar(v, where) for v in row] for row in rows]
+    values = [[_scalar(v, where, seen) for v in row] for row in rows]
     try:
         return GradedLinearMap.from_matrix(space, values, parity=parity)
     except ValueError as exc:
@@ -109,9 +113,10 @@ def _labels(value, where: str) -> tuple[str, ...]:
 
 
 def strip_comments(text: str) -> str:
-    return "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
-    )
+    lines = text.splitlines()
+    if "#" not in text:  # no comment line to drop
+        return "\n".join(lines)
+    return "\n".join(line for line in lines if not line.lstrip().startswith("#"))
 
 
 def parse(text: str) -> AlgebraBundle:
@@ -149,6 +154,7 @@ def load(doc) -> AlgebraBundle:
     if not isinstance(arity, int) or arity < 2:
         raise AlgebraFileError("arity must be an integer >= 2")
 
+    seen: dict[str, Fraction] = {}  # scalar strings parsed so far
     twist_docs = doc["twists"]
     multiplicative = doc.get("multiplicative", False)
     if not isinstance(twist_docs, list) or not twist_docs:
@@ -156,13 +162,13 @@ def load(doc) -> AlgebraBundle:
     if multiplicative:
         if len(twist_docs) != 1:
             raise AlgebraFileError("a multiplicative document carries one twist matrix")
-        alpha = _matrix(space, twist_docs[0], "twist")
+        alpha = _matrix(space, twist_docs[0], "twist", seen)
         twists = (alpha,) * (arity - 1)
     else:
         if len(twist_docs) != arity - 1:
             raise AlgebraFileError(f"arity {arity} needs {arity - 1} twist matrices")
         twists = tuple(
-            _matrix(space, rows, f"twist {i}") for i, rows in enumerate(twist_docs)
+            _matrix(space, rows, f"twist {i}", seen) for i, rows in enumerate(twist_docs)
         )
 
     generators = {}
@@ -174,7 +180,7 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f"bad bracket entry: {exc}") from None
         if not isinstance(value_doc, dict):
             raise AlgebraFileError(f"bracket entry {args}: value must be an object")
-        value = {l: _scalar(v, f"bracket {args}") for l, v in value_doc.items()}
+        value = {l: _scalar(v, f"bracket {args}", seen) for l, v in value_doc.items()}
         if len(args) != arity:
             raise AlgebraFileError(f"bracket entry {args} does not have arity {arity}")
         for label in args + tuple(value):
@@ -199,7 +205,7 @@ def load(doc) -> AlgebraBundle:
         try:
             degree = cdoc["degree"]
             values = {
-                _labels(item["args"], f"cochain {i} args"): _scalar(item["value"], f"cochain {i}")
+                _labels(item["args"], f"cochain {i} args"): _scalar(item["value"], f"cochain {i}", seen)
                 for item in _array(cdoc["values"], f"cochain {i} values")
             }
         except (TypeError, KeyError) as exc:
@@ -227,8 +233,8 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f'operator {i}: "parity" must be the integer 0 or 1')
         if kind == "rota_baxter" and parity:
             raise AlgebraFileError(f'operator {i}: a rota_baxter operator needs "parity" 0')
-        mat = _matrix(space, rows, f"operator {i}", parity=parity)
-        weight = _scalar(odoc.get("weight", 0), f"operator {i}")
+        mat = _matrix(space, rows, f"operator {i}", seen, parity=parity)
+        weight = _scalar(odoc.get("weight", 0), f"operator {i}", seen)
         power = odoc.get("power", 0)
         if type(power) is not int or power < 0:
             raise AlgebraFileError(f'operator {i}: "power" must be a nonnegative integer')

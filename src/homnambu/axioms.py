@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     Element,
@@ -140,15 +141,14 @@ def merge_reports(identity: str, *reports: CheckReport) -> CheckReport:
 
 def check_grading(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Output parity of every stored entry equals the mod-2 sum of input parities."""
+    space, entries = alg.space, alg.bracket.entries
+    parity = dict(zip(space.labels, space.parities))
+    want = {args: sum(parity[a] for a in args) % 2 for args in entries}
+    bad = [args for args, value in entries.items() if any(parity[l] != want[args] for l in value.coeffs)]
     col = _Collector("grading", cap)
-    space = alg.space
-    for args in sorted(alg.bracket.entries, key=space.sort_key):
-        value = alg.bracket.entries[args]
-        col.tick()
-        want = sum(space.parity(a) for a in args) % 2
-        bad = {l: c for l, c in value.coeffs.items() if space.parity(l) != want}
-        if bad:
-            col.fail(args, value, Element(), note=f"expected parity {want}")
+    col.tick(len(entries))
+    for args in sorted(bad, key=space.sort_key):
+        col.fail(args, entries[args], Element(), note=f"expected parity {want[args]}")
     return col.report()
 
 
@@ -247,9 +247,7 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     rows: dict[tuple, dict] = {}  # rows[prefix][last] = T[prefix + (last,)]
     for args, value in terms.items():
         rows.setdefault(args[:-1], {})[args[-1]] = value
-    relevant = set(rows)
-    for prefix in rows:
-        relevant.update(xs for xs, _ in _choices(prefix, reverse))
+    relevant = set(rows).union(xs for prefix in rows for xs, _ in _choices(prefix, reverse))
 
     col = _Collector("nambu", cap)
     col.tick(space.dim ** (2 * n - 1))
@@ -266,7 +264,7 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
         if key not in memo:
             out_cols, slot_cols = cols = ({}, {})
             for t, c, r, v in key[1:]:
-                cols[t].setdefault(c, []).append((r, v))
+                cols[t].setdefault(c, []).append((r, v, t))
             acc = kernel(out_cols, [slot_cols] * n, odd)
             bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
             memo[key] = len(bad), {ys: acc[ys] for ys in col.first(bad, space.sort_key)}
@@ -303,49 +301,63 @@ def _leibniz_kernel(terms, outputs, space, before, after):
     ``terms`` maps each support key of T to its (output, numerator) list,
     ordered by ``outputs``.  ``before[j]`` and ``after[j]`` are the preimage
     lists (:func:`_preimages`) of S_j and S'_j; parities come from ``space``.
-    The support indexes are built here, once.  Returns ``scatter(out_cols,
-    slot_cols, odd, lhs_scale=1)``, where ``out_cols`` and ``slot_cols[i]``
-    hold the numerator columns of O and f_i and ``odd`` is |f|.  It maps
-    each cell some term reaches to [lhs_scale * left side | right side],
-    one entry per output on each side.
+    Returns ``scatter(out_cols, slot_cols, odd, tags=2)``: the columns of O
+    and f_i list (row, numerator, tag < ``tags``) entries and ``odd`` is |f|.
+    Each cell a term reaches gets numerators at tag * len(outputs) + output
+    position, per the tag of the entry each term came through: tags 0 on O
+    and 1 on the f_i give [left side | right side]; a tag per unknown, the
+    f_i negated, gives the residual rows of a linear system.  Slot i's terms
+    through e are indexed on first use, from spectator picks built once per
+    support prefix and suffix.
     """
-    width = len(outputs)
     position = {e: k for k, e in enumerate(outputs)}
     parity = dict(zip(space.labels, space.parities))
     by_out = defaultdict(list)  # by_out[e] = [(y, coeff of e in T[y])]
-    for args, value in terms.items():
-        for e, c in value:
-            by_out[e].append((args, c))
-    # outer[i][e]: for every support key p with p[i] = e and every pick of
-    # spectator preimages around slot i, the parity of the left pick, the
-    # right-side accumulator slots of T[p], the picks and their coefficient
-    outer = [defaultdict(list) for _ in after]
+    at = [defaultdict(list) for _ in after]  # at[i][e] = [(p, T[p] by position)] for p[i] = e
     for p, value in terms.items():
-        base = [(width + position[e], c) for e, c in value]
+        base = [(position[e], c) for e, c in value]
+        for e, c in value:
+            by_out[e].append((p, c))
         for i, e in enumerate(p):
-            right = _choices(p[i + 1 :], after[i + 1 :])
-            for lt, lc in _choices(p[:i], before[:i]) if right else ():
-                odd_prefix = sum(parity[y] for y in lt) % 2
-                outer[i][e].extend((odd_prefix, base, lt, rt, lc * rc) for rt, rc in right)
+            at[i][e].append((p, base))
 
-    zero = [0] * (2 * width)
+    @cache
+    def left(q):  # prefix -> [(pick of S-preimages, coeff, its parity)]
+        if not q:
+            return [((), 1, 0)]
+        pool = before[len(q) - 1].get(q[-1], ())
+        return [(lt + (l,), c * cl, odd ^ parity[l]) for lt, c, odd in left(q[:-1]) for l, cl in pool]
 
-    def scatter(out_cols, slot_cols, odd, lhs_scale=1):
-        acc = defaultdict(zero.copy)
+    @cache
+    def right(s):  # suffix -> [(pick of S'-preimages, coeff)]
+        if not s:
+            return [((), 1)]
+        return [((l,) + rt, cl * c) for l, cl in after[-len(s)].get(s[0], ()) for rt, c in right(s[1:])]
+
+    @cache
+    def slot_terms(i, e):  # [(parity of left pick, T[p], picks, coeff)] for slot i through output e
+        return [(odd, base, lt, rt, lc * rc) for p, base in at[i].get(e, ())
+                for rt, rc in right(p[i + 1 :]) for lt, lc, odd in left(p[:i])]
+
+    def scatter(out_cols, slot_cols, odd, tags=2):
+        width = len(outputs)
+        acc = defaultdict(([0] * (tags * width)).copy)
         for e, image in out_cols.items():
-            column = [(position[r], lhs_scale * c) for r, c in image]
+            column = [(tag * width + position[r], c) for r, c, tag in image]
             for ys, c in by_out.get(e, ()):
                 vec = acc[ys]
                 for k, ck in column:
                     vec[k] += c * ck
-        for index, cols in zip(outer, slot_cols):
+        for i, cols in enumerate(slot_cols):
             for b, image in cols.items():
-                for e, ce in image:
-                    for odd_prefix, base, lt, rt, coeff in index.get(e, ()):
-                        f = (-ce if odd and odd_prefix else ce) * coeff
-                        vec = acc[lt + (b,) + rt]
+                mid = (b,)
+                for e, ce, tag in image:
+                    shift, flipped = tag * width, -ce if odd else ce
+                    for odd_prefix, base, lt, rt, coeff in slot_terms(i, e):
+                        f = (flipped if odd_prefix else ce) * coeff
+                        vec = acc[lt + mid + rt]
                         for k, ck in base:
-                            vec[k] += f * ck
+                            vec[shift + k] += f * ck
         return acc
 
     return scatter
@@ -426,9 +438,7 @@ def _numerators(table):
     Each key's dict becomes a list of (inner key, integer numerator) pairs.
     """
     den = math.lcm(1, *(c.denominator for coeffs in table.values() for c in coeffs.values()))
-    return den, {
-        key: [(l, int(c * den)) for l, c in coeffs.items()] for key, coeffs in table.items()
-    }
+    return den, {key: [(l, c.numerator * (den // c.denominator)) for l, c in cs.items()] for key, cs in table.items()}
 
 
 def _integer_columns(maps, labels):
@@ -457,10 +467,7 @@ def _choices(target, maps):
     """(tuple, coeff) for every pick of one (label, coeff) from each maps[j][target[j]]."""
     out = [((), 1)]
     for coord, m in zip(target, maps):
-        pool = m.get(coord)
-        if not pool:
-            return []
-        out = [(head + (l,), c * cl) for head, c in out for l, cl in pool]
+        out = [(head + (l,), c * cl) for head, c in out for l, cl in m.get(coord, ())]
     return out
 
 

@@ -223,6 +223,9 @@ def cmd_induce(args) -> int:
                 f"cochain degree {phi.degree} cannot induce arity {n} "
                 f"(needs degree {n - 2})"
             )
+        skew = check_super_skew(alg, 0)
+        if not skew.passed:
+            raise InputProblem(f"induction needs a super-skew bracket: {skew.summary()}")
         conditions = check_induction_conditions(phi, alg, args.max_counterexamples)
         if not conditions.passed:
             failed = [r for r in conditions.reports() if not r.passed]

@@ -299,7 +299,7 @@ def derivation_transfer(
     kernel = _leibniz_kernel(terms, (0,), space, identity, identity)
     col = _Collector("phi-annihilation", cap)
     col.tick(space.dim ** phi.degree)
-    acc = kernel({}, [d] * phi.degree, cand.map.parity)
+    acc = kernel({}, [{c: [(r, v, 1) for r, v in image] for c, image in d.items()}] * phi.degree, cand.map.parity)
     col.fail_cells(acc, lambda half: Fraction(half[0], sigma * delta), space.sort_key, swap=True)
     hypothesis = col.report()
     if not hypothesis.passed:

@@ -5,22 +5,18 @@ commute with a and satisfy the graded Leibniz rule in which every spectator
 argument is twisted by a^k and moving D past the first i-1 arguments costs
 (-1)^(|D| * (p_1 + .. + p_{i-1})).
 
-The solver sets the matrix entries of an unknown parity-homogeneous map as
-variables and returns the exact nullspace basis of the commutation and
-Leibniz constraints.  One parity class is solved at a time since the Leibniz
-sign depends on the parity of the unknown map.  The rows come from the
-kernel the checkers share, one call per matrix unit, over the tensor's
-support rather than all d^n basis tuples: each stored entry contributes its
-left-side terms at its own index tuple and its right-side terms at the
-tuples whose spectator images hit it.  Denominators are cleared once,
-every row is reduced to a primitive integer row, and each distinct row is
-kept once, so the elimination sees a few hundred rows where the defining
-equations number tens of thousands.
+The solver returns the exact nullspace of the commutation and Leibniz
+constraints on the matrix entries of an unknown map of one parity (the
+Leibniz sign depends on it).  Each unknown tags its own entries in the
+kernel the checkers share, so one scatter per kernel, over the tensor's
+support, sums every constraint row, sparse and keyed by unknown; each row
+is made primitive with one gcd and kept once.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 from fractions import Fraction
 
 from .axioms import (
@@ -131,7 +127,8 @@ def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
     def check(col, out_map, slot_maps, head=(), cell=None, swap=False):
         delta, (out, *slots) = _integer_columns([out_map, *slot_maps], labels)
         odd = next((f.parity for f in slot_maps if not f.is_zero()), 0)
-        acc = kernel(out, slots, odd, lhs_scale)
+        out = {c: [(r, v * lhs_scale, 0) for r, v in image] for c, image in out.items()}
+        acc = kernel(out, [{c: [(r, v, 1) for r, v in image] for c, image in f.items()} for f in slots], odd)
         if cell is not None:
             space.sort_key(cell)  # unknown labels raise
             acc = {cell: acc[cell]} if cell in acc else {}
@@ -222,39 +219,35 @@ def derivation_constraints(
     """Constraint matrix over the unknown entries of a parity-``parity`` map.
 
     Rows are primitive integer rows (gcd 1, first nonzero entry positive),
-    each listed once in first-seen order: the commutation rows, then the
-    Leibniz rows, one per (basis tuple, output coordinate) that some term
-    reaches.  Their row space is that of the defining equations.
+    each listed once: the commutation rows, then the Leibniz rows, one per
+    (basis tuple, output coordinate) that some term reaches.  Their row
+    space is that of the defining equations.
     """
     alpha = _shared_twist(alg)
     space = alg.space
     labels = space.labels
     variables = derivation_variables(space, parity)
     n = alg.arity
-    width = len(labels)
     _, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
     tau, (twist, spec) = _integer_columns([alpha, map_power(alpha, k)], labels)
     pre = [_preimages(spec)] * n
-    # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor
-    # alpha; then the bracket's, with spectator alpha^k.  Both are linear in
-    # D, so the residual (left minus right side) of the matrix unit E_{r,c}
-    # at (x, rho) is the entry of that unknown in the row of (x, rho).
-    kernels = (
+    # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, then the bracket's with
+    # spectator alpha^k: with each unknown E_{r,c} tagging its entries, one scatter sums every residual row
+    rows: dict = {}  # distinct primitive rows, as (unknowns, entries)
+    for kernel, arity, lhs_scale in (
         (_leibniz_kernel({(c,): twist[c] for c in labels}, labels, space, [], [None]), 1, 1),
         (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
-    )
-    rows: dict = {}  # distinct primitive rows in first-seen order
-    for kernel, arity, lhs_scale in kernels:
-        acc = defaultdict(([0] * len(variables)).copy)  # (x, rho) -> row
-        for idx, (r, c) in enumerate(variables):
-            unit = {c: [(r, 1)]}
-            for args, vec in kernel(unit, [unit] * arity, parity, lhs_scale).items():
-                for rho in range(width):
-                    if vec[rho] != vec[width + rho]:
-                        acc[args, rho][idx] = vec[rho] - vec[width + rho]
-        for row in dict.fromkeys(map(tuple, acc.values())):
-            rows[linalg.primitive_row(row)] = None
-    return [list(row) for row in rows], variables
+    ):
+        out = {c: [(r, lhs_scale, idx) for idx, (r, col) in enumerate(variables) if col == c] for c in labels}
+        slot = {c: [(r, -1, idx) for idx, (r, col) in enumerate(variables) if col == c] for c in labels}
+        residuals = defaultdict(dict)  # (x, rho) -> {unknown: residual}, unknowns ascending
+        for x, vec in kernel(out, [slot] * arity, parity, len(variables)).items():
+            for key in compress(range(len(vec)), vec):
+                idx, rho = divmod(key, len(labels))
+                residuals[x, rho][idx] = vec[key]
+        for idxs, entries in dict.fromkeys((tuple(r), tuple(r.values())) for r in residuals.values()):
+            rows[idxs, linalg.primitive_ints(entries)] = None
+    return [[entry.get(j, 0) for j in range(len(variables))] for entry in (dict(zip(*row)) for row in rows)], variables
 
 
 def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[GradedLinearMap]:

@@ -45,7 +45,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         for c in order:
             if vec[c]:
                 vec = _eliminate(vec, echelon[c], c)
-        vec = primitive_row(vec)
+        vec = primitive_ints(vec)
         if vec is None:
             continue
         lead = next(c for c, v in enumerate(vec) if v)
@@ -70,7 +70,11 @@ def primitive_row(row) -> tuple[int, ...] | None:
     """The integer multiple of a rational row whose entries have gcd 1 and
     whose first nonzero entry is positive; None for a zero row."""
     den = math.lcm(*(v.denominator for v in row))
-    vec = [v.numerator * (den // v.denominator) for v in row]
+    return primitive_ints([v.numerator * (den // v.denominator) for v in row])
+
+
+def primitive_ints(vec) -> tuple[int, ...] | None:
+    """:func:`primitive_row` of an integer row, with one gcd and no denominators."""
     g = math.gcd(*vec)
     if not g:
         return None

@@ -8,6 +8,13 @@ rows keep the raw rational coefficients of the defining equations.
 :func:`solve_oracle` returns the canonical nullspace vectors that
 :func:`homnambu.derivations.solve_derivation_space` must reproduce exactly.
 
+:func:`constraints_per_unit` is the row assembly the solver ran before it
+tagged its unknowns: one kernel scatter per matrix unit, each residual
+copied into the rows of a dense accumulator, every distinct row reduced with
+the rational :func:`homnambu.linalg.primitive_row`.  The tagged one-pass
+:func:`homnambu.derivations.derivation_constraints` must give the same set of
+rows over the same variables.
+
 The report oracles below are the per-checker loops that the derivation,
 quasi-derivation, generalized-derivation and adjoint-expansion checks and
 the phi-annihilation hypothesis of ``derivation_transfer`` ran before they
@@ -19,9 +26,18 @@ expansion evaluates the nested bracket by the recursion of
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
-from homnambu.axioms import CheckReport, Counterexample
+from homnambu import linalg
+from homnambu.axioms import (
+    CheckReport,
+    Counterexample,
+    _integer_columns,
+    _leibniz_kernel,
+    _numerators,
+    _preimages,
+)
 from homnambu.core import Element, HomSuperAlgebra, eval_bracket, map_power
 from homnambu.derivations import derivation_variables
 from iterated_oracle import iterated_eval
@@ -140,6 +156,40 @@ def solve_oracle(alg: HomSuperAlgebra, k: int, parity: int) -> list[list[Fractio
     """Nullspace vectors over ``derivation_variables(space, parity)``."""
     rows, variables = dense_constraints(alg, k, parity)
     return dense_nullspace(rows, len(variables))
+
+
+def constraints_per_unit(alg: HomSuperAlgebra, k: int, parity: int):
+    """(rows, variables): the solver's primitive rows, one scatter per matrix unit and kernel.
+
+    The residual (left minus right side) of the unit E_{r,c} at (x, rho) is
+    the entry of that unknown in the row of (x, rho); the commutation rows
+    come from the 1-ary tensor alpha, the Leibniz rows from the bracket with
+    spectator alpha^k.
+    """
+    alpha = alg.twists[0]
+    space = alg.space
+    labels = space.labels
+    variables = derivation_variables(space, parity)
+    n = alg.arity
+    width = len(labels)
+    _, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
+    tau, (twist, spec) = _integer_columns([alpha, map_power(alpha, k)], labels)
+    pre = [_preimages(spec)] * n
+    kernels = (
+        (_leibniz_kernel({(c,): twist[c] for c in labels}, labels, space, [], [None]), 1, 1),
+        (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
+    )
+    rows = {}
+    for kernel, arity, lhs_scale in kernels:
+        acc = defaultdict(([0] * len(variables)).copy)  # (x, rho) -> row
+        for idx, (r, c) in enumerate(variables):
+            for args, vec in kernel({c: [(r, lhs_scale, 0)]}, [{c: [(r, 1, 1)]}] * arity, parity).items():
+                for rho in range(width):
+                    if vec[rho] != vec[width + rho]:
+                        acc[args, rho][idx] = vec[rho] - vec[width + rho]
+        for row in dict.fromkeys(map(tuple, acc.values())):
+            rows[linalg.primitive_row(row)] = None
+    return [list(row) for row in rows], variables
 
 
 def _report(identity, cells, cap):

@@ -62,3 +62,41 @@ def graded_map(rng, space, parity: int = 0) -> GradedLinearMap:
             picked = rng.sample(targets, min(len(targets), rng.randint(1, 2)))
         cols[l] = Element({m: rng.choice(VALUES) for m in picked})
     return GradedLinearMap(space, parity, cols)
+
+
+HARD_POOLS = ("empty-middle", "multi-term")
+
+
+def hard_space(rng) -> SuperSpace:
+    """Three labels, e0 and e1 of one parity, so that an even map may mix them."""
+    p = rng.randint(0, 1)
+    return SuperSpace(("e0", "e1", "e2"), (p, p, rng.randint(0, 1)))
+
+
+def hard_map(rng, space, kind: str) -> GradedLinearMap:
+    """An even map on :func:`hard_space` whose preimage lists are hard on a kernel index.
+
+    "empty-middle": no column reaches e1, so e1 has no preimage (e1 -> e0 instead);
+    "multi-term": e0 -> e0 + e1 and e1 -> e1 + e0, so e0 and e1 each have two.
+    """
+    value = lambda: rng.choice(VALUES)
+    cols = {l: Element({l: value()}) for l in space.labels}
+    if kind == "empty-middle":
+        cols["e1"] = Element({"e0": value()})
+    else:
+        cols["e0"] = Element({"e0": value(), "e1": value()})
+        cols["e1"] = Element({"e1": value(), "e0": value()})
+    return GradedLinearMap(space, 0, cols)
+
+
+def hits_hard_pool(entries, kind: str) -> bool:
+    """Whether some support key has e1 in a middle slot ("empty-middle"), or e0/e1
+    both left and right of some slot ("multi-term")."""
+    multi = {"e0", "e1"}
+    for p in entries:
+        n = len(p)
+        if kind == "empty-middle" and "e1" in p[1 : n - 1]:
+            return True
+        if kind == "multi-term" and any(multi & set(p[:i]) and multi & set(p[i + 1 :]) for i in range(n)):
+            return True
+    return False

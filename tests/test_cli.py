@@ -320,6 +320,26 @@ class TestInduce:
         assert result.returncode == 1
         assert "wedge-obstruction" in result.stdout
 
+    def test_phi_on_a_non_skew_bracket_exit_two(self, tmp_path):
+        doc = {
+            "name": "not_skew",
+            "basis": [{"label": "e0", "parity": 0}, {"label": "e1", "parity": 0}],
+            "arity": 2,
+            "multiplicative": True,
+            "twists": [[["1", "0"], ["0", "1"]]],
+            "bracket": [{"args": ["e0", "e1"], "value": {"e0": "1"}}],
+            "skew_complete": False,
+            "cochains": [{"degree": 1, "values": [{"args": ["e1"], "value": "1"}]}],
+        }
+        path = tmp_path / "not_skew.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("induce", str(path), "--method", "phi", "--n", "3")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: induction needs a super-skew bracket: FAIL super-skew (tuples=4, failures=2)"
+        ]
+
     def test_negative_cochain_index_exit_two(self):
         result = run_cli(
             "induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3", "--cochain", "-1"

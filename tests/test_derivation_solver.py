@@ -15,9 +15,16 @@ then an odd power-0 derivation whose Leibniz sign is the Koszul sign itself,
 so these draws reach the sign that plain random algebras almost never do.
 Every solved map is also re-verified with ``check_derivation``, which pins
 the sign of the shared slot-wise Leibniz sum.
+
+The constraint rows themselves are compared with ``constraints_per_unit``,
+the one-scatter-per-matrix-unit assembly the solver ran before it tagged
+its unknowns: on the same random algebras and on nested osp12 at arities
+3, 4 and 5, both must give the same set of primitive rows over the same
+variables.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import event, given, settings
@@ -40,7 +47,7 @@ from homnambu.derivations import (
     solve_derivation_space,
 )
 from homnambu.iterated import iterated_bracket
-from derivation_oracle import solve_oracle
+from derivation_oracle import constraints_per_unit, solve_oracle
 from test_nambu_kernel import even_maps, rationals
 
 TWIST_KINDS = ("diagonal", "shear", "singular", "zero")
@@ -111,6 +118,24 @@ def multiplicative_algebras(draw):
     return grassmann_envelope(alg) if envelope else alg
 
 
+def assert_same_rows(alg, k, parity):
+    """The tagged one-pass rows against one scatter per matrix unit: same set, same variables."""
+    rows, variables = derivation_constraints(alg, k, parity)
+    expected, expected_variables = constraints_per_unit(alg, k, parity)
+    assert variables == expected_variables
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert set(map(tuple, rows)) == set(map(tuple, expected))
+    for row in rows:  # primitive: gcd 1, first nonzero entry positive
+        nonzero = [v for v in row if v]
+        assert nonzero[0] > 0 and math.gcd(*nonzero) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(multiplicative_algebras(), st.integers(0, 2), st.integers(0, 1))
+def test_rows_match_per_unit_oracle(alg, k, parity):
+    assert_same_rows(alg, k, parity)
+
+
 def assert_matches_oracle(alg, k, parity):
     variables = derivation_variables(alg.space, parity)
     expected = solve_oracle(alg, k, parity)
@@ -148,3 +173,9 @@ def test_catalog_matches_oracle(name, k, parity):
 )
 def test_nested_osp12_matches_oracle(n, k, parity):
     assert_matches_oracle(iterated_bracket(catalog_build("osp12").algebra, n), k, parity)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("k,parity", POWERS_AND_PARITIES)
+def test_nested_osp12_rows_match_per_unit_oracle(n, k, parity):
+    assert_same_rows(iterated_bracket(catalog_build("osp12").algebra, n), k, parity)

@@ -11,9 +11,14 @@ derivation and generalized cases replace a^k by a random even spectator.
 A third of the algebras are Grassmann envelopes carrying d/dtheta, an odd
 power-0 derivation whose Leibniz sign is the Koszul sign itself; the other
 passing candidates are solved derivations, and the random maps mostly fail.
+The same checks, and the solver's rows against one scatter per matrix unit,
+also run under spectators whose preimage lists are empty in a middle slot
+or have several terms on both sides of a slot (``random_inputs.hard_map``).
 """
 
 import random
+
+import pytest
 
 from homnambu.catalog import catalog_build
 from homnambu.cochains import SuperCochain, derivation_transfer
@@ -32,6 +37,7 @@ from homnambu.derivations import (
     check_derivation,
     check_generalized_derivation,
     check_quasi_derivation,
+    derivation_constraints,
     solve_derivation_space,
 )
 from homnambu.iterated import check_adjoint_expansion
@@ -106,6 +112,44 @@ def test_derivation_checkers_match_oracles():
     checks = 3 * cases
     assert checks / 3 <= failing <= checks * 5 / 6
     assert cases / 5 <= spectated <= cases / 2
+
+
+@pytest.mark.parametrize("kind", random_inputs.HARD_POOLS)
+def test_hard_preimage_pools_match_oracles(kind):
+    """Spectators a^k under which e1 has no preimage, met in a middle slot, or under
+    which e0 and e1 have two preimages each, met left and right of the slot: the
+    derivation, quasi- and generalized reports, and the solver's rows against one
+    scatter per matrix unit."""
+    rng = random.Random(29)
+    cases, hits, failing = 16, 0, 0
+    for _ in range(cases):
+        space = random_inputs.hard_space(rng)
+        n = rng.choice((3, 3, 4))
+        entries = random_inputs.graded_tensor(rng, space, n, density=0.5)
+        alg = multiplicative_algebra(space, NaryBracket(n, entries), random_inputs.hard_map(rng, space, kind))
+        hits += random_inputs.hits_hard_pool(entries, kind)
+        k, parity = rng.choice((1, 2)), rng.randint(0, 1)
+        solved = solve_derivation_space(alg, k, parity)
+        d = rng.choice(solved) if solved and rng.random() < 0.5 else random_inputs.graded_map(rng, space, parity)
+        maps = [random_inputs.graded_map(rng, space, parity) for _ in range(n + 1)]
+
+        cand = DerivationCandidate(d, k)
+        full = derivation_oracle.derivation_report(cand, alg, 10**6)
+        assert_equal_at_every_cap(lambda cap: check_derivation(cand, alg, cap), full)
+        failing += not full.passed
+        pair = QuasiPair(d, maps[0], k)
+        full = derivation_oracle.quasi_derivation_report(pair, alg, 10**6)
+        assert_equal_at_every_cap(lambda cap: check_quasi_derivation(pair, alg, cap), full)
+        tup = GeneralizedTuple((d,) + tuple(maps[1:]), k)
+        full = derivation_oracle.generalized_derivation_report(tup, alg, 10**6)
+        assert_equal_at_every_cap(lambda cap: check_generalized_derivation(tup, alg, cap), full)
+
+        rows, variables = derivation_constraints(alg, k, parity)
+        expected, expected_variables = derivation_oracle.constraints_per_unit(alg, k, parity)
+        assert variables == expected_variables
+        assert set(map(tuple, rows)) == set(map(tuple, expected))
+    assert hits >= cases / 2
+    assert cases / 5 <= failing < cases
 
 
 def test_adjoint_expansion_matches_oracle():

@@ -16,13 +16,21 @@ scalar multiples of one shared row: x-tuples then share a memo entry at
 different scales, and the counterexamples rebuilt from it must match the
 oracle exactly.  The work-count test pins how many scatters the nested osp12
 brackets need.
+
+The kernel indexes its terms from spectator picks built once per support
+prefix and suffix; two seeded families aim at that build: twists under
+which a label has no preimage and meets it in a middle slot, and twists
+under which two labels have two preimages each, met on both sides of the
+differentiated slot (``random_inputs.hard_map``).
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +230,33 @@ def test_rescaled_memo_hits_on_passing_and_failing_inputs():
             report, scales, _ = _scales_by_key(alg, cap)
             assert report == random_inputs.capped(full, cap)
             assert any(len(set(gs)) > 1 for gs in scales.values())
+
+
+@pytest.mark.parametrize("kind", random_inputs.HARD_POOLS)
+def test_hard_preimage_pools_match_oracle(kind):
+    """Twists under which e1 has no preimage, met in a middle slot, or under which e0
+    and e1 have two preimages each, met left and right of the differentiated slot.
+
+    Half the algebras are central (inputs e0 and e1 only, outputs e2) and so pass.
+    """
+    rng = random.Random(23)
+    cases, hits, failing = 24, 0, 0
+    for case in range(cases):
+        space = random_inputs.hard_space(rng)
+        n = rng.choice((3, 3, 4))
+        central = case % 2 == 0
+        entries = random_inputs.graded_tensor(
+            rng, space, n, *((("e0", "e1"), ("e2",)) if central else ()), density=0.5
+        )
+        twists = tuple(random_inputs.hard_map(rng, space, kind) for _ in range(n - 1))
+        alg = HomSuperAlgebra(space, NaryBracket(n, entries), twists)
+        full = nambu_oracle(alg, cap=10**6)
+        for cap in (0, 2, 10**6):
+            assert check_nambu_identity(alg, cap) == random_inputs.capped(full, cap)
+        hits += random_inputs.hits_hard_pool(entries, kind)
+        failing += not full.passed
+    assert hits >= cases / 2
+    assert cases / 4 <= failing <= cases / 2
 
 
 def test_one_scatter_per_primitive_input_on_nested_osp12():
