@@ -73,33 +73,19 @@ class _Collector:
         if len(self.kept) < self.cap:
             self.kept.append(Counterexample(tuple(args), lhs, rhs, note))
 
-    def fail_cells(self, acc, value, sort_key, head=(), swap=False):
-        """Fail the kernel cells whose two sides differ, in basis order after ``head``.
-
-        ``value`` turns a side back into the reported value, for kept cells
-        only; ``swap`` reports the right side as lhs.
-        """
-        width = len(next(iter(acc.values()), ())) // 2
-        bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
-        halves = (slice(width), slice(width, None))[:: -1 if swap else 1]
-        self._keep(bad, lambda ys: [value(acc[ys][h]) for h in halves], sort_key, head)
-
     def fail_diff(self, left, right, sort_key, note="", value=lambda side: side):
         """Fail the cells where two sparse tables (:func:`_compose`) differ, in basis order.
 
         ``value`` turns a cell's element (zero where absent) into the reported side.
         """
         bad = [x for x in left.keys() | right.keys() if left.get(x) != right.get(x)]
-        self._keep(bad, lambda x: (value(left.get(x, Element())), value(right.get(x, Element()))), sort_key, note=note)
+        sides = lambda x: (value(left.get(x, Element())), value(right.get(x, Element())))
+        self.fail_first(len(bad), self.first(bad, sort_key), sides, note=note)
 
     def first(self, bad, sort_key) -> list:
         """The cells of ``bad`` that the cap still has room to keep, in basis order."""
         room = self.cap - len(self.kept)
         return sorted(bad, key=sort_key)[:room] if bad and room > 0 else []
-
-    def _keep(self, bad, sides, sort_key, head=(), note=""):
-        """Count the failing cells ``bad``; keep the first ones in basis order, up to the cap."""
-        self.fail_first(len(bad), self.first(bad, sort_key), sides, head, note)
 
     def fail_first(self, failures, first, sides, head=(), note=""):
         """Count ``failures`` failing cells; keep cells of ``first`` (:meth:`first`), up to the cap."""
@@ -221,24 +207,15 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     index by one after the inner bracket, exactly as the identity is stated.
 
     That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted
-    derivation with out map ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .], so
-    one :func:`_leibniz_kernel` scatter decides all of an x-tuple's y-cells.
-    The scatter is linear in (ad_{ax}, ad_x) jointly, so each x-tuple's
-    integer inputs are reduced to g times a primitive key (:func:`_primitive`)
-    and the scatter runs once per distinct key: its failing cells serve every
-    x-tuple with that key, their two sides scaled by that x-tuple's g.  On a
-    nested bracket, ad_x depends on x only through the nested element, so few
-    keys serve many x-tuples.  The x-tuples are visited in basis order: the
-    prefixes of the support and their twist preimages, since every other
-    x-tuple makes both sides vanish.  Denominators are cleared once (sigma
-    for the tensor, tau for the twists), so both sides scale by
-    sigma^2 tau^(n-1).  ``tuples_checked`` counts all d^(2n-1) cells, though
-    the cells that are zero on both sides are never visited.
+    derivation with out map ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .]: one
+    :func:`_leibniz_sweep` instance per support prefix or twist preimage of
+    one, in basis order (other x-tuples make both sides vanish).  Both sides
+    scale by sigma^2 tau^(n-1), sigma and tau the tensor's and the twists'
+    denominators.  ``tuples_checked`` counts all d^(2n-1) cells, visited or not.
     """
     n = alg.arity
     space = alg.space
     labels = space.labels
-    width = len(labels)
     sigma, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
     tau, forward = _integer_columns(alg.twists, labels)
     reverse = [_preimages(cols) for cols in forward]
@@ -249,37 +226,61 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
         rows.setdefault(args[:-1], {})[args[-1]] = value
     relevant = set(rows).union(xs for prefix in rows for xs, _ in _choices(prefix, reverse))
 
+    def instances():  # (xs, |x|, ad_{ax} over the twist images of xs, n copies of ad_x)
+        for xs in sorted(relevant, key=space.sort_key):
+            ad = defaultdict(lambda: defaultdict(int))
+            for w, cw in _choices(xs, forward):
+                for e, image in rows.get(w, {}).items():
+                    for l, c in image:
+                        ad[e][l] += cw * c
+            yield xs, sum(map(space.parity, xs)) % 2, {e: v.items() for e, v in ad.items()}, [rows.get(xs, {})] * n
+
     col = _Collector("nambu", cap)
     col.tick(space.dim ** (2 * n - 1))
-    value = _as_element(labels, sigma * sigma * tau ** (n - 1))
-    memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
-    for xs in sorted(relevant, key=space.sort_key):
-        ad = defaultdict(lambda: defaultdict(int))  # ad_{ax}, over the twist images of xs
-        for w, cw in _choices(xs, forward):
-            for e, image in rows.get(w, {}).items():
-                for l, c in image:
-                    ad[e][l] += cw * c
-        odd = sum(space.parity(x) for x in xs) % 2
-        g, key = _primitive(odd, {e: image.items() for e, image in ad.items()}, rows.get(xs, {}))
-        if key not in memo:
-            out_cols, slot_cols = cols = ({}, {})
-            for t, c, r, v in key[1:]:
-                cols[t].setdefault(c, []).append((r, v, t))
-            acc = kernel(out_cols, [slot_cols] * n, odd)
-            bad = [ys for ys, vec in acc.items() if vec[:width] != vec[width:]]
-            memo[key] = len(bad), {ys: acc[ys] for ys in col.first(bad, space.sort_key)}
-        failures, first = memo[key]
-        col.fail_first(failures, list(first), lambda ys: [
-            value([g * v for v in half]) for half in (first[ys][:width], first[ys][width:])
-        ], head=xs)
+    _leibniz_sweep(col, kernel, instances(), _as_element(labels, sigma * sigma * tau ** (n - 1)), space.sort_key)
     return col.report()
 
 
-def _primitive(odd, *tables):
+def _leibniz_sweep(col, kernel, instances, value, sort_key, cell=None, swap=False):
+    """Fail into ``col`` the cells where the two sides of a :func:`_leibniz_kernel` differ.
+
+    An instance is (head, |f|, O, [f_1, .., f_n]), each map as integer
+    columns, column -> (row, numerator) pairs.  Its failing cells y are
+    counted and the first kept at head + y in basis order (``sort_key``);
+    ``value`` turns a side back into the reported value, ``swap`` reports
+    the Leibniz sum as lhs and ``cell`` checks that one y.  The scatter is
+    linear in (O, f_1, .., f_n) jointly, so each instance is reduced to g
+    times a primitive key (:func:`_primitive`) and the scatter runs once per
+    distinct key: its failing cells serve every instance with that key,
+    their two sides scaled by that instance's g.
+    """
+    if cell is not None:
+        sort_key(cell)  # unknown labels raise
+    memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
+    for head, odd, out, slots in instances:
+        distinct = [f for i, f in enumerate(slots) if f not in slots[:i]]  # equal f_i enter the key once
+        pattern = tuple(map(distinct.index, slots))
+        g, key = _primitive((odd, pattern), out, *distinct)
+        if key not in memo:
+            cols = [{} for _ in range(len(distinct) + 1)]
+            for t, c, r, v in key[1:]:
+                cols[t].setdefault(c, []).append((r, v, min(t, 1)))
+            acc = kernel(cols[0], [cols[1 + j] for j in pattern], odd)
+            if cell is not None:
+                acc = {cell: acc[cell]} if cell in acc else {}
+            h = len(next(iter(acc.values()), ())) // 2
+            bad = [ys for ys, vec in acc.items() if vec[:h] != vec[h:]]
+            sides = lambda vec: (vec[h:], vec[:h]) if swap else (vec[:h], vec[h:])
+            memo[key] = len(bad), {ys: sides(acc[ys]) for ys in col.first(bad, sort_key)}
+        failures, first = memo[key]
+        col.fail_first(failures, list(first), lambda ys: [value([g * v for v in side]) for side in first[ys]], head)
+
+
+def _primitive(lead, *tables):
     """(g, key): integer column tables as g times the primitive ones that ``key`` lists.
 
     Each table maps a column to its (row, numerator) pairs.  ``key`` is
-    ``odd`` followed by every nonzero (table index, column, row, numerator)
+    ``lead`` followed by every nonzero (table index, column, row, numerator)
     in sorted order, the numerators divided by their gcd and signed so that
     the first is positive; inputs equal up to a scalar share one key.
     """
@@ -287,7 +288,7 @@ def _primitive(odd, *tables):
     g = math.gcd(*(cell[3] for cell in cells)) or 1
     if cells and cells[0][3] < 0:
         g = -g
-    return g, (odd, *((t, c, r, v // g) for t, c, r, v in cells))
+    return g, (lead, *((t, c, r, v // g) for t, c, r, v in cells))
 
 
 def _leibniz_kernel(terms, outputs, space, before, after):

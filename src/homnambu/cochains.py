@@ -29,6 +29,7 @@ from .axioms import (
     _diff_report,
     _integer_columns,
     _leibniz_kernel,
+    _leibniz_sweep,
     _numerators,
     _permute,
     _sum_tables,
@@ -145,7 +146,8 @@ def wedge_obstruction(
 
     ``anchor`` has length n-3 and pins the first slots of the inner copy of
     phi; for ternary products it is empty and the inner copy is phi itself.
-    The value is a lookup in :func:`_wedge_table`.
+    The value is -phi(anchor, [ys]_phi) (:func:`_wedge_table`), the induced
+    bracket [ys]_phi summed only from the pair terms at permutations of ys.
     """
     _check_space(phi, alg)
     if alg.arity != 2:
@@ -153,7 +155,9 @@ def wedge_obstruction(
     n = phi.degree + 2
     if len(anchor) != n - 3 or len(ys) != n:
         raise ValueError("anchor/argument lengths inconsistent with the degree")
-    return _scalar(_wedge_table(phi, alg).get(tuple(anchor) + tuple(ys), Element()))
+    alg.space.sort_key(ys)  # unknown labels raise
+    inner = _induced_table(phi, alg, sorted(ys)).get(tuple(ys), Element())
+    return -phi.eval([alg.space.basis_element(a) for a in anchor] + [inner])
 
 
 def _wedge_table(phi: SuperCochain, alg: HomSuperAlgebra) -> dict:
@@ -227,9 +231,13 @@ def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> 
     return multiplicative_algebra(space, NaryBracket(n, entries), alg.twists[0])
 
 
-def _induced_table(phi: SuperCochain, alg: HomSuperAlgebra) -> dict:
-    """The induced bracket's entries: the pair sum of phi(r) T(p) at r + p."""
-    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in alg.bracket.entries.items()}
+def _induced_table(phi: SuperCochain, alg: HomSuperAlgebra, labels=None) -> dict:
+    """The induced bracket's entries: the pair sum of phi(r) T(p) at r + p.
+
+    Given the sorted ``labels`` of one cell, only the terms r + p that permute them are summed.
+    """
+    keep = lambda x: labels is None or sorted(x) == labels
+    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in alg.bracket.entries.items() if keep(r + p)}
     return _pair_sum(pairs, phi.degree + 2, alg.space)
 
 
@@ -299,8 +307,8 @@ def derivation_transfer(
     kernel = _leibniz_kernel(terms, (0,), space, identity, identity)
     col = _Collector("phi-annihilation", cap)
     col.tick(space.dim ** phi.degree)
-    acc = kernel({}, [{c: [(r, v, 1) for r, v in image] for c, image in d.items()}] * phi.degree, cand.map.parity)
-    col.fail_cells(acc, lambda half: Fraction(half[0], sigma * delta), space.sort_key, swap=True)
+    instance = ((), cand.map.parity, {}, [d] * phi.degree)
+    _leibniz_sweep(col, kernel, [instance], lambda half: Fraction(half[0], sigma * delta), space.sort_key, swap=True)
     hypothesis = col.report()
     if not hypothesis.passed:
         return TransferReport(hypothesis, None)

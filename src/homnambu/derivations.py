@@ -26,6 +26,7 @@ from .axioms import (
     _Collector,
     _integer_columns,
     _leibniz_kernel,
+    _leibniz_sweep,
     _numerators,
     _preimages,
     _shared_twist,
@@ -98,22 +99,22 @@ def check_derivation(
         spectator = map_power(alpha, cand.power)
     col = _Collector(f"derivation(power={cand.power})", cap)
     _twist_commutation(col, d, alg)
-    _leibniz_checker(alg, spectator)(col, d, (d,) * alg.arity)
+    _leibniz_checker(alg, spectator)(col, [((), d, (d,) * alg.arity)])
     return col.report()
 
 
 def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
     """The Leibniz-rule family's checker, on :func:`axioms._leibniz_kernel`.
 
-    Returns ``check(col, out_map, slot_maps, head=(), cell=None, swap=False)``,
-    which adds to ``col`` every basis tuple y where
+    Returns ``check(col, instances, cell=None, swap=False)``: each instance
+    (head, out_map, slot_maps) fails, at head + y, every basis tuple y where
 
         out_map([y]) != sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) [S y_1, .., f_i(y_i), .., S y_n]
 
-    with S = ``spectator`` and f_i = ``slot_maps[i]``, in basis order after
-    ``head``.  ``cell`` checks that one tuple only; ``swap`` reports the
-    Leibniz sum as lhs.  Derivations, quasi- and generalized derivations and
-    the adjoint expansion differ only in the maps they pass.
+    with S = ``spectator`` and f_i = ``slot_maps[i]``, all instances in one
+    :func:`axioms._leibniz_sweep` over one common denominator.  Derivations,
+    quasi- and generalized derivations and the adjoint expansion differ only
+    in the maps they pass.
     """
     space = alg.space
     labels = space.labels
@@ -124,17 +125,14 @@ def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
     kernel = _leibniz_kernel(terms, labels, space, pre, pre)
     lhs_scale = tau ** (n - 1)  # each right-side term holds n - 1 spectator entries
 
-    def check(col, out_map, slot_maps, head=(), cell=None, swap=False):
-        delta, (out, *slots) = _integer_columns([out_map, *slot_maps], labels)
-        odd = next((f.parity for f in slot_maps if not f.is_zero()), 0)
-        out = {c: [(r, v * lhs_scale, 0) for r, v in image] for c, image in out.items()}
-        acc = kernel(out, [{c: [(r, v, 1) for r, v in image] for c, image in f.items()} for f in slots], odd)
-        if cell is not None:
-            space.sort_key(cell)  # unknown labels raise
-            acc = {cell: acc[cell]} if cell in acc else {}
-        col.tick(space.dim ** n if cell is None else 1)
-        value = _as_element(labels, sigma * delta * lhs_scale)
-        col.fail_cells(acc, value, space.sort_key, head, swap)
+    def check(col, instances, cell=None, swap=False):
+        maps = [m for _, out_map, slot_maps in instances for m in (out_map.scale(lhs_scale), *slot_maps)]
+        delta, cols = _integer_columns(maps, labels)
+        cols = iter(cols)  # each instance takes its out map's columns, then its slot maps'
+        odd = lambda fs: next((f.parity for f in fs if not f.is_zero()), 0)
+        ints = [(head, odd(fs), next(cols), [next(cols) for _ in fs]) for head, _, fs in instances]
+        col.tick(len(ints) * (space.dim ** n if cell is None else 1))
+        _leibniz_sweep(col, kernel, ints, _as_element(labels, sigma * delta * lhs_scale), space.sort_key, cell, swap)
 
     return check
 
@@ -159,7 +157,7 @@ def check_quasi_derivation(
     """Leibniz sum of d absorbed by dprime applied to the whole bracket."""
     spectator = map_power(_shared_twist(alg), pair.power)
     col = _Collector(f"quasi-derivation(power={pair.power})", cap)
-    _leibniz_checker(alg, spectator)(col, pair.dprime, (pair.d,) * alg.arity, swap=True)
+    _leibniz_checker(alg, spectator)(col, [((), pair.dprime, (pair.d,) * alg.arity)], swap=True)
     return col.report()
 
 
@@ -177,7 +175,7 @@ def check_generalized_derivation(
     if spectator is None:
         spectator = map_power(alpha, tup.power)
     col = _Collector(f"generalized-derivation(power={tup.power})", cap)
-    _leibniz_checker(alg, spectator)(col, tup.maps[n], tup.maps[:n])
+    _leibniz_checker(alg, spectator)(col, [((), tup.maps[n], tup.maps[:n])])
     return col.report()
 
 

@@ -74,15 +74,15 @@ def check_adjoint_expansion(
     identity is verified exhaustively over the basis.
     """
     _require_binary_multiplicative(alg)
-    alpha = alg.twist
-    space = alg.space
+    if ys is not None and len(ys) != n:
+        raise ValueError(f"an adjoint-expansion instance needs {n} ys, got {len(ys)}")
     col = _Collector(f"adjoint-expansion(n={n})", cap)
-    power = map_power(alpha, n - 1)
-    check = _leibniz_checker(iterated_bracket(alg, n), alpha)
-    cell = None if ys is None else tuple(ys)
-    for xv in [x] if x is not None else space.labels:
-        outer = adjoint_map(alg, [power.apply_basis(xv)])
-        check(col, outer, (adjoint_map(alg, [xv]),) * n, head=(xv,), cell=cell)
+    power = map_power(alg.twist, n - 1)
+    instances = [
+        ((xv,), adjoint_map(alg, [power.apply_basis(xv)]), (adjoint_map(alg, [xv]),) * n)
+        for xv in ([x] if x is not None else alg.space.labels)
+    ]
+    _leibniz_checker(iterated_bracket(alg, n), alg.twist)(col, instances, None if ys is None else tuple(ys))
     return col.report()
 
 

@@ -100,16 +100,12 @@ def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
+def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the solution space of the homogeneous system ``rows @ x = 0``.
 
     One vector per free column, that free variable set to 1 and the pivot
     variables read off the reduced form; returned in free-column order.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty constraint system")
-        ncols = len(rows[0])
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []

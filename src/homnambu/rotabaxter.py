@@ -84,13 +84,6 @@ class EquivalenceReport:
 
     passed = agree
 
-    def summary(self) -> str:
-        return (
-            f"weight-0 operator: {'PASS' if self.rb.passed else 'FAIL'}; "
-            f"inverse is derivation: {'PASS' if self.inverse_derivation.passed else 'FAIL'}; "
-            f"verdicts {'agree' if self.agree else 'DISAGREE'}"
-        )
-
 
 def check_inverse_derivation_equiv(
     R: GradedLinearMap, alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP

@@ -119,6 +119,16 @@ class TestWedgeObstruction:
         with pytest.raises(ValueError):
             wedge_obstruction(phi, ("e1",), ("e1", "e2", "e3"), alg)
 
+    def test_unknown_label_raises(self):
+        alg, phi = L1()
+        with pytest.raises(KeyError, match="zz"):
+            wedge_obstruction(phi, (), ("zz", "e1", "e2"), alg)
+        with pytest.raises(KeyError, match="zz"):
+            wedge_obstruction(phi, (), ("e1", "e2", "zz"), alg)
+        phi2 = SuperCochain(alg.space, 2, {("e1", "e2"): 1})
+        with pytest.raises(KeyError, match="zz"):
+            wedge_obstruction(phi2, ("zz",), ("e1", "e2", "e3", "e3"), alg)
+
 
 class TestInductionConditions:
     def test_catalog_pair_passes(self):

@@ -148,6 +148,15 @@ class TestAdjointExpansion:
         assert report.passed
         assert report.tuples_checked == 1
 
+    def test_instance_of_the_wrong_length_raises(self):
+        """ys of length n-1 would name no cell and compare nothing; the full-length instance fails."""
+        L2 = algebra_of("L2")
+        with pytest.raises(ValueError, match="needs 3 ys"):
+            check_adjoint_expansion(L2, 3, x="e1", ys=("e3", "e3"))
+        with pytest.raises(ValueError, match="needs 3 ys"):
+            check_adjoint_expansion(L2, 3, x="e1", ys=("e3", "e3", "e3", "e3"))
+        assert not check_adjoint_expansion(L2, 3, x="e1", ys=("e3", "e3", "e3")).passed
+
     def test_fails_without_twisted_jacobi(self):
         # the expansion is equivalent to the twisted Jacobi identity; it must
         # fail on the catalog entry that lacks it

@@ -14,12 +14,17 @@ passing candidates are solved derivations, and the random maps mostly fail.
 The same checks, and the solver's rows against one scatter per matrix unit,
 also run under spectators whose preimage lists are empty in a middle slot
 or have several terms on both sides of a slot (``random_inputs.hard_map``).
+Every check reaches the kernel through ``axioms._leibniz_sweep``, which
+scatters once per primitive input; the adjoint expansion on algebras where
+two x labels have proportional adjoint maps must take fewer scatters than x
+labels and still match the oracle, the shared failing cells rescaled.
 """
 
 import random
 
 import pytest
 
+from homnambu import derivations
 from homnambu.catalog import catalog_build
 from homnambu.cochains import SuperCochain, derivation_transfer
 from homnambu.core import (
@@ -186,6 +191,57 @@ def test_adjoint_expansion_instance_matches_oracle():
             cases += 1
             failing += not full.passed
     assert cases / 5 <= failing <= cases * 3 / 4
+
+
+def proportional_adjoint_algebra(rng, central):
+    """A binary multiplicative algebra in which e1's bracket row is c times e0's.
+
+    The twist scales e0 and e1 by one eigenvalue, so the instances of x = e1
+    and x = e0 (a^(n-1)(x)'s adjoint map and ad_x) agree up to the scalar c
+    and share one primitive key.  Central algebras take values in z, which
+    no entry takes as an input, so both sides vanish and they pass.
+    """
+    p = rng.randint(0, 1)
+    space = SuperSpace(("e0", "e1", "e2", "z"), (p, p, 0, 0))
+    entries = random_inputs.graded_tensor(rng, space, 2, ("e0", "e2"), ("z",) if central else ("e0", "e1", "e2"), 0.6)
+    entries.setdefault(("e0", "e0"), Element({"z" if central else "e2": 1}))  # e0's row must not vanish
+    c = rng.choice(random_inputs.VALUES)
+    entries.update({("e1",) + args[1:]: value.scale(c) for args, value in entries.items() if args[0] == "e0"})
+    eigen = {l: rng.choice(random_inputs.VALUES) for l in ("e0", "e2", "z")}
+    eigen["e1"] = eigen["e0"]
+    twist = GradedLinearMap(space, 0, {l: Element({l: eigen[l]}) for l in space.labels})
+    return multiplicative_algebra(space, NaryBracket(2, entries), twist)
+
+
+def test_adjoint_expansion_memo_serves_proportional_x_labels(monkeypatch):
+    """x = e0 and x = e1 share one kernel scatter; e1's failing cells come from e0's,
+    rescaled, and must match the oracle at every cap."""
+    scatters = []
+    kernel = derivations._leibniz_kernel
+
+    def counting_kernel(*args):
+        scatter = kernel(*args)
+
+        def counted(*a, **k):
+            scatters.append(a)
+            return scatter(*a, **k)
+
+        return counted
+
+    monkeypatch.setattr(derivations, "_leibniz_kernel", counting_kernel)
+    rng = random.Random(31)
+    cases, failing = 16, 0
+    for case in range(cases):
+        central = case % 2 == 0
+        alg = proportional_adjoint_algebra(rng, central)
+        full = derivation_oracle.adjoint_expansion_report(alg, 3, 10**6)
+        assert full.passed or not central
+        for cap in CAPS:
+            scatters.clear()
+            assert check_adjoint_expansion(alg, 3, cap=cap) == random_inputs.capped(full, cap)
+            assert len(scatters) < alg.space.dim
+        failing += not full.passed
+    assert cases / 4 <= failing <= cases / 2
 
 
 def random_cochain(rng, space, degree, labels):

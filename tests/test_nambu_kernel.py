@@ -10,11 +10,11 @@ Half of the algebras are "central": every output lands in labels that no
 entry takes as an input, so both sides of the identity vanish and the check
 must pass; the rest are unconstrained and almost always fail.
 
-The kernel runs its scatter once per primitive input (the x-tuple's adjoint
-pair divided by its gcd), so a second family draws algebras whose x-rows are
-scalar multiples of one shared row: x-tuples then share a memo entry at
-different scales, and the counterexamples rebuilt from it must match the
-oracle exactly.  The work-count test pins how many scatters the nested osp12
+The kernel's sweep (``axioms._leibniz_sweep``) runs its scatter once per
+primitive input (the x-tuple's adjoint pair divided by its gcd), so a
+second family draws algebras whose x-rows are scalar multiples of one
+shared row: x-tuples then share a memo entry at different scales, and the
+counterexamples rebuilt from it must match the oracle exactly.  The work-count test pins how many scatters the nested osp12
 brackets need.
 
 The kernel indexes its terms from spectator picks built once per support
@@ -189,9 +189,9 @@ def _scales_by_key(alg, cap):
     cancelled = []
     primitive = axioms._primitive
 
-    def spy(odd, out_cols, slot_cols):
+    def spy(odd, out_cols, *slot_cols):
         cancelled.extend(v for image in out_cols.values() for _, v in image if not v)
-        g, key = primitive(odd, out_cols, slot_cols)
+        g, key = primitive(odd, out_cols, *slot_cols)
         scales.setdefault(key, []).append(g)
         return g, key
 
