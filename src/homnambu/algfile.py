@@ -15,6 +15,7 @@ scalars.  ``emit(parse(text))`` is byte-identical for canonical input.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .axioms import check_grading
@@ -76,22 +77,20 @@ def _scalar(value, where: str, seen: dict) -> Fraction:
 
             _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
         if not _FRACTION_RE.match(value.strip()):
-            raise AlgebraFileError(
-                f"bad scalar {value!r} in {where}: expected 'p' or 'p/q'"
-            )
+            raise AlgebraFileError(f"bad scalar {value!r} in {where}: expected 'p' or 'p/q'")
         try:
             seen[value] = scalar(value)
             return seen[value]
         except ZeroDivisionError:
             raise AlgebraFileError(f"bad scalar {value!r} in {where}: zero denominator") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise AlgebraFileError(f"bad scalar in {where}: {exc}") from None
     raise AlgebraFileError(f"{where}: scalars must be integers or 'p/q' strings")
 
 
 def _matrix(space: SuperSpace, rows, where: str, seen: dict, parity: int = 0) -> GradedLinearMap:
     d = space.dim
-    if not isinstance(rows, list) or len(rows) != d or any(
-        not isinstance(r, list) or len(r) != d for r in rows
-    ):
+    if not isinstance(rows, list) or len(rows) != d or any(not isinstance(r, list) or len(r) != d for r in rows):
         raise AlgebraFileError(f"{where}: expected a {d}x{d} row-major matrix")
     values = [[_scalar(v, where, seen) for v in row] for row in rows]
     try:
@@ -124,6 +123,8 @@ def parse(text: str) -> AlgebraBundle:
         doc = json.loads(strip_comments(text))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise AlgebraFileError(f"not valid JSON: {exc}") from None
+    except ValueError as exc:  # a bare integer with more digits than int() converts
+        raise AlgebraFileError(f"bad number: {exc}") from None
     return load(doc)
 
 
@@ -167,9 +168,7 @@ def load(doc) -> AlgebraBundle:
     else:
         if len(twist_docs) != arity - 1:
             raise AlgebraFileError(f"arity {arity} needs {arity - 1} twist matrices")
-        twists = tuple(
-            _matrix(space, rows, f"twist {i}", seen) for i, rows in enumerate(twist_docs)
-        )
+        twists = tuple(_matrix(space, rows, f"twist {i}", seen) for i, rows in enumerate(twist_docs))
 
     generators = {}
     for item in _array(doc["bracket"], "bracket"):
@@ -252,65 +251,67 @@ def load(doc) -> AlgebraBundle:
 # Canonical emission
 # ---------------------------------------------------------------------------
 
-def _matrix_doc(m: GradedLinearMap) -> list[list[str]]:
-    return [[format_scalar(v) for v in row] for row in m.matrix()]
+def _ratio(numerator: int, scale: int) -> str:
+    """numerator/scale as a quoted reduced scalar, "p" or "p/q"."""
+    g = math.gcd(numerator, scale)
+    return f'"{numerator // g}"' if g == scale else f'"{numerator // g}/{scale // g}"'
 
 
-def _element_doc(space: SuperSpace, e: Element) -> dict[str, str]:
-    return {
-        l: format_scalar(e.coeffs[l])
-        for l in sorted(e.coeffs, key=space.index)
-    }
-
-
-def document(bundle: AlgebraBundle) -> dict:
-    """Canonical dict form: fixed key order, sorted tensors, reduced scalars."""
-    alg = bundle.algebra
-    space = alg.space
-    doc = {
-        "name": bundle.name,
-        "basis": [
-            {"label": l, "parity": p} for l, p in zip(space.labels, space.parities)
-        ],
-        "arity": alg.arity,
-        "multiplicative": alg.multiplicative_flag,
-    }
-    if alg.multiplicative_flag:
-        doc["twists"] = [_matrix_doc(alg.twists[0])]
-    else:
-        doc["twists"] = [_matrix_doc(t) for t in alg.twists]
-    doc["bracket"] = [
-        {"args": list(args), "value": _element_doc(space, alg.bracket.entries[args])}
-        for args in sorted(alg.bracket.entries, key=space.sort_key)
-    ]
-    doc["skew_complete"] = False  # emitted tensors are always fully listed
-    if bundle.cochains:
-        doc["cochains"] = [
-            {
-                "degree": c.degree,
-                "values": [
-                    {"args": list(args), "value": format_scalar(c.values[args])}
-                    for args in sorted(c.values, key=space.sort_key)
-                ],
-            }
-            for c in bundle.cochains
-        ]
-    if bundle.operators:
-        doc["operators"] = [
-            {
-                "kind": op.kind,
-                "power": op.power,
-                "weight": format_scalar(op.weight),
-                "parity": op.map.parity,
-                "matrix": _matrix_doc(op.map),
-            }
-            for op in bundle.operators
-        ]
-    return doc
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array, or object of '"key": value' items, at ``depth``, laid out as json.dumps(indent=2) lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
-    text = json.dumps(document(bundle), indent=2, ensure_ascii=False)
+    """The canonical document, then ``comments`` as '#' lines.
+
+    Fixed key order, tensors sorted by basis index, reduced scalars: byte for
+    byte what ``json.dumps(doc, indent=2, ensure_ascii=False)`` writes for
+    that document, written directly in its fixed layout (``indent`` forces
+    the pure-Python encoder), each tensor scalar formatted from its
+    numerator and scale.
+    """
+    alg, space = bundle.algebra, bundle.algebra.space
+    index = {l: i for i, l in enumerate(space.labels)}
+    q = {l: json.dumps(l, ensure_ascii=False) for l in space.labels}
+    obj = lambda depth, **fields: _block([f'"{k}": {v}' for k, v in fields.items()], depth, "{}")
+    labels = lambda args, depth: _block([q[a] for a in args], depth)
+
+    def matrix(m, depth):  # rows of <e_i | M e_j>
+        scale, cols = m.integer_columns
+        rows = [[_ratio(cols.get(c, {}).get(r, 0), scale) for c in space.labels] for r in space.labels]
+        return _block([_block(row, depth + 1) for row in rows], depth)
+
+    def entry(args, cell, scale):
+        value = _block([f"{q[l]}: {_ratio(cell[l], scale)}" for l in sorted(cell, key=index.get)], 3, "{}")
+        return obj(2, args=labels(args, 3), value=value)
+
+    scale, cells = alg.bracket.table
+    fields = dict(
+        basis=_block([obj(2, label=q[l], parity=p) for l, p in zip(space.labels, space.parities)], 1),
+        arity=alg.arity,
+        multiplicative=json.dumps(alg.multiplicative_flag),
+        twists=_block([matrix(t, 2) for t in (alg.twists[:1] if alg.multiplicative_flag else alg.twists)], 1),
+        bracket=_block([entry(a, cells[a], scale) for a in sorted(cells, key=lambda a: [index[l] for l in a])], 1),
+        skew_complete="false",  # emitted tensors are always fully listed
+    )
+    value = lambda c, args: obj(4, args=labels(args, 5), value=f'"{format_scalar(c.values[args])}"')
+    if bundle.cochains:
+        fields["cochains"] = _block([
+            obj(2, degree=c.degree, values=_block([value(c, a) for a in sorted(c.values, key=space.sort_key)], 3))
+            for c in bundle.cochains
+        ], 1)
+    if bundle.operators:
+        fields["operators"] = _block([
+            obj(2, kind=json.dumps(op.kind, ensure_ascii=False), power=op.power,
+                weight=f'"{format_scalar(op.weight)}"', parity=op.map.parity, matrix=matrix(op.map, 3))
+            for op in bundle.operators
+        ], 1)
+    name = json.dumps({"name": bundle.name}, indent=2, ensure_ascii=False)[2:-2]  # any JSON value, at depth 1
+    text = "{\n" + name + ",\n" + obj(0, **fields)[2:]
     if comments:
         text += "\n" + "\n".join(f"# {c}" for c in comments)
     return text + "\n"

@@ -13,14 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .core import (
-    Element,
-    GradedLinearMap,
-    HomSuperAlgebra,
-    eval_bracket,
-    koszul_sign,
-    record,
-)
+from .core import Element, GradedLinearMap, HomSuperAlgebra, element_at, eval_bracket, koszul_sign, record
 
 DEFAULT_COUNTEREXAMPLE_CAP = 16
 
@@ -74,12 +67,13 @@ class _Collector:
             self.kept.append(Counterexample(tuple(args), lhs, rhs, note))
 
     def fail_diff(self, left, right, sort_key, note="", value=lambda side: side):
-        """Fail the cells where two sparse tables (:func:`_compose`) differ, in basis order.
+        """Fail the cells where two integer tables (:func:`_compose`) differ, in basis order.
 
-        ``value`` turns a cell's element (zero where absent) into the reported side.
+        A kept cell's sides are divided back to elements (zero where absent)
+        and ``value`` turns each into the reported side.
         """
-        bad = [x for x in left.keys() | right.keys() if left.get(x) != right.get(x)]
-        sides = lambda x: (value(left.get(x, Element())), value(right.get(x, Element())))
+        bad = _differs(left, right)
+        sides = lambda x: (value(element_at(left, x)), value(element_at(right, x)))
         self.fail_first(len(bad), self.first(bad, sort_key), sides, note=note)
 
     def first(self, bad, sort_key) -> list:
@@ -104,7 +98,7 @@ class _Collector:
 
 
 def _diff_report(identity, space, n, left, right, cap, note="", value=lambda side: side) -> CheckReport:
-    """Fail the cells where two sparse n-ary tables differ, out of all d^n basis tuples."""
+    """Fail the cells where two integer n-ary tables differ, out of all d^n basis tuples."""
     col = _Collector(identity, cap)
     col.tick(space.dim ** n)
     col.fail_diff(left, right, space.sort_key, note, value)
@@ -127,36 +121,34 @@ def merge_reports(identity: str, *reports: CheckReport) -> CheckReport:
 
 def check_grading(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Output parity of every stored entry equals the mod-2 sum of input parities."""
-    space, entries = alg.space, alg.bracket.entries
+    space, table = alg.space, alg.bracket.table
     parity = dict(zip(space.labels, space.parities))
-    want = {args: sum(parity[a] for a in args) % 2 for args in entries}
-    bad = [args for args, value in entries.items() if any(parity[l] != want[args] for l in value.coeffs)]
+    want = {args: sum(parity[a] for a in args) % 2 for args in table[1]}
+    bad = [args for args, value in table[1].items() if any(parity[l] != want[args] for l in value)]
     col = _Collector("grading", cap)
-    col.tick(len(entries))
+    col.tick(len(want))
     for args in sorted(bad, key=space.sort_key):
-        col.fail(args, entries[args], Element(), note=f"expected parity {want[args]}")
+        col.fail(args, element_at(table, args), Element(), note=f"expected parity {want[args]}")
     return col.report()
 
 
 def check_super_skew(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Adjacent-transposition skew symmetry over all basis tuples and positions."""
-    return _skew_report("super-skew", alg.bracket.entries, alg.space, alg.arity, range(1, alg.arity), cap)
+    return _skew_report("super-skew", alg.bracket.table, alg.space, alg.arity, range(1, alg.arity), cap)
 
 
-def _skew_report(identity, entries, space, n, swaps, cap, notes=True) -> CheckReport:
-    """T = -T∘(swap at i) on every basis n-tuple, for each 1-based i in ``swaps``.
+def _skew_report(identity, table, space, n, swaps, cap, notes=True) -> CheckReport:
+    """T = -T∘(swap at i) on every basis n-tuple, for each 1-based i in ``swaps``; T an integer table.
 
     Failures come in basis order, then by i, noted "swap at i" if ``notes``.
     """
     col = _Collector(identity, cap)
     col.tick(space.dim ** n)
     same = tuple(range(1, n + 1))
-    rhs = [(i, _permute(entries, same[: i - 1] + (i + 1, i) + same[i + 1 :], space, -1)) for i in swaps]
-    bad = [
-        (space.sort_key(x), i, x, r) for i, r in rhs for x in entries.keys() | r.keys() if entries.get(x) != r.get(x)
-    ]
+    rhs = [(i, _permute(table, same[: i - 1] + (i + 1, i) + same[i + 1 :], space, -1)) for i in swaps]
+    bad = [(space.sort_key(x), i, x, r) for i, r in rhs for x in _differs(table, r)]
     for _, i, x, r in sorted(bad, key=lambda b: b[:2]):
-        col.fail(x, entries.get(x, Element()), r.get(x, Element()), f"swap at {i}" if notes else "")
+        col.fail(x, element_at(table, x), element_at(r, x), f"swap at {i}" if notes else "")
     return col.report()
 
 
@@ -171,7 +163,7 @@ def _twist_commutation(col: _Collector, f: GradedLinearMap, alg: HomSuperAlgebra
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist."""
     alpha = _shared_twist(alg)
-    n, T = alg.arity, alg.bracket.entries
+    n, T = alg.arity, alg.bracket.table
     return _diff_report("multiplicative", alg.space, n, _compose(T, alpha), _compose(T, slot_maps=[alpha] * n), cap)
 
 
@@ -187,11 +179,11 @@ def check_hom_jacobi(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
     if alg.arity != 2:
         raise ValueError("the cyclic Jacobi check applies to binary brackets")
     space = alg.space
-    T = alg.bracket.entries
+    T = alg.bracket.table
     J = _compose(T, slot_maps=[alg.twists[0], T])
-    total = _sum_tables(_permute(J, order, space) for order in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
-    signed = {x: v.scale(-1) if space.parity(x[0]) * space.parity(x[2]) else v for x, v in total.items()}
-    return _diff_report("hom-jacobi", space, 3, signed, {}, cap)
+    scale, total = _sum_tables(_permute(J, order, space) for order in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    signed = {x: _negated(v) if space.parity(x[0]) * space.parity(x[2]) else v for x, v in total.items()}
+    return _diff_report("hom-jacobi", space, 3, (scale, signed), (1, {}), cap)
 
 
 def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
@@ -216,8 +208,8 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     n = alg.arity
     space = alg.space
     labels = space.labels
-    sigma, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
-    tau, forward = _integer_columns(alg.twists, labels)
+    sigma, terms = alg.bracket.table
+    tau, forward = _common([t.integer_columns for t in alg.twists])
     reverse = [_preimages(cols) for cols in forward]
     # slot j carries twist j before the inner bracket and twist j-1 after it
     kernel = _leibniz_kernel(terms, labels, space, reverse, [None] + reverse)
@@ -231,9 +223,9 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
             ad = defaultdict(lambda: defaultdict(int))
             for w, cw in _choices(xs, forward):
                 for e, image in rows.get(w, {}).items():
-                    for l, c in image:
+                    for l, c in image.items():
                         ad[e][l] += cw * c
-            yield xs, sum(map(space.parity, xs)) % 2, {e: v.items() for e, v in ad.items()}, [rows.get(xs, {})] * n
+            yield xs, sum(map(space.parity, xs)) % 2, ad, [rows.get(xs, {})] * n
 
     col = _Collector("nambu", cap)
     col.tick(space.dim ** (2 * n - 1))
@@ -245,10 +237,11 @@ def _leibniz_sweep(col, kernel, instances, value, sort_key, cell=None, swap=Fals
     """Fail into ``col`` the cells where the two sides of a :func:`_leibniz_kernel` differ.
 
     An instance is (head, |f|, O, [f_1, .., f_n]), each map as integer
-    columns, column -> (row, numerator) pairs.  Its failing cells y are
+    columns, {column: {row: numerator}}.  Its failing cells y are
     counted and the first kept at head + y in basis order (``sort_key``);
     ``value`` turns a side back into the reported value, ``swap`` reports
-    the Leibniz sum as lhs and ``cell`` checks that one y.  The scatter is
+    the Leibniz sum as lhs and ``cell`` checks that one y, its scatter
+    visiting only the terms that land there.  The scatter is
     linear in (O, f_1, .., f_n) jointly, so each instance is reduced to g
     times a primitive key (:func:`_primitive`) and the scatter runs once per
     distinct key: its failing cells serve every instance with that key,
@@ -265,7 +258,7 @@ def _leibniz_sweep(col, kernel, instances, value, sort_key, cell=None, swap=Fals
             cols = [{} for _ in range(len(distinct) + 1)]
             for t, c, r, v in key[1:]:
                 cols[t].setdefault(c, []).append((r, v, min(t, 1)))
-            acc = kernel(cols[0], [cols[1 + j] for j in pattern], odd)
+            acc = kernel(cols[0], [cols[1 + j] for j in pattern], odd, cell=cell)
             if cell is not None:
                 acc = {cell: acc[cell]} if cell in acc else {}
             h = len(next(iter(acc.values()), ())) // 2
@@ -279,12 +272,12 @@ def _leibniz_sweep(col, kernel, instances, value, sort_key, cell=None, swap=Fals
 def _primitive(lead, *tables):
     """(g, key): integer column tables as g times the primitive ones that ``key`` lists.
 
-    Each table maps a column to its (row, numerator) pairs.  ``key`` is
+    Each table maps a column to its {row: numerator} dict.  ``key`` is
     ``lead`` followed by every nonzero (table index, column, row, numerator)
     in sorted order, the numerators divided by their gcd and signed so that
     the first is positive; inputs equal up to a scalar share one key.
     """
-    cells = sorted((t, c, r, v) for t, table in enumerate(tables) for c, image in table.items() for r, v in image if v)
+    cells = sorted((t, c, r, v) for t, m in enumerate(tables) for c, col in m.items() for r, v in col.items() if v)
     g = math.gcd(*(cell[3] for cell in cells)) or 1
     if cells and cells[0][3] < 0:
         g = -g
@@ -299,11 +292,14 @@ def _leibniz_kernel(terms, outputs, space, before, after):
         O(T(y)) = sum_i (-1)^(|f| (p(y_1) + .. + p(y_{i-1})))
                   T(S_1 y_1, .., S_{i-1} y_{i-1}, f_i(y_i), S'_{i+1} y_{i+1}, .., S'_n y_n)
 
-    ``terms`` maps each support key of T to its (output, numerator) list,
-    ordered by ``outputs``.  ``before[j]`` and ``after[j]`` are the preimage
-    lists (:func:`_preimages`) of S_j and S'_j; parities come from ``space``.
-    Returns ``scatter(out_cols, slot_cols, odd, tags=2)``: the columns of O
-    and f_i list (row, numerator, tag < ``tags``) entries and ``odd`` is |f|.
+    ``terms`` maps each support key of T to its {output: numerator} dict,
+    the outputs among ``outputs``.  ``before[j]`` and ``after[j]`` are the
+    preimages (:func:`_preimages`) of S_j and S'_j; parities come from
+    ``space``.  Returns ``scatter(out_cols, slot_cols, odd, tags=2, cell=None)``:
+    the columns of O and f_i list (row, numerator, tag < ``tags``) entries
+    and ``odd`` is |f|; with ``cell`` only the terms landing on that y are
+    visited (slot i reads only column y_i), and the other cells of the
+    result are partial.
     Each cell a term reaches gets numerators at tag * len(outputs) + output
     position, per the tag of the entry each term came through: tags 0 on O
     and 1 on the f_i give [left side | right side]; a tag per unknown, the
@@ -316,8 +312,8 @@ def _leibniz_kernel(terms, outputs, space, before, after):
     by_out = defaultdict(list)  # by_out[e] = [(y, coeff of e in T[y])]
     at = [defaultdict(list) for _ in after]  # at[i][e] = [(p, T[p] by position)] for p[i] = e
     for p, value in terms.items():
-        base = [(position[e], c) for e, c in value]
-        for e, c in value:
+        base = [(position[e], c) for e, c in value.items()]
+        for e, c in value.items():
             by_out[e].append((p, c))
         for i, e in enumerate(p):
             at[i][e].append((p, base))
@@ -326,30 +322,33 @@ def _leibniz_kernel(terms, outputs, space, before, after):
     def left(q):  # prefix -> [(pick of S-preimages, coeff, its parity)]
         if not q:
             return [((), 1, 0)]
-        pool = before[len(q) - 1].get(q[-1], ())
+        pool = before[len(q) - 1].get(q[-1], {}).items()
         return [(lt + (l,), c * cl, odd ^ parity[l]) for lt, c, odd in left(q[:-1]) for l, cl in pool]
 
     @cache
     def right(s):  # suffix -> [(pick of S'-preimages, coeff)]
         if not s:
             return [((), 1)]
-        return [((l,) + rt, cl * c) for l, cl in after[-len(s)].get(s[0], ()) for rt, c in right(s[1:])]
+        return [((l,) + rt, cl * c) for l, cl in after[-len(s)].get(s[0], {}).items() for rt, c in right(s[1:])]
 
     @cache
     def slot_terms(i, e):  # [(parity of left pick, T[p], picks, coeff)] for slot i through output e
         return [(odd, base, lt, rt, lc * rc) for p, base in at[i].get(e, ())
                 for rt, rc in right(p[i + 1 :]) for lt, lc, odd in left(p[:i])]
 
-    def scatter(out_cols, slot_cols, odd, tags=2):
+    def scatter(out_cols, slot_cols, odd, tags=2, cell=None):
         width = len(outputs)
         acc = defaultdict(([0] * (tags * width)).copy)
         for e, image in out_cols.items():
             column = [(tag * width + position[r], c) for r, c, tag in image]
-            for ys, c in by_out.get(e, ()):
+            hits = by_out.get(e, ())
+            for ys, c in hits if cell is None else [hit for hit in hits if hit[0] == cell]:
                 vec = acc[ys]
                 for k, ck in column:
                     vec[k] += c * ck
         for i, cols in enumerate(slot_cols):
+            if cell is not None:
+                cols = {cell[i]: cols[cell[i]]} if cell[i] in cols else {}
             for b, image in cols.items():
                 mid = (b,)
                 for e, ce, tag in image:
@@ -364,66 +363,104 @@ def _leibniz_kernel(terms, outputs, space, before, after):
     return scatter
 
 
-def _compose(entries, out_map=None, slot_maps=None):
-    """The sparse table of O∘T∘(M_1⊗..⊗M_n), scattered over the support of T.
+def _compose(table, out_map=None, slot_maps=None):
+    """The integer table of O∘T∘(M_1⊗..⊗M_n), scattered over the support of T.
 
-    ``entries`` maps T's argument tuples to elements, like :attr:`NaryBracket.entries`,
-    and so does the result (nonzero values only).  O is ``out_map``; M_i is
-    ``slot_maps[i]``, a map or an inner table of the same kind as ``entries``
-    (operadic composition: its arguments take slot i's place in the result).
-    ``None`` is the identity.  The value at x sums prod_i <y_i | M_i x_i>
-    O(T(y)) over the support keys y, with no Koszul sign: the maps and inner
-    tables must be even, or T unary.
+    A table is (scale, cells), like :attr:`NaryBracket.table`: cells map
+    argument tuples to {output: integer numerator}, the value at a cell is
+    its numerators over the scale, and no cell holds a zero.  T is ``table``
+    and so is the result.  O is ``out_map``; M_i is ``slot_maps[i]``, a map
+    or an inner table (operadic composition: its arguments take slot i's
+    place in the result).  ``None`` is the identity.  The result's scale is
+    the product of the scales of T, O and the M_i, as the Leibniz kernel's
+    sigma^2 tau^(n-1) is.  The value at x sums prod_i <y_i | M_i x_i> O(T(y))
+    over the support keys y, with no Koszul sign: the maps and inner tables
+    must be even, or T unary.
     """
-    keys = list(entries)
-    n = len(keys[0]) if keys else 0
-    pre = [  # pre[i][y_i] = [(u, coeff)]: the argument tuples u that M_i sends onto y_i
-        {y[i]: [((y[i],), 1)] for y in keys} if m is None
-        else _preimages({u: e.coeffs.items() for u, e in (m if isinstance(m, dict) else _unary(m)).items()})
-        for i, m in enumerate(slot_maps or [None] * n)
-    ]
-    out = None if out_map is None else {c: image.coeffs for c, image in out_map.columns.items()}
-    table: dict[tuple, dict] = {}
-    for y, value in entries.items():
-        image = value.coeffs.items() if out is None else [
-            (r, v * cr) for l, v in value.coeffs.items() for r, cr in out[l].items()
+    scale, cells = table
+    n = len(next(iter(cells))) if cells else 0
+    pre = []  # pre[i][y_i] = {u: coeff}: the argument tuples u that M_i sends onto y_i; None for the identity
+    for m in slot_maps or [None] * n:
+        if m is not None:
+            s, m = m if isinstance(m, tuple) else _unary(m)
+            scale, m = scale * s, _preimages(m)
+        pre.append(m)
+    if out_map is not None:
+        s, out = out_map.integer_columns
+        scale *= s
+    result: dict[tuple, dict] = {}
+    for y, value in cells.items():
+        image = value.items() if out_map is None else [
+            (r, v * cr) for l, v in value.items() for r, cr in out.get(l, {}).items()
         ]
         picks = [((), 1)]
         for coord, pool in zip(y, pre):
-            picks = [(head + u, c * cu) for head, c in picks for u, cu in pool.get(coord, ())]
+            if pool is None:
+                picks = [(head + (coord,), c) for head, c in picks]
+            else:
+                picks = [(head + u, c * cu) for head, c in picks for u, cu in pool.get(coord, {}).items()]
         for xs, c in picks:
-            cell = table.setdefault(xs, {})
+            cell = result.setdefault(xs, {})
             for r, v in image:
                 cell[r] = cell.get(r, 0) + c * v
-    return {xs: e for xs, cell in table.items() if (e := Element(cell))}
+    return scale, _nonzero(result)
 
 
-def _unary(m) -> dict:
-    """A linear map as the 1-ary table (c,) -> m(c)."""
-    return {(c,): image for c, image in m.columns.items()}
+def _unary(m) -> tuple[int, dict]:
+    """A linear map as the 1-ary integer table (c,) -> m(c)."""
+    scale, cols = m.integer_columns
+    return scale, {(c,): image for c, image in cols.items()}
 
 
-def _permute(table, order, space, scale=1):
-    """The table x -> scale * koszul_sign(|x|, order) * table[x_order], x_order = (x[order[k] - 1])_k."""
+def _permute(table, order, space, sign=1):
+    """The table x -> sign * koszul_sign(|x|, order) * table[x_order], x_order = (x[order[k] - 1])_k.
+
+    Only signs change; the scale is kept.
+    """
     where = [order.index(k) for k in range(1, len(order) + 1)]
     parity = dict(zip(space.labels, space.parities))
+    scale, cells = table
     out = {}
-    for y, value in table.items():
+    for y, value in cells.items():
         x = tuple(y[w] for w in where)
-        sign = scale * koszul_sign([parity[a] for a in x], order)
-        out[x] = value if sign == 1 else value.scale(sign)
-    return out
+        out[x] = value if sign * koszul_sign([parity[a] for a in x], order) == 1 else _negated(value)
+    return scale, out
 
 
 def _sum_tables(tables):
-    """Add sparse tables cell by cell; zero cells are dropped."""
+    """Add integer tables cell by cell over their common scale (:func:`_common`); zero cells are dropped."""
+    scale, parts = _common(list(tables))
     total: dict[tuple, dict] = {}
-    for table in tables:
-        for x, value in table.items():
+    for cells in parts:
+        for x, value in cells.items():
             cell = total.setdefault(x, {})
-            for r, c in value.coeffs.items():
+            for r, c in value.items():
                 cell[r] = cell.get(r, 0) + c
-    return {x: e for x, cell in total.items() if (e := Element(cell))}
+    return scale, _nonzero(total)
+
+
+def _common(tables) -> tuple[int, list]:
+    """(scale, [cells, ..]): the cells of integer tables over the least common multiple of their scales."""
+    scale = math.lcm(1, *(s for s, _ in tables))
+    return scale, [
+        cells if s == scale else {x: {r: v * (scale // s) for r, v in cell.items()} for x, cell in cells.items()}
+        for s, cells in tables
+    ]
+
+
+def _differs(left, right) -> list:
+    """The cells where two integer tables differ, compared over their common scale."""
+    _, (cl, cr) = _common([left, right])
+    return [x for x in cl.keys() | cr.keys() if cl.get(x) != cr.get(x)]
+
+
+def _nonzero(cells) -> dict:
+    """``cells`` without zero numerators and without the cells left empty."""
+    return {x: kept for x, cell in cells.items() if (kept := {r: v for r, v in cell.items() if v})}
+
+
+def _negated(cell) -> dict:
+    return {r: -v for r, v in cell.items()}
 
 
 def _shared_twist(alg: HomSuperAlgebra) -> GradedLinearMap:
@@ -433,29 +470,12 @@ def _shared_twist(alg: HomSuperAlgebra) -> GradedLinearMap:
     return alpha
 
 
-def _numerators(table):
-    """(denominator, numerators): a table of coefficient dicts over one denominator.
-
-    Each key's dict becomes a list of (inner key, integer numerator) pairs.
-    """
-    den = math.lcm(1, *(c.denominator for coeffs in table.values() for c in coeffs.values()))
-    return den, {key: [(l, c.numerator * (den // c.denominator)) for l, c in cs.items()] for key, cs in table.items()}
-
-
-def _integer_columns(maps, labels):
-    """(denominator, columns): each map's columns as numerator lists over one denominator."""
-    den, cols = _numerators(
-        {(j, l): m.apply_basis(l).coeffs for j, m in enumerate(maps) for l in labels}
-    )
-    return den, [{l: cols[j, l] for l in labels} for j in range(len(maps))]
-
-
 def _preimages(cols) -> dict:
-    """pre[r] = [(c, coeff)] for every entry (r, coeff) of column c."""
-    pre: dict[str, list] = {}
+    """pre[r] = {c: coeff} for every entry r: coeff of column c."""
+    pre: dict[str, dict] = {}
     for c, image in cols.items():
-        for r, coeff in image:
-            pre.setdefault(r, []).append((c, coeff))
+        for r, coeff in image.items():
+            pre.setdefault(r, {})[c] = coeff
     return pre
 
 
@@ -465,10 +485,10 @@ def _as_element(labels, scale):
 
 
 def _choices(target, maps):
-    """(tuple, coeff) for every pick of one (label, coeff) from each maps[j][target[j]]."""
+    """(tuple, coeff) for every pick of one label: coeff from each maps[j][target[j]]."""
     out = [((), 1)]
     for coord, m in zip(target, maps):
-        out = [(head + (l,), c * cl) for head, c in out for l, cl in m.get(coord, ())]
+        out = [(head + (l,), c * cl) for head, c in out for l, cl in m.get(coord, {}).items()]
     return out
 
 
@@ -488,7 +508,5 @@ def adjoint_map(alg: HomSuperAlgebra, xs) -> GradedLinearMap:
         if p is None:
             raise ValueError("adjoint arguments must be homogeneous")
         parity = (parity + p) % 2
-    columns = {
-        l: eval_bracket(alg, elems + [space.basis_element(l)]) for l in space.labels
-    }
+    columns = {l: eval_bracket(alg, elems + [space.basis_element(l)]) for l in space.labels}
     return GradedLinearMap(space, parity, columns)

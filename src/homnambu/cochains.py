@@ -22,30 +22,12 @@ import itertools
 from fractions import Fraction
 
 from .axioms import (
-    CheckReport,
-    _Collector,
-    DEFAULT_COUNTEREXAMPLE_CAP,
-    _compose,
-    _diff_report,
-    _integer_columns,
-    _leibniz_kernel,
-    _leibniz_sweep,
-    _numerators,
-    _permute,
-    _sum_tables,
+    CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, _differs, _diff_report, _leibniz_kernel,
+    _leibniz_sweep, _negated, _permute, _skew_report, _sum_tables,
 )
 from .core import (
-    Element,
-    HomSuperAlgebra,
-    NaryBracket,
-    OrbitConflict,
-    SuperSpace,
-    ZERO,
-    complete_skew_orbit,
-    multiplicative_algebra,
-    multilinear_terms,
-    record,
-    scalar,
+    Element, HomSuperAlgebra, NaryBracket, SuperSpace, ZERO, complete_skew_orbit, element_at, integer_table,
+    multiplicative_algebra, multilinear_terms, record, scalar,
 )
 from .derivations import DerivationCandidate, check_derivation
 
@@ -63,9 +45,7 @@ class SuperCochain:
             if len(args) != degree:
                 raise ValueError(f"entry {args} does not have degree {degree}")
             if v != 0 and sum(space.parity(a) for a in args) % 2 != 0:
-                raise ValueError(
-                    f"even cochain cannot be nonzero on odd-parity tuple {args}"
-                )
+                raise ValueError(f"even cochain cannot be nonzero on odd-parity tuple {args}")
         if complete:
             vals = complete_skew_orbit(degree, vals, space)
         else:
@@ -88,9 +68,9 @@ class SuperCochain:
             raise ValueError(f"expected {self.degree} arguments")
         return sum((coeff * v for v, coeff in multilinear_terms(self.values, args)), ZERO)
 
-    def table(self) -> dict:
-        """The cochain as a one-output sparse table, args -> Element({0: value})."""
-        return {args: Element({0: v}) for args, v in self.values.items()}
+    def table(self) -> tuple[int, dict]:
+        """The cochain as a one-output integer table (:func:`axioms._compose`), args -> {0: numerator}."""
+        return integer_table({args: {0: v} for args, v in self.values.items()})
 
     def is_zero(self) -> bool:
         return not self.values
@@ -132,11 +112,11 @@ def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     if alg.arity != 2:
         raise ValueError("coboundary is defined over a binary algebra")
     k = f.degree
-    pulled = _compose(f.table(), slot_maps=[alg.bracket.entries] + [alg.twists[0]] * (k - 1))
+    scale, pulled = _compose(f.table(), slot_maps=[alg.bracket.table] + [alg.twists[0]] * (k - 1))
     # f(T(p), alpha(r)) sits at p + r; moving p behind r relabels the cells,
     # it swaps no graded arguments, so it takes no Koszul sign
-    delta = _pair_sum({x[2:] + x[:2]: v for x, v in pulled.items()}, k + 1, alg.space)
-    return SuperCochain(alg.space, k + 1, {x: _scalar(v) for x, v in delta.items()}, complete=False)
+    scale, delta = _pair_sum((scale, {x[2:] + x[:2]: v for x, v in pulled.items()}), k + 1, alg.space)
+    return SuperCochain(alg.space, k + 1, {x: Fraction(v[0], scale) for x, v in delta.items()}, complete=False)
 
 
 def wedge_obstruction(
@@ -156,7 +136,7 @@ def wedge_obstruction(
     if len(anchor) != n - 3 or len(ys) != n:
         raise ValueError("anchor/argument lengths inconsistent with the degree")
     alg.space.sort_key(ys)  # unknown labels raise
-    inner = _induced_table(phi, alg, sorted(ys)).get(tuple(ys), Element())
+    inner = element_at(_induced_table(phi, alg, sorted(ys)), tuple(ys))
     return -phi.eval([alg.space.basis_element(a) for a in anchor] + [inner])
 
 
@@ -167,8 +147,8 @@ def _wedge_table(phi: SuperCochain, alg: HomSuperAlgebra) -> dict:
     is linear in the bracketed pair, so it is -phi(anchor, [ys]_phi) with
     [ys]_phi the induced bracket (:func:`_induced_table`): -phi∘(id, .., id, [..]_phi).
     """
-    induced = _induced_table(phi, alg)
-    return {x: -v for x, v in _compose(phi.table(), slot_maps=[None] * (phi.degree - 1) + [induced]).items()}
+    scale, cells = _compose(phi.table(), slot_maps=[None] * (phi.degree - 1) + [_induced_table(phi, alg)])
+    return scale, {x: _negated(v) for x, v in cells.items()}
 
 
 @record
@@ -199,7 +179,7 @@ def check_induction_conditions(
     n = phi.degree + 2
     space = alg.space
     return InductionReport(
-        _diff_report("wedge-obstruction", space, 2 * n - 3, _wedge_table(phi, alg), {}, cap, value=_scalar),
+        _diff_report("wedge-obstruction", space, 2 * n - 3, _wedge_table(phi, alg), (1, {}), cap, value=_scalar),
         _diff_report(
             "twist-invariance", space, phi.degree, _first_slot(phi, alg.twists[0]), phi.table(), cap, value=_scalar
         ),
@@ -220,25 +200,28 @@ def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> 
         raise ValueError("induced brackets start from a binary algebra")
     if phi.degree != n - 2:
         raise ValueError(f"arity {n} needs a degree-{n - 2} cochain, got {phi.degree}")
-    space = alg.space
-    entries = _induced_table(phi, alg)
-    try:  # the construction is skew by design; guards sign bugs
-        skew = complete_skew_orbit(n, entries, space) == entries
-    except OrbitConflict:
-        skew = False
-    if not skew:
+    table = _induced_table(phi, alg)
+    # the construction is skew by design; guards sign bugs
+    if not _skew_report("induced", table, alg.space, n, range(1, n), 0).passed:
         raise AssertionError("induced bracket lost skew symmetry")
-    return multiplicative_algebra(space, NaryBracket(n, entries), alg.twists[0])
+    return multiplicative_algebra(alg.space, NaryBracket.of_table(n, table), alg.twists[0])
 
 
-def _induced_table(phi: SuperCochain, alg: HomSuperAlgebra, labels=None) -> dict:
-    """The induced bracket's entries: the pair sum of phi(r) T(p) at r + p.
+def _induced_table(phi: SuperCochain, alg: HomSuperAlgebra, labels=None) -> tuple[int, dict]:
+    """The induced bracket's integer table: the pair sum of phi(r) T(p) at r + p.
 
     Given the sorted ``labels`` of one cell, only the terms r + p that permute them are summed.
     """
     keep = lambda x: labels is None or sorted(x) == labels
-    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in alg.bracket.entries.items() if keep(r + p)}
-    return _pair_sum(pairs, phi.degree + 2, alg.space)
+    return _pair_sum(_weighed(phi, alg.bracket.table, keep), phi.degree + 2, alg.space)
+
+
+def _weighed(phi: SuperCochain, table, keep=lambda x: True) -> tuple[int, dict]:
+    """The integer table phi(r) T(p) at every r + p that ``keep`` admits, T an integer table."""
+    (sp, values), (st, cells) = phi.table(), table
+    return sp * st, {
+        r + p: {l: w[0] * c for l, c in v.items()} for r, w in values.items() for p, v in cells.items() if keep(r + p)
+    }
 
 
 def _pair_sum(table, n, space):
@@ -259,7 +242,7 @@ def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:
     _check_space(phi, alg)
     if alg.arity != 2:
         raise ValueError("supertrace condition lives over a binary algebra")
-    return not _first_slot(phi, alg.bracket.entries) and _first_slot(phi, alg.twists[0]) == phi.table()
+    return not _first_slot(phi, alg.bracket.table)[1] and not _differs(_first_slot(phi, alg.twists[0]), phi.table())
 
 
 @record
@@ -301,9 +284,9 @@ def derivation_transfer(
     # the spectator; the out map is zero
     space = alg.space
     labels = space.labels
-    sigma, terms = _numerators({args: {0: v} for args, v in phi.values.items()})
-    delta, (d,) = _integer_columns([cand.map], labels)
-    identity = [{l: [(l, 1)] for l in labels}] * phi.degree
+    sigma, terms = phi.table()
+    delta, d = cand.map.integer_columns
+    identity = [{l: {l: 1} for l in labels}] * phi.degree
     kernel = _leibniz_kernel(terms, (0,), space, identity, identity)
     col = _Collector("phi-annihilation", cap)
     col.tick(space.dim ** phi.degree)

@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -40,6 +41,24 @@ def scalar(value) -> Fraction:
 def format_scalar(value: Fraction) -> str:
     """Render as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
     return str(Fraction(value))
+
+
+def integer_table(coefficients: Mapping) -> tuple[int, dict]:
+    """(scale, cells): {key: {label: Fraction}} dicts as integer numerators over their least common denominator.
+
+    The one way from rationals into the integer table algebra; the least
+    scale makes the form of a tensor unique.
+    """
+    scale = math.lcm(1, *(c.denominator for cs in coefficients.values() for c in cs.values()))
+    return scale, {
+        key: {l: c.numerator * (scale // c.denominator) for l, c in cs.items()} for key, cs in coefficients.items()
+    }
+
+
+def element_at(table: tuple[int, dict], key) -> "Element":
+    """The value of an integer table (:func:`integer_table`) at ``key`` as an Element, zero where it has none."""
+    scale, cells = table
+    return Element({l: Fraction(v, scale) for l, v in cells.get(key, {}).items()})
 
 
 class OrbitConflict(ValueError):
@@ -290,7 +309,7 @@ class GradedLinearMap:
     images violating the declared parity.
     """
 
-    __slots__ = ("space", "parity", "columns")
+    __slots__ = ("space", "parity", "columns", "integer_columns")
 
     def __init__(self, space: SuperSpace, parity: int, columns: Mapping[str, Element]):
         if parity not in (0, 1):
@@ -312,6 +331,8 @@ class GradedLinearMap:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "columns", cols)
+        # (scale, {label: {row: numerator}}): the nonzero columns as an integer table
+        object.__setattr__(self, "integer_columns", integer_table({l: e.coeffs for l, e in cols.items() if e}))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("GradedLinearMap is immutable")
@@ -441,47 +462,61 @@ def supercommutator_maps(d1: GradedLinearMap, d2: GradedLinearMap) -> GradedLine
 class NaryBracket:
     """Arity-n multilinear product stored as a sparse structure-constant tensor.
 
-    Index tuples absent from ``entries`` evaluate to zero.  Graded-evenness is
-    a property verified by the axioms module, not forced at construction, so
+    Its form is the integer table ``table`` (:func:`integer_table`), made once
+    at construction; ``entries`` gives the same tensor as elements on first
+    read.  Index tuples absent from it evaluate to zero.  Graded-evenness is a
+    property verified by the axioms module, not forced at construction, so
     deliberately broken tensors can be built and diagnosed.
     """
 
-    __slots__ = ("arity", "entries")
+    __slots__ = ("arity", "table", "_entries")
 
     def __init__(self, arity: int, entries: Mapping[tuple[str, ...], Element] | None = None):
         if arity < 2:
             raise ValueError("arity must be at least 2")
-        clean = {}
-        if entries:
-            for args, value in entries.items():
-                args = tuple(args)
-                if len(args) != arity:
-                    raise ValueError(f"entry {args} does not have arity {arity}")
-                if not isinstance(value, Element):
-                    value = Element(value)
-                if not value.is_zero():
-                    clean[args] = value
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "entries", clean)
+        coeffs = {}
+        for args, value in (entries or {}).items():
+            if len(args) != arity:
+                raise ValueError(f"entry {tuple(args)} does not have arity {arity}")
+            value = value if isinstance(value, Element) else Element(value)
+            if value:
+                coeffs[tuple(args)] = value.coeffs
+        for name, v in (("arity", arity), ("table", integer_table(coeffs)), ("_entries", None)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def of_table(cls, arity: int, table: tuple[int, dict]) -> "NaryBracket":
+        """The bracket of an integer table with no zero numerators, its scale reduced to the least one."""
+        scale, cells = table
+        g = math.gcd(scale, *(v for cell in cells.values() for v in cell.values()))
+        if g > 1:
+            cells = {args: {l: v // g for l, v in cell.items()} for args, cell in cells.items()}
+        bracket = cls(arity)
+        object.__setattr__(bracket, "table", (scale // g, cells))
+        return bracket
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("NaryBracket is immutable")
+
+    @property
+    def entries(self) -> dict:
+        """The tensor as {args: Element}."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", {args: element_at(self.table, args) for args in self.table[1]})
+        return self._entries
 
     def value(self, args: Sequence[str]) -> Element:
         return self.entries.get(tuple(args), Element())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NaryBracket)
-            and self.arity == other.arity
-            and self.entries == other.entries
-        )
+        return isinstance(other, NaryBracket) and (self.arity, self.table) == (other.arity, other.table)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.entries.items())))
+        scale, cells = self.table
+        return hash((self.arity, scale, frozenset((args, frozenset(c.items())) for args, c in cells.items())))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.table[1]
 
 
 @record
@@ -520,9 +555,7 @@ class HomSuperAlgebra:
         return self.twists[0]
 
 
-def multiplicative_algebra(
-    space: SuperSpace, bracket: NaryBracket, alpha: GradedLinearMap
-) -> HomSuperAlgebra:
+def multiplicative_algebra(space: SuperSpace, bracket: NaryBracket, alpha: GradedLinearMap) -> HomSuperAlgebra:
     return HomSuperAlgebra(
         space, bracket, (alpha,) * (bracket.arity - 1), multiplicative_flag=True
     )

@@ -20,27 +20,11 @@ from itertools import compress
 from fractions import Fraction
 
 from .axioms import (
-    CheckReport,
-    DEFAULT_COUNTEREXAMPLE_CAP,
-    _as_element,
-    _Collector,
-    _integer_columns,
-    _leibniz_kernel,
-    _leibniz_sweep,
-    _numerators,
-    _preimages,
-    _shared_twist,
-    _twist_commutation,
-    adjoint_map,
+    CheckReport, DEFAULT_COUNTEREXAMPLE_CAP, _as_element, _Collector, _common, _leibniz_kernel, _leibniz_sweep,
+    _preimages, _shared_twist, _twist_commutation, adjoint_map,
 )
 from .core import (
-    Element,
-    FixedPointViolation,
-    GradedLinearMap,
-    HomSuperAlgebra,
-    map_compose,
-    map_power,
-    record,
+    Element, FixedPointViolation, GradedLinearMap, HomSuperAlgebra, map_compose, map_power, record,
     supercommutator_maps,
 )
 from . import linalg
@@ -63,9 +47,7 @@ class QuasiPair:
     power: int
 
     def __post_init__(self):
-        if self.d.parity != self.dprime.parity and not (
-            self.d.is_zero() or self.dprime.is_zero()
-        ):
+        if self.d.parity != self.dprime.parity and not (self.d.is_zero() or self.dprime.is_zero()):
             raise ValueError("quasi-pair maps must share a parity")
 
 
@@ -119,18 +101,19 @@ def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
     space = alg.space
     labels = space.labels
     n = alg.arity
-    sigma, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
-    tau, (spec,) = _integer_columns([spectator], labels)
+    sigma, terms = alg.bracket.table
+    tau, spec = spectator.integer_columns
     pre = [_preimages(spec)] * n
     kernel = _leibniz_kernel(terms, labels, space, pre, pre)
     lhs_scale = tau ** (n - 1)  # each right-side term holds n - 1 spectator entries
 
     def check(col, instances, cell=None, swap=False):
-        maps = [m for _, out_map, slot_maps in instances for m in (out_map.scale(lhs_scale), *slot_maps)]
-        delta, cols = _integer_columns(maps, labels)
+        maps = [m.integer_columns for _, out_map, slot_maps in instances for m in (out_map, *slot_maps)]
+        delta, cols = _common(maps)
         cols = iter(cols)  # each instance takes its out map's columns, then its slot maps'
+        scaled = lambda out: {c: {r: v * lhs_scale for r, v in image.items()} for c, image in out.items()}
         odd = lambda fs: next((f.parity for f in fs if not f.is_zero()), 0)
-        ints = [(head, odd(fs), next(cols), [next(cols) for _ in fs]) for head, _, fs in instances]
+        ints = [(head, odd(fs), scaled(next(cols)), [next(cols) for _ in fs]) for head, _, fs in instances]
         col.tick(len(ints) * (space.dim ** n if cell is None else 1))
         _leibniz_sweep(col, kernel, ints, _as_element(labels, sigma * delta * lhs_scale), space.sort_key, cell, swap)
 
@@ -211,9 +194,7 @@ def derivation_variables(space, parity: int) -> list[tuple[str, str]]:
     return out
 
 
-def derivation_constraints(
-    alg: HomSuperAlgebra, k: int, parity: int
-) -> tuple[list[list[int]], list[tuple[str, str]]]:
+def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[list[list[int]], list[tuple[str, str]]]:
     """Constraint matrix over the unknown entries of a parity-``parity`` map.
 
     Rows are primitive integer rows (gcd 1, first nonzero entry positive),
@@ -226,14 +207,14 @@ def derivation_constraints(
     labels = space.labels
     variables = derivation_variables(space, parity)
     n = alg.arity
-    _, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
-    tau, (twist, spec) = _integer_columns([alpha, map_power(alpha, k)], labels)
+    _, terms = alg.bracket.table
+    tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
     pre = [_preimages(spec)] * n
     # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, then the bracket's with
     # spectator alpha^k: with each unknown E_{r,c} tagging its entries, one scatter sums every residual row
     rows: dict = {}  # distinct primitive rows, as (unknowns, entries)
     for kernel, arity, lhs_scale in (
-        (_leibniz_kernel({(c,): twist[c] for c in labels}, labels, space, [], [None]), 1, 1),
+        (_leibniz_kernel({(c,): image for c, image in twist.items()}, labels, space, [], [None]), 1, 1),
         (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
     ):
         out = {c: [(r, lhs_scale, idx) for idx, (r, col) in enumerate(variables) if col == c] for c in labels}
@@ -264,7 +245,5 @@ def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[Gr
         for (r, c), value in zip(variables, vec):
             if value:
                 cols[c][r] = value
-        maps.append(
-            GradedLinearMap(space, parity, {c: Element(d) for c, d in cols.items()})
-        )
+        maps.append(GradedLinearMap(space, parity, {c: Element(d) for c, d in cols.items()}))
     return maps

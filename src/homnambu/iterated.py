@@ -17,13 +17,7 @@ Leibniz identity actually satisfies.
 from __future__ import annotations
 
 from .axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, adjoint_map
-from .core import (
-    GradedLinearMap,
-    HomSuperAlgebra,
-    NaryBracket,
-    map_power,
-    multiplicative_algebra,
-)
+from .core import GradedLinearMap, HomSuperAlgebra, NaryBracket, map_power, multiplicative_algebra
 from .derivations import (
     DerivationCandidate,
     GeneralizedTuple,
@@ -50,10 +44,10 @@ def iterated_bracket(alg: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     if n == 2:
         return alg
     alpha = alg.twist
-    entries = T = alg.bracket.entries
+    table = T = alg.bracket.table
     for m in range(3, n + 1):
-        entries = _compose(T, slot_maps=[entries, map_power(alpha, m - 2)])
-    return multiplicative_algebra(alg.space, NaryBracket(n, entries), map_power(alpha, n - 1))
+        table = _compose(T, slot_maps=[table, map_power(alpha, m - 2)])
+    return multiplicative_algebra(alg.space, NaryBracket.of_table(n, table), map_power(alpha, n - 1))
 
 
 def check_adjoint_expansion(
@@ -123,6 +117,4 @@ def iterated_generalized_tuple(
     nested = iterated_bracket(alg, n)
     maps = (chain[0],) + tuple(chain[: n - 1]) + (chain[n - 1],)
     spectator = map_power(alg.twist, k)
-    return check_generalized_derivation(
-        GeneralizedTuple(maps, k), nested, cap, spectator=spectator
-    )
+    return check_generalized_derivation(GeneralizedTuple(maps, k), nested, cap, spectator=spectator)

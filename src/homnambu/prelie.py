@@ -72,7 +72,7 @@ class TriProduct:
 
 def check_first_pair_skew(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Axiom (1): skew symmetry in the first two slots."""
-    return _skew_report("pre-lie-first-pair-skew", t.product.entries, t.space, 3, (1,), cap, notes=False)
+    return _skew_report("pre-lie-first-pair-skew", t.product.table, t.space, 3, (1,), cap, notes=False)
 
 
 # The cyclic supercommutator as orders of (x, y, z), each with its Koszul sign.
@@ -80,7 +80,7 @@ _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 def _cyclic_tensor(t: TriProduct) -> NaryBracket:
-    return NaryBracket(3, _sum_tables(_permute(t.product.entries, order, t.space) for order in _CYCLIC))
+    return NaryBracket.of_table(3, _sum_tables(_permute(t.product.table, order, t.space) for order in _CYCLIC))
 
 
 def cyclic_supercommutator(t: TriProduct) -> HomSuperAlgebra:
@@ -144,8 +144,8 @@ _DERIVED_IDENTITIES = (
 
 def _five_argument_reports(t: TriProduct, identities, cap) -> list[CheckReport]:
     """One report per (name, sides) identity, each over every basis 5-tuple."""
-    space, T = t.space, t.product.entries
-    inner = {"t": T, "cyc": _cyclic_tensor(t).entries}
+    space, T = t.space, t.product.table
+    inner = {"t": T, "cyc": _cyclic_tensor(t).table}
     nested = {}  # (kind, slot) -> T∘(a.., inner, ..a), the inner product in outer slot ``slot``
 
     def side(terms):
@@ -204,15 +204,15 @@ def rb_induced_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProd
         raise ValueError("the induced product needs a weight-0 operator")
     if not check_rb(rb, alg3).passed:
         raise ValueError("operator is not Rota-Baxter on this algebra")
-    entries = _compose(alg3.bracket.entries, slot_maps=[rb.map, rb.map, None])
-    return TriProduct(alg3.space, NaryBracket(3, entries), alg3.twists[0])
+    table = _compose(alg3.bracket.table, slot_maps=[rb.map, rb.map, None])
+    return TriProduct(alg3.space, NaryBracket.of_table(3, table), alg3.twists[0])
 
 
 def rb_morphism_report(
     t: TriProduct, alg3: HomSuperAlgebra, rb: RotaBaxterOperator, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 ) -> CheckReport:
     """R maps the cyclic supercommutator back onto the original bracket."""
-    cyc, T = _cyclic_tensor(t).entries, alg3.bracket.entries
+    cyc, T = _cyclic_tensor(t).table, alg3.bracket.table
     return _diff_report("rb-morphism", t.space, 3, _compose(cyc, rb.map), _compose(T, slot_maps=[rb.map] * 3), cap)
 
 
@@ -228,8 +228,8 @@ def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
     if not check_rb(rb, alg3).passed:
         raise ValueError("operator is not Rota-Baxter on this algebra")
     inverse = invert_map(rb.map)
-    entries = _compose(alg3.bracket.entries, out_map=rb.map, slot_maps=[None, None, inverse])
-    product = TriProduct(alg3.space, NaryBracket(3, entries), alg3.twists[0])
+    table = _compose(alg3.bracket.table, out_map=rb.map, slot_maps=[None, None, inverse])
+    product = TriProduct(alg3.space, NaryBracket.of_table(3, table), alg3.twists[0])
     compat = compatibility_report(product, alg3)
     if not compat.passed:
         raise AssertionError(f"compatibility failed: {compat.summary()}")
@@ -238,5 +238,5 @@ def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
 
 def compatibility_report(t: TriProduct, alg3: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Entrywise equality of the cyclic supercommutator with a ternary bracket."""
-    cyc, T = _cyclic_tensor(t).entries, alg3.bracket.entries
+    cyc, T = _cyclic_tensor(t).table, alg3.bracket.table
     return _diff_report("supercommutator-compatibility", t.space, 3, cyc, T, cap)

@@ -15,14 +15,8 @@ from fractions import Fraction
 from .axioms import (
     CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, _diff_report, _sum_tables, _twist_commutation
 )
-from .cochains import SuperCochain, _check_space, _pair_sum, cochain_induced_bracket
-from .core import (
-    GradedLinearMap,
-    HomSuperAlgebra,
-    ZERO,
-    record,
-    scalar,
-)
+from .cochains import SuperCochain, _check_space, _pair_sum, _weighed, cochain_induced_bracket
+from .core import GradedLinearMap, HomSuperAlgebra, ZERO, record, scalar
 from .derivations import DerivationCandidate, check_derivation
 from .linalg import invert_map
 
@@ -39,21 +33,22 @@ class RotaBaxterOperator:
 
 
 def _rb_tables(rb: RotaBaxterOperator, alg: HomSuperAlgebra):
-    """Both sides of the subset-sum identity as sparse tables (:func:`axioms._compose`).
+    """Both sides of the subset-sum identity as integer tables (:func:`axioms._compose`).
 
     The left side is T∘R^{⊗n}; the right side is R∘Σ_I w^(|I|-1) T∘M_I over
     the nonempty slot subsets I, with M_I the identity on I and R elsewhere.
     """
     n = alg.arity
     R = rb.map
-    entries = alg.bracket.entries
+    T = alg.bracket.table
     terms = []
     for bits in range(1, 2 ** n):
-        weight = rb.weight ** (bin(bits).count("1") - 1)
-        if weight:
-            term = _compose(entries, slot_maps=[None if bits >> i & 1 else R for i in range(n)])
-            terms.append({xs: value.scale(weight) for xs, value in term.items()})
-    return _compose(entries, slot_maps=[R] * n), _compose(_sum_tables(terms), out_map=R)
+        k = bin(bits).count("1") - 1
+        num, den = rb.weight.numerator ** k, rb.weight.denominator ** k
+        if num:
+            scale, term = _compose(T, slot_maps=[None if bits >> i & 1 else R for i in range(n)])
+            terms.append((scale * den, {xs: {r: v * num for r, v in cell.items()} for xs, cell in term.items()}))
+    return _compose(T, slot_maps=[R] * n), _compose(_sum_tables(terms), out_map=R)
 
 
 def check_rb(rb: RotaBaxterOperator, alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
@@ -133,13 +128,12 @@ def check_phi_rb_kernel_condition(
     if alg.arity != 2:
         raise ValueError("kernel condition starts from a binary algebra")
     induced = cochain_induced_bracket(phi, alg, n)
-    bracket = _compose(alg.bracket.entries, slot_maps=[R, R])
-    pairs = {r + p: v.scale(w) for r, w in phi.values.items() for p, v in bracket.items()}
+    pairs = _weighed(phi, _compose(alg.bracket.table, slot_maps=[R, R]))
     # phi with R on every slot but one, summed over that slot, times B∘(R, R)
     weighed = _sum_tables(
         _compose(pairs, slot_maps=[None if m == free else R for m in range(phi.degree)] + [None, None])
         for free in range(phi.degree)
     )
     image = _compose(_pair_sum(weighed, n, alg.space), out_map=R)
-    kernel = _diff_report("rb-kernel-condition", alg.space, n, image, {}, cap, "sum escapes ker(R)")
+    kernel = _diff_report("rb-kernel-condition", alg.space, n, image, (1, {}), cap, "sum escapes ker(R)")
     return KernelConditionReport(kernel, check_rb(RotaBaxterOperator(R, ZERO), induced, cap))

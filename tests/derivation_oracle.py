@@ -33,9 +33,8 @@ from homnambu import linalg
 from homnambu.axioms import (
     CheckReport,
     Counterexample,
-    _integer_columns,
+    _common,
     _leibniz_kernel,
-    _numerators,
     _preimages,
 )
 from homnambu.core import Element, HomSuperAlgebra, eval_bracket, map_power
@@ -172,11 +171,11 @@ def constraints_per_unit(alg: HomSuperAlgebra, k: int, parity: int):
     variables = derivation_variables(space, parity)
     n = alg.arity
     width = len(labels)
-    _, terms = _numerators({args: v.coeffs for args, v in alg.bracket.entries.items()})
-    tau, (twist, spec) = _integer_columns([alpha, map_power(alpha, k)], labels)
+    _, terms = alg.bracket.table
+    tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
     pre = [_preimages(spec)] * n
     kernels = (
-        (_leibniz_kernel({(c,): twist[c] for c in labels}, labels, space, [], [None]), 1, 1),
+        (_leibniz_kernel({(c,): twist.get(c, {}) for c in labels}, labels, space, [], [None]), 1, 1),
         (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
     )
     rows = {}

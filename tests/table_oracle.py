@@ -8,6 +8,12 @@ Koszul-signed permutations and sums of sparse tables
 evaluates every basis tuple in basis order with ``Element`` arithmetic and
 writes its own signs; the tests compare them with the library entry by entry
 and report by report.
+
+The table algebra itself ran on ``{cell: Element}`` tables with ``Fraction``
+coefficients before it moved to integer numerators over one scale; that
+form of ``_compose``, ``_permute`` and ``_sum_tables`` is kept below, with
+the helpers it used and its cell-by-cell ``diff_report``, as the oracle for
+the integer form.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from homnambu.core import (
     NaryBracket,
     adjacent_transposition_sign,
     eval_bracket,
+    koszul_sign,
     map_power,
     multiplicative_algebra,
 )
@@ -152,3 +159,88 @@ def kernel_condition(
         if not image.is_zero():
             kernel_col.fail(args, image, Element(), note="sum escapes ker(R)")
     return kernel_col.report()
+
+
+# ---------------------------------------------------------------------------
+# The Fraction table algebra, {cell: Element} tables
+# ---------------------------------------------------------------------------
+
+def _compose(entries, out_map=None, slot_maps=None):
+    """The sparse table of O∘T∘(M_1⊗..⊗M_n), scattered over the support of T.
+
+    ``entries`` maps T's argument tuples to elements, like :attr:`NaryBracket.entries`,
+    and so does the result (nonzero values only).  O is ``out_map``; M_i is
+    ``slot_maps[i]``, a map or an inner table of the same kind as ``entries``
+    (operadic composition: its arguments take slot i's place in the result).
+    ``None`` is the identity.  The value at x sums prod_i <y_i | M_i x_i>
+    O(T(y)) over the support keys y, with no Koszul sign: the maps and inner
+    tables must be even, or T unary.
+    """
+    keys = list(entries)
+    n = len(keys[0]) if keys else 0
+    pre = [  # pre[i][y_i] = [(u, coeff)]: the argument tuples u that M_i sends onto y_i
+        {y[i]: [((y[i],), 1)] for y in keys} if m is None
+        else _preimages({u: e.coeffs.items() for u, e in (m if isinstance(m, dict) else _unary(m)).items()})
+        for i, m in enumerate(slot_maps or [None] * n)
+    ]
+    out = None if out_map is None else {c: image.coeffs for c, image in out_map.columns.items()}
+    table: dict[tuple, dict] = {}
+    for y, value in entries.items():
+        image = value.coeffs.items() if out is None else [
+            (r, v * cr) for l, v in value.coeffs.items() for r, cr in out[l].items()
+        ]
+        picks = [((), 1)]
+        for coord, pool in zip(y, pre):
+            picks = [(head + u, c * cu) for head, c in picks for u, cu in pool.get(coord, ())]
+        for xs, c in picks:
+            cell = table.setdefault(xs, {})
+            for r, v in image:
+                cell[r] = cell.get(r, 0) + c * v
+    return {xs: e for xs, cell in table.items() if (e := Element(cell))}
+
+
+def _unary(m) -> dict:
+    """A linear map as the 1-ary table (c,) -> m(c)."""
+    return {(c,): image for c, image in m.columns.items()}
+
+
+def _permute(table, order, space, scale=1):
+    """The table x -> scale * koszul_sign(|x|, order) * table[x_order], x_order = (x[order[k] - 1])_k."""
+    where = [order.index(k) for k in range(1, len(order) + 1)]
+    parity = dict(zip(space.labels, space.parities))
+    out = {}
+    for y, value in table.items():
+        x = tuple(y[w] for w in where)
+        sign = scale * koszul_sign([parity[a] for a in x], order)
+        out[x] = value if sign == 1 else value.scale(sign)
+    return out
+
+
+def _sum_tables(tables):
+    """Add sparse tables cell by cell; zero cells are dropped."""
+    total: dict[tuple, dict] = {}
+    for table in tables:
+        for x, value in table.items():
+            cell = total.setdefault(x, {})
+            for r, c in value.coeffs.items():
+                cell[r] = cell.get(r, 0) + c
+    return {x: e for x, cell in total.items() if (e := Element(cell))}
+
+
+def _preimages(cols) -> dict:
+    """pre[r] = [(c, coeff)] for every entry (r, coeff) of column c."""
+    pre: dict[str, list] = {}
+    for c, image in cols.items():
+        for r, coeff in image:
+            pre.setdefault(r, []).append((c, coeff))
+    return pre
+
+
+def diff_report(identity, space, n, left, right, cap, note="") -> CheckReport:
+    """The cells where two {cell: Element} tables differ, in basis order, out of all d^n basis tuples."""
+    col = _Collector(identity, cap)
+    col.tick(space.dim ** n)
+    for x in sorted(left.keys() | right.keys(), key=space.sort_key):
+        if left.get(x) != right.get(x):
+            col.fail(x, left.get(x, Element()), right.get(x, Element()), note)
+    return col.report()

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from homnambu import algfile
-from homnambu.algfile import AlgebraFileError
-from homnambu.catalog import catalog_build
-from homnambu.core import Element, OrbitConflict
+from homnambu.algfile import AlgebraBundle, AlgebraFileError
+from homnambu.catalog import catalog_build, catalog_list
+from homnambu.cochains import cochain_induced_bracket
+from homnambu.core import Element, OrbitConflict, format_scalar
+from homnambu.iterated import iterated_bracket
 
 
 def sample_doc():
@@ -153,3 +155,81 @@ class TestEmit:
         twist = doc["twists"][0]
         assert twist[0][0] == "1/4"
         assert twist[1][1] == "1/2"
+
+
+def reference_document(bundle) -> dict:
+    """The canonical dict form, built field by field from the bundle's elements and maps."""
+    alg = bundle.algebra
+    space = alg.space
+    matrix = lambda m: [[format_scalar(v) for v in row] for row in m.matrix()]
+    doc = {
+        "name": bundle.name,
+        "basis": [{"label": l, "parity": p} for l, p in zip(space.labels, space.parities)],
+        "arity": alg.arity,
+        "multiplicative": alg.multiplicative_flag,
+        "twists": [matrix(t) for t in (alg.twists[:1] if alg.multiplicative_flag else alg.twists)],
+        "bracket": [
+            {
+                "args": list(args),
+                "value": {l: format_scalar(c) for l, c in sorted(alg.bracket.entries[args].coeffs.items(),
+                                                                  key=lambda lc: space.index(lc[0]))},
+            }
+            for args in sorted(alg.bracket.entries, key=space.sort_key)
+        ],
+        "skew_complete": False,
+    }
+    if bundle.cochains:
+        doc["cochains"] = [
+            {
+                "degree": c.degree,
+                "values": [
+                    {"args": list(args), "value": format_scalar(c.values[args])}
+                    for args in sorted(c.values, key=space.sort_key)
+                ],
+            }
+            for c in bundle.cochains
+        ]
+    if bundle.operators:
+        doc["operators"] = [
+            {
+                "kind": op.kind,
+                "power": op.power,
+                "weight": format_scalar(op.weight),
+                "parity": op.map.parity,
+                "matrix": matrix(op.map),
+            }
+            for op in bundle.operators
+        ]
+    return doc
+
+
+def _emit_cases():
+    """Catalog bundles, nested and induced ones, and a relabelled L1 under awkward names."""
+    for entry in catalog_list():
+        bundle = entry.build()
+        yield entry.name, bundle
+        alg = bundle.algebra
+        if alg.multiplicative_flag:
+            for n in (3, 4):
+                nested = iterated_bracket(alg, n)
+                yield f"{entry.name}-iter-{n}", AlgebraBundle(entry.name, nested, operators=bundle.operators)
+        for c in bundle.cochains:
+            yield f"{entry.name}-phi", AlgebraBundle(entry.name, cochain_induced_bracket(c, alg, c.degree + 2))
+    doc = json.loads(algfile.strip_comments(algfile.emit(catalog_build("L1", a=F(1, 2), b=-3))))
+    text = json.dumps(doc, ensure_ascii=False)
+    for old, new in (("e1", "é1"), ("e2", 'e\\"2'), ("e3", "e\\\\3\\t")):
+        text = text.replace(f'"{old}"', f'"{new}"')
+    relabelled = json.loads(text)
+    for name in ("ünï \"q\" \\  ", 17, None, [1, {"a": [2, "é"]}], {}, 1.5, True):
+        relabelled["name"] = name
+        yield f"name-{name!r}", algfile.load(relabelled)
+    relabelled.update(bracket=[], cochains=[{"degree": 1, "values": []}], operators=[])
+    yield "empty", algfile.load(relabelled)
+
+
+@pytest.mark.parametrize("case, bundle", list(_emit_cases()))
+def test_emit_writes_json_dumps_layout(case, bundle):
+    """emit writes the document's layout directly; the text must be what json.dumps writes, byte for byte."""
+    expected = json.dumps(reference_document(bundle), indent=2, ensure_ascii=False)
+    assert algfile.emit(bundle) == expected + "\n"
+    assert algfile.emit(bundle, ["a", "b"]) == expected + "\n# a\n# b\n"

@@ -250,6 +250,18 @@ class TestMalformedFile:
         _check_unreadable(tmp_path, content)
 
 
+    @pytest.mark.parametrize("form", ["string", "denominator", "bare"])
+    def test_oversized_scalar_exit_two(self, tmp_path, form):
+        """A scalar with more digits than int() converts (4300) made check exit 3
+        with a traceback, as a "p" string, a "1/q" string or a bare JSON integer;
+        each now exits 2 with one error line."""
+        digits = "7" * 5000
+        doc = _one_entry_doc()
+        doc["bracket"][0]["value"]["b"] = {"string": digits, "denominator": "1/" + digits, "bare": "BARE"}[form]
+        text = json.dumps(doc).replace('"BARE"', digits)
+        assert len(_check_unreadable(tmp_path, text.encode())) < 200
+
+
 class TestInternalError:
     def test_exit_three_with_traceback(self, monkeypatch, capsys):
         """An exception that is neither an identity failure nor an input

@@ -193,6 +193,31 @@ def test_adjoint_expansion_instance_matches_oracle():
     assert cases / 5 <= failing <= cases * 3 / 4
 
 
+def test_adjoint_expansion_cell_reads_the_all_cells_report():
+    """One x/ys cell, whose scatter visits only the terms landing on it, against the
+    uncapped all-cells report read at that cell: on every cell that report fails
+    (up to six per algebra) and on random cells, passing and failing."""
+    rng = random.Random(29)
+    algebras = [catalog_build(name).algebra for name in ("g3_1_1", "L1", "L2", "osp12")]
+    algebras += [random_algebra(rng, 2)[0] for _ in range(8)]
+    cases = failing = 0
+    for alg in algebras:
+        n = rng.choice((3, 4)) if alg.space.dim <= 2 else 3
+        full = check_adjoint_expansion(alg, n, cap=10**6)
+        at = {c.args: c for c in full.counterexamples}
+        cells = rng.sample(list(at), min(6, len(at)))
+        cells += [tuple(rng.choice(alg.space.labels) for _ in range(n + 1)) for _ in range(4)]
+        for x, *ys in cells:
+            report = check_adjoint_expansion(alg, n, x=x, ys=tuple(ys))
+            kept = at.get((x, *ys))
+            assert report.tuples_checked == 1
+            assert report.failures == (kept is not None)
+            assert report.counterexamples == (() if kept is None else (kept,))
+            cases += 1
+            failing += kept is not None
+    assert cases / 4 <= failing <= cases * 3 / 4
+
+
 def proportional_adjoint_algebra(rng, central):
     """A binary multiplicative algebra in which e1's bracket row is c times e0's.
 

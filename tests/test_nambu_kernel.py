@@ -190,7 +190,7 @@ def _scales_by_key(alg, cap):
     primitive = axioms._primitive
 
     def spy(odd, out_cols, *slot_cols):
-        cancelled.extend(v for image in out_cols.values() for _, v in image if not v)
+        cancelled.extend(v for image in out_cols.values() for v in image.values() if not v)
         g, key = primitive(odd, out_cols, *slot_cols)
         scales.setdefault(key, []).append(g)
         return g, key

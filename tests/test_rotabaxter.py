@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from homnambu.catalog import catalog_build, catalog_list
 from homnambu.cochains import cochain_induced_bracket
 from homnambu.axioms import CheckReport, Counterexample
-from homnambu.core import Element, GradedLinearMap, HomSuperAlgebra, NaryBracket, eval_bracket
+from homnambu.core import Element, GradedLinearMap, HomSuperAlgebra, NaryBracket, element_at, eval_bracket
 from homnambu.iterated import iterated_bracket
 from homnambu.rotabaxter import (
     RotaBaxterOperator,
@@ -226,7 +226,7 @@ class TestSubsetSumExpansion:
         rb = RotaBaxterOperator(arbitrary, weight)
         _, right = _rb_tables(rb, tern)
         for args in tern.space.tuples(3):
-            assert right.get(args, Element()) == seven_term_reference(rb, tern, args)
+            assert element_at(right, args) == seven_term_reference(rb, tern, args)
 
     def test_subset_count_for_arity_four(self):
         g5 = algebra_of("g5_1_1", a=2)

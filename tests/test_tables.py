@@ -13,16 +13,24 @@ random operators and cochains for the kernel condition.
 The cochain identities (the coboundary, the wedge obstruction, twist
 invariance and the supertrace test) are compared in the same way with the
 dense loops kept in ``cochain_oracle``.
+
+The table algebra works on integer numerators over one scale per table;
+``table_oracle`` also keeps its ``Fraction`` form.  Random tables whose
+scales differ between operands (halves against thirds) must compose,
+permute and add to the same values, sums that cancel must drop the cell,
+equal tables at different scales must compare equal and a failing cell
+must report the same sides.
 """
 
 import functools
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from homnambu import cli, cochains, prelie
-from homnambu.axioms import check_hom_jacobi, check_super_skew
+from homnambu.axioms import _compose, _diff_report, _permute, _sum_tables, check_hom_jacobi, check_super_skew
 from homnambu.catalog import catalog_build
 from homnambu.cochains import (
     SuperCochain,
@@ -38,7 +46,10 @@ from homnambu.core import (
     HomSuperAlgebra,
     NaryBracket,
     OrbitConflict,
+    SuperSpace,
     complete_skew_orbit,
+    element_at,
+    integer_table,
     multiplicative_algebra,
 )
 from homnambu.iterated import iterated_bracket
@@ -246,9 +257,99 @@ CONFLICTING = {("e1", "e1", "e1"): Element({"e1": 1})}  # e1 is even: the swap f
 @pytest.mark.parametrize("table", [NON_SKEW, CONFLICTING], ids=["non-skew", "conflicting"])
 def test_skew_guard_raises_assertion(monkeypatch, capsys, table):
     """A pair sum that loses skew symmetry is an internal error (exit 3), never an input one."""
-    monkeypatch.setattr(cochains, "_pair_sum", lambda *args: dict(table))
+    monkeypatch.setattr(cochains, "_pair_sum", lambda *args: integer_table({x: v.coeffs for x, v in table.items()}))
     bundle = catalog_build("L1", a=1, b=3)
     with pytest.raises(AssertionError, match="lost skew symmetry"):
         cochain_induced_bracket(bundle.cochains[0], bundle.algebra, 3)
     assert cli.main(["induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3"]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.rstrip().endswith("AssertionError: induced bracket lost skew symmetry")
+
+
+def elements(table):
+    """An integer table as the oracles' {cell: Element} table."""
+    return {x: element_at(table, x) for x in table[1]}
+
+
+def integer_form(rng, space, arity, scale):
+    """A random integer table at ``scale`` (numerators -3..3, no zeros) over all labels."""
+    cells = {}
+    for args in itertools.product(space.labels, repeat=arity):
+        if rng.random() < 0.5:
+            outputs = rng.sample(space.labels, rng.randint(1, min(2, space.dim)))
+            cells[args] = {l: rng.choice((-3, -2, -1, 1, 2, 3)) for l in outputs}
+    return scale, cells
+
+
+def rescaled(table, k):
+    """The same table over k times its scale."""
+    scale, cells = table
+    return scale * k, {x: {r: v * k for r, v in cell.items()} for x, cell in cells.items()}
+
+
+def thirds_map(rng, space):
+    """A random even map with entries over 3, so that its scale differs from the tables' halves."""
+    cols = {}
+    for l in space.labels:
+        targets = [m for m in space.labels if space.parity(m) == space.parity(l)]
+        if rng.random() < 0.85:
+            picked = rng.sample(targets, rng.randint(1, len(targets)))
+            cols[l] = Element({m: F(rng.choice((-2, -1, 1, 2)), 3) for m in picked})
+    return GradedLinearMap(space, 0, cols)
+
+
+def test_table_algebra_matches_fraction_oracle_at_mixed_scales():
+    rng = random.Random(27)
+    for case in range(60):
+        dim = rng.randint(1, 3)
+        space = SuperSpace(tuple(f"e{i}" for i in range(dim)), tuple(rng.randint(0, 1) for _ in range(dim)))
+        n = rng.randint(1, 3)
+        T = integer_form(rng, space, n, 2)
+        inner = integer_form(rng, space, 2, 3)
+        slots = [rng.choice((None, inner, thirds_map(rng, space))) for _ in range(n)]
+        out = rng.choice((None, thirds_map(rng, space)))
+        oracle_slots = [elements(m) if isinstance(m, tuple) else m for m in slots]
+        assert elements(_compose(T, out, slots)) == oracle._compose(elements(T), out, oracle_slots)
+        order = tuple(rng.sample(range(1, n + 1), n))
+        sign = rng.choice((1, -1))
+        assert elements(_permute(T, order, space, sign)) == oracle._permute(elements(T), order, space, sign)
+        parts = [T, integer_form(rng, space, n, 3), rescaled(integer_form(rng, space, n, 2), 3)]
+        assert elements(_sum_tables(parts)) == oracle._sum_tables(map(elements, parts))
+
+
+def test_sums_that_cancel_drop_the_cell():
+    """A table at scale 2 plus its negation at scale 3 (and at 6) is the empty table; a
+    partial cancellation keeps only the cells that survive, as the oracle does."""
+    rng = random.Random(28)
+    space = SuperSpace(("e0", "e1", "e2"), (0, 1, 0))
+    for _ in range(20):
+        T = integer_form(rng, space, 2, 2)
+        half = {x: {r: 2 * v for r, v in cell.items()} for x, cell in T[1].items()}  # even numerators over 2
+        negated = (3, {x: {r: -3 * v // 2 for r, v in cell.items()} for x, cell in half.items()})
+        assert _sum_tables([(2, half), negated]) == (6, {})
+        assert _sum_tables([T, rescaled(_permute(T, (1, 2), space, -1), 3)])[1] == {}  # T plus -T over 6
+        other = integer_form(rng, space, 2, 3)
+        total = _sum_tables([(2, half), negated, other])
+        assert elements(total) == oracle._sum_tables([elements((2, half)), elements(negated), elements(other)])
+        assert total[1].keys() == other[1].keys()
+        assert all(all(cell.values()) for cell in total[1].values())
+
+
+def test_diff_report_cross_multiplies_scales():
+    """Equal tables at different scales pass; a failing cell keeps the sides the
+    Fraction tables reported, printed the same."""
+    rng = random.Random(30)
+    space = SuperSpace(("e0", "e1"), (0, 1))
+    for _ in range(20):
+        T = integer_form(rng, space, 2, 2)
+        assert _diff_report("equal", space, 2, T, rescaled(T, 3), 16).passed
+        assert _diff_report("equal", space, 2, rescaled(T, 5), rescaled(T, 3), 16).passed
+        U = integer_form(rng, space, 2, 3)
+        for cap in CAPS:
+            expected = oracle.diff_report("mixed", space, 2, elements(T), elements(U), cap)
+            assert _diff_report("mixed", space, 2, T, U, cap) == expected
+    left, right = (2, {("e0", "e1"): {"e0": 1}, ("e1", "e1"): {"e1": 3}}), (3, {("e0", "e1"): {"e0": 2}})
+    report = _diff_report("mixed", space, 2, left, right, 16)
+    assert [c.describe() for c in report.counterexamples] == [
+        "(e0, e1): lhs=(1/2)*e0 rhs=(2/3)*e0",
+        "(e1, e1): lhs=(3/2)*e1 rhs=0",
+    ]
