@@ -25,6 +25,7 @@ from .core import (
     GradedLinearMap,
     HomSuperAlgebra,
     NaryBracket,
+    OversizedScalar,
     SuperSpace,
     complete_skew_orbit,
     format_scalar,
@@ -254,7 +255,10 @@ def load(doc) -> AlgebraBundle:
 def _ratio(numerator: int, scale: int) -> str:
     """numerator/scale as a quoted reduced scalar, "p" or "p/q"."""
     g = math.gcd(numerator, scale)
-    return f'"{numerator // g}"' if g == scale else f'"{numerator // g}/{scale // g}"'
+    try:
+        return f'"{numerator // g}"' if g == scale else f'"{numerator // g}/{scale // g}"'
+    except ValueError:  # more digits than int() converts
+        raise OversizedScalar from None
 
 
 def _block(items: list[str], depth: int, brackets: str = "[]") -> str:

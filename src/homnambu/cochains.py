@@ -12,8 +12,8 @@ when the wedge obstruction vanishes for every anchor tuple and f is invariant
 under twisting its first slot.  Both conditions, the coboundary and the
 supertrace test are compositions, pair sums and differences of sparse tables
 (:func:`axioms._compose`), with the cochain as a one-output table
-(:meth:`SuperCochain.table`): they decide every basis tuple but visit only
-the supports.
+(:attr:`SuperCochain.table`, args -> {0: numerator}): they decide every
+basis tuple but visit only the supports.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .derivations import DerivationCandidate, check_derivation
 
 
 class SuperCochain:
-    """Even super-skew k-linear form, stored as a completed sparse tensor."""
+    """Even super-skew k-linear form: a completed sparse tensor and its one-output integer ``table``."""
 
-    __slots__ = ("space", "degree", "values")
+    __slots__ = ("space", "degree", "values", "table")
 
     def __init__(self, space: SuperSpace, degree: int, values, complete: bool = True):
         if degree < 1:
@@ -55,6 +55,7 @@ class SuperCochain:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "table", integer_table({args: {0: v} for args, v in vals.items()}))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SuperCochain is immutable")
@@ -67,10 +68,6 @@ class SuperCochain:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
         return sum((coeff * v for v, coeff in multilinear_terms(self.values, args)), ZERO)
-
-    def table(self) -> tuple[int, dict]:
-        """The cochain as a one-output integer table (:func:`axioms._compose`), args -> {0: numerator}."""
-        return integer_table({args: {0: v} for args, v in self.values.items()})
 
     def is_zero(self) -> bool:
         return not self.values
@@ -99,7 +96,7 @@ def _scalar(side: Element) -> Fraction:
 
 def _first_slot(phi: SuperCochain, m) -> dict:
     """phi∘(m, id, .., id); ``m`` is a map or the bracket's table."""
-    return _compose(phi.table(), slot_maps=[m] + [None] * (phi.degree - 1))
+    return _compose(phi.table, slot_maps=[m] + [None] * (phi.degree - 1))
 
 
 def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
@@ -112,7 +109,7 @@ def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     if alg.arity != 2:
         raise ValueError("coboundary is defined over a binary algebra")
     k = f.degree
-    scale, pulled = _compose(f.table(), slot_maps=[alg.bracket.table] + [alg.twists[0]] * (k - 1))
+    scale, pulled = _compose(f.table, slot_maps=[alg.bracket.table] + [alg.twists[0]] * (k - 1))
     # f(T(p), alpha(r)) sits at p + r; moving p behind r relabels the cells,
     # it swaps no graded arguments, so it takes no Koszul sign
     scale, delta = _pair_sum((scale, {x[2:] + x[:2]: v for x, v in pulled.items()}), k + 1, alg.space)
@@ -147,7 +144,7 @@ def _wedge_table(phi: SuperCochain, alg: HomSuperAlgebra) -> dict:
     is linear in the bracketed pair, so it is -phi(anchor, [ys]_phi) with
     [ys]_phi the induced bracket (:func:`_induced_table`): -phi∘(id, .., id, [..]_phi).
     """
-    scale, cells = _compose(phi.table(), slot_maps=[None] * (phi.degree - 1) + [_induced_table(phi, alg)])
+    scale, cells = _compose(phi.table, slot_maps=[None] * (phi.degree - 1) + [_induced_table(phi, alg)])
     return scale, {x: _negated(v) for x, v in cells.items()}
 
 
@@ -181,7 +178,7 @@ def check_induction_conditions(
     return InductionReport(
         _diff_report("wedge-obstruction", space, 2 * n - 3, _wedge_table(phi, alg), (1, {}), cap, value=_scalar),
         _diff_report(
-            "twist-invariance", space, phi.degree, _first_slot(phi, alg.twists[0]), phi.table(), cap, value=_scalar
+            "twist-invariance", space, phi.degree, _first_slot(phi, alg.twists[0]), phi.table, cap, value=_scalar
         ),
     )
 
@@ -218,7 +215,7 @@ def _induced_table(phi: SuperCochain, alg: HomSuperAlgebra, labels=None) -> tupl
 
 def _weighed(phi: SuperCochain, table, keep=lambda x: True) -> tuple[int, dict]:
     """The integer table phi(r) T(p) at every r + p that ``keep`` admits, T an integer table."""
-    (sp, values), (st, cells) = phi.table(), table
+    (sp, values), (st, cells) = phi.table, table
     return sp * st, {
         r + p: {l: w[0] * c for l, c in v.items()} for r, w in values.items() for p, v in cells.items() if keep(r + p)
     }
@@ -242,7 +239,7 @@ def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:
     _check_space(phi, alg)
     if alg.arity != 2:
         raise ValueError("supertrace condition lives over a binary algebra")
-    return not _first_slot(phi, alg.bracket.table)[1] and not _differs(_first_slot(phi, alg.twists[0]), phi.table())
+    return not _first_slot(phi, alg.bracket.table)[1] and not _differs(_first_slot(phi, alg.twists[0]), phi.table)
 
 
 @record
@@ -284,7 +281,7 @@ def derivation_transfer(
     # the spectator; the out map is zero
     space = alg.space
     labels = space.labels
-    sigma, terms = phi.table()
+    sigma, terms = phi.table
     delta, d = cand.map.integer_columns
     identity = [{l: {l: 1} for l in labels}] * phi.degree
     kernel = _leibniz_kernel(terms, (0,), space, identity, identity)

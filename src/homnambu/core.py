@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -38,9 +39,19 @@ def scalar(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+class OversizedScalar(ValueError):
+    """A computed scalar with more digits than ``int`` converts to text."""
+
+    def __init__(self):
+        super().__init__(f"an output scalar has more than {sys.get_int_max_str_digits()} digits")
+
+
 def format_scalar(value: Fraction) -> str:
     """Render as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # more digits than int() converts
+        raise OversizedScalar from None
 
 
 def integer_table(coefficients: Mapping) -> tuple[int, dict]:

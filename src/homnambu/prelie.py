@@ -39,11 +39,14 @@ from .core import (
 from .linalg import invert_map
 from .rotabaxter import RotaBaxterOperator, check_rb
 
+# The cyclic supercommutator as orders of (x, y, z), each with its Koszul sign.
+_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
 
 class TriProduct:
-    """Ternary product with a twist, super-skew in the first two slots only."""
+    """A twisted ternary product, super-skew in the first two slots only; ``cyclic`` is its cyclic supercommutator."""
 
-    __slots__ = ("space", "product", "twist")
+    __slots__ = ("space", "product", "twist", "cyclic")
 
     def __init__(self, space: SuperSpace, product: NaryBracket, twist: GradedLinearMap):
         if product.arity != 3:
@@ -53,6 +56,8 @@ class TriProduct:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "product", product)
         object.__setattr__(self, "twist", twist)
+        cyclic = _sum_tables(_permute(product.table, order, space) for order in _CYCLIC)
+        object.__setattr__(self, "cyclic", NaryBracket.of_table(3, cyclic))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TriProduct is immutable")
@@ -75,19 +80,11 @@ def check_first_pair_skew(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) 
     return _skew_report("pre-lie-first-pair-skew", t.product.table, t.space, 3, (1,), cap, notes=False)
 
 
-# The cyclic supercommutator as orders of (x, y, z), each with its Koszul sign.
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-
-
-def _cyclic_tensor(t: TriProduct) -> NaryBracket:
-    return NaryBracket.of_table(3, _sum_tables(_permute(t.product.table, order, t.space) for order in _CYCLIC))
-
-
 def cyclic_supercommutator(t: TriProduct) -> HomSuperAlgebra:
     """The induced ternary bracket, with the product's twist in both slots."""
     if not check_first_pair_skew(t).passed:
         raise ValueError("cyclic supercommutator needs first-pair skew symmetry")
-    return multiplicative_algebra(t.space, _cyclic_tensor(t), t.twist)
+    return multiplicative_algebra(t.space, t.cyclic, t.twist)
 
 
 # The five-argument identities as signed-term tables.  A term
@@ -145,7 +142,7 @@ _DERIVED_IDENTITIES = (
 def _five_argument_reports(t: TriProduct, identities, cap) -> list[CheckReport]:
     """One report per (name, sides) identity, each over every basis 5-tuple."""
     space, T = t.space, t.product.table
-    inner = {"t": T, "cyc": _cyclic_tensor(t).table}
+    inner = {"t": T, "cyc": t.cyclic.table}
     nested = {}  # (kind, slot) -> T∘(a.., inner, ..a), the inner product in outer slot ``slot``
 
     def side(terms):
@@ -172,7 +169,12 @@ def sub_adjacent(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CAP):
     """Cyclic supercommutator plus its full ternary Hom-Lie verification."""
     if not check_3_pre_lie(t).passed:
         raise ValueError("sub-adjacent bracket needs a verified pre-Lie product")
-    alg = cyclic_supercommutator(t)
+    return _sub_adjacent(t, cap)
+
+
+def _sub_adjacent(t: TriProduct, cap: int):
+    """:func:`sub_adjacent` for a product already known to be pre-Lie."""
+    alg = multiplicative_algebra(t.space, t.cyclic, t.twist)
     report = merge_reports(
         "sub-adjacent-3-hom-lie",
         check_grading(alg, cap),
@@ -188,31 +190,39 @@ def check_derived_identities(t: TriProduct, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     return merge_reports("derived-identities", alternating, symmetrized)
 
 
-def _require_ternary_hom_lie(alg3: HomSuperAlgebra, cap=DEFAULT_COUNTEREXAMPLE_CAP):
+def _require_rota_baxter(alg3: HomSuperAlgebra, rb: RotaBaxterOperator, kind: str):
+    """The preconditions of both operator-induced products, in order."""
     if alg3.arity != 3:
         raise ValueError("a ternary algebra is required")
     for check in (check_grading, check_super_skew, check_nambu_identity):
-        report = check(alg3, cap)
+        report = check(alg3, DEFAULT_COUNTEREXAMPLE_CAP)
         if not report.passed:
             raise ValueError(f"ternary algebra is not Hom-Lie: {report.summary()}")
+    if rb.weight != 0:
+        raise ValueError(f"the {kind} product needs a weight-0 operator")
+    if not check_rb(rb, alg3).passed:
+        raise ValueError("operator is not Rota-Baxter on this algebra")
+
+
+def _rb_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator, kind: str) -> TriProduct:
+    """The "induced" product [R(x), R(y), z] or the "compatible" one R([x, y, R^{-1}(z)]), unverified."""
+    R = rb.map
+    out_map, slot_maps = (None, [R, R, None]) if kind == "induced" else (R, [None, None, invert_map(R)])
+    table = _compose(alg3.bracket.table, out_map=out_map, slot_maps=slot_maps)
+    return TriProduct(alg3.space, NaryBracket.of_table(3, table), alg3.twists[0])
 
 
 def rb_induced_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
     """{x, y, z} = [R(x), R(y), z] for a verified weight-0 operator."""
-    _require_ternary_hom_lie(alg3)
-    if rb.weight != 0:
-        raise ValueError("the induced product needs a weight-0 operator")
-    if not check_rb(rb, alg3).passed:
-        raise ValueError("operator is not Rota-Baxter on this algebra")
-    table = _compose(alg3.bracket.table, slot_maps=[rb.map, rb.map, None])
-    return TriProduct(alg3.space, NaryBracket.of_table(3, table), alg3.twists[0])
+    _require_rota_baxter(alg3, rb, "induced")
+    return _rb_product(alg3, rb, "induced")
 
 
 def rb_morphism_report(
     t: TriProduct, alg3: HomSuperAlgebra, rb: RotaBaxterOperator, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 ) -> CheckReport:
     """R maps the cyclic supercommutator back onto the original bracket."""
-    cyc, T = _cyclic_tensor(t).table, alg3.bracket.table
+    cyc, T = t.cyclic.table, alg3.bracket.table
     return _diff_report("rb-morphism", t.space, 3, _compose(cyc, rb.map), _compose(T, slot_maps=[rb.map] * 3), cap)
 
 
@@ -222,14 +232,8 @@ def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
     The cyclic supercommutator of the result must reproduce the original
     bracket entrywise; that compatibility is asserted before returning.
     """
-    _require_ternary_hom_lie(alg3)
-    if rb.weight != 0:
-        raise ValueError("the compatible product needs a weight-0 operator")
-    if not check_rb(rb, alg3).passed:
-        raise ValueError("operator is not Rota-Baxter on this algebra")
-    inverse = invert_map(rb.map)
-    table = _compose(alg3.bracket.table, out_map=rb.map, slot_maps=[None, None, inverse])
-    product = TriProduct(alg3.space, NaryBracket.of_table(3, table), alg3.twists[0])
+    _require_rota_baxter(alg3, rb, "compatible")
+    product = _rb_product(alg3, rb, "compatible")
     compat = compatibility_report(product, alg3)
     if not compat.passed:
         raise AssertionError(f"compatibility failed: {compat.summary()}")
@@ -238,5 +242,4 @@ def image_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:
 
 def compatibility_report(t: TriProduct, alg3: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """Entrywise equality of the cyclic supercommutator with a ternary bracket."""
-    cyc, T = _cyclic_tensor(t).table, alg3.bracket.table
-    return _diff_report("supercommutator-compatibility", t.space, 3, cyc, T, cap)
+    return _diff_report("supercommutator-compatibility", t.space, 3, t.cyclic.table, alg3.bracket.table, cap)

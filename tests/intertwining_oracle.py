@@ -4,17 +4,26 @@ These are the per-tuple loops that multiplicativity, the Rota-Baxter
 morphism, the supercommutator compatibility and the two operator-induced
 ternary products ran before they shared :func:`homnambu.axioms._compose`.
 Each evaluates both sides at every basis tuple, in basis order, with the
-generic multilinear evaluator.  The builders keep their verify-then-build
-preconditions, which call the library checkers.
+generic multilinear evaluator, and the cyclic supercommutator is the loop in
+``prelie_oracle``.  The builders keep their verify-then-build preconditions,
+written out here in their order, which call the library checkers.
 """
 
 from __future__ import annotations
 
-from homnambu.axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP
+from homnambu.axioms import (
+    CheckReport,
+    _Collector,
+    DEFAULT_COUNTEREXAMPLE_CAP,
+    check_grading,
+    check_nambu_identity,
+    check_super_skew,
+)
 from homnambu.core import HomSuperAlgebra, NaryBracket, eval_bracket, eval_tensor
 from homnambu.linalg import invert_map
-from homnambu.prelie import TriProduct, _cyclic_tensor, _require_ternary_hom_lie
+from homnambu.prelie import TriProduct
 from homnambu.rotabaxter import RotaBaxterOperator, check_rb
+from prelie_oracle import _cyclic_tensor
 
 
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
@@ -34,6 +43,15 @@ def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
         if lhs != rhs:
             col.fail(args, lhs, rhs)
     return col.report()
+
+
+def _require_ternary_hom_lie(alg3: HomSuperAlgebra, cap=DEFAULT_COUNTEREXAMPLE_CAP):
+    if alg3.arity != 3:
+        raise ValueError("a ternary algebra is required")
+    for check in (check_grading, check_super_skew, check_nambu_identity):
+        report = check(alg3, cap)
+        if not report.passed:
+            raise ValueError(f"ternary algebra is not Hom-Lie: {report.summary()}")
 
 
 def rb_induced_product(alg3: HomSuperAlgebra, rb: RotaBaxterOperator) -> TriProduct:

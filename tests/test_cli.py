@@ -262,6 +262,50 @@ class TestMalformedFile:
         assert len(_check_unreadable(tmp_path, text.encode())) < 200
 
 
+def _oversized_twist_file(tmp_path):
+    """osp12 with two twist entries of 2,200 digits: the loader takes them, the output outgrows int()."""
+    shown = run_cli("catalog", "show", "osp12")
+    doc = json.loads("\n".join(l for l in shown.stdout.splitlines() if not l.startswith("#")))
+    doc["twists"][0][0][0] = doc["twists"][0][2][2] = "7" * 2200
+    path = tmp_path / "osp12_big.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _oversized_cochain_file(tmp_path):
+    """g5_1_1 with a 2,200-digit degree-1 cochain, whose wedge obstruction fails with a longer scalar."""
+    from homnambu import algfile
+    from homnambu.catalog import catalog_build
+    from homnambu.cochains import SuperCochain
+
+    bundle = catalog_build("g5_1_1", a=1)
+    phi = SuperCochain(bundle.algebra.space, 1, {("e0",): int("7" * 2200)})
+    path = tmp_path / "g5_big.json"
+    path.write_text(algfile.emit(algfile.AlgebraBundle("g5_big_form", bundle.algebra, (phi,), bundle.operators)))
+    return path
+
+
+class TestOversizedOutput:
+    """An output scalar with more digits than int() converts made these exit 3
+    with a traceback; each now exits 2 with one error line and no output."""
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (_oversized_twist_file, ["check"]),
+            (_oversized_twist_file, ["check", "--report", "structured"]),
+            (_oversized_twist_file, ["induce", "--method", "iterate", "--n", "3"]),
+            (_oversized_cochain_file, ["induce", "--method", "phi", "--n", "3"]),
+        ],
+        ids=["check", "check-structured", "induce-iterate", "induce-phi-failing"],
+    )
+    def test_exit_two_with_one_error_line(self, tmp_path, make, args):
+        result = run_cli(args[0], str(make(tmp_path)), *args[1:])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: an output scalar has more than {sys.get_int_max_str_digits()} digits"]
+
+
 class TestInternalError:
     def test_exit_three_with_traceback(self, monkeypatch, capsys):
         """An exception that is neither an identity failure nor an input
@@ -408,15 +452,73 @@ class TestRbVerify:
         assert result.stderr.splitlines() == ["error: no operator with index -1"]
 
 
+def _induced_l1(tmp_path, matrix=None):
+    """The ternary bracket induced from L1 (a=1, b=3), its operator's matrix optionally replaced."""
+    induced = run_cli("induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3")
+    path = tmp_path / "tern.json"
+    if matrix is None:
+        path.write_text(induced.stdout)
+    else:
+        doc = json.loads("\n".join(l for l in induced.stdout.splitlines() if not l.startswith("#")))
+        doc["operators"][0]["matrix"] = matrix
+        path.write_text(json.dumps(doc))
+    return path
+
+
+# Every report of one prelie run on the induced L1 file with an invertible operator, in order.
+_INVERTIBLE_BATTERY = (
+    ("grading", 3),
+    ("super-skew", 27),
+    ("nambu", 243),
+    ("rota-baxter-nary(weight=0)", 30),
+    ("3-pre-lie", 513),
+    ("sub-adjacent-3-hom-lie", 273),
+    ("derived-identities", 486),
+    ("rb-morphism", 27),
+    ("supercommutator-compatibility", 27),
+)
+_DIAGONAL = [["1/3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
 class TestPrelie:
     def test_full_battery_on_induced_file(self, tmp_path):
-        induced = run_cli("induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3")
-        path = tmp_path / "tern.json"
-        path.write_text(induced.stdout)
-        result = run_cli("prelie", str(path))
+        result = run_cli("prelie", str(_induced_l1(tmp_path)))
         assert result.returncode == 0
         for name in ("3-pre-lie", "sub-adjacent-3-hom-lie", "derived-identities", "rb-morphism"):
             assert f"PASS {name}" in result.stdout
+
+    def test_invertible_operator_adds_compatibility(self, tmp_path):
+        result = run_cli("prelie", str(_induced_l1(tmp_path, _DIAGONAL)))
+        assert result.returncode == 0
+        assert result.stdout == "".join(
+            f"PASS {name} (tuples={tuples}, failures=0)\n" for name, tuples in _INVERTIBLE_BATTERY
+        )
+
+    def test_invertible_operator_structured(self, tmp_path):
+        path = _induced_l1(tmp_path, _DIAGONAL)
+        result = run_cli("prelie", str(path), "--report", "structured")
+        assert result.returncode == 0
+        checks = [
+            {"identity": name, "passed": True, "tuples_checked": tuples, "failures": 0, "counterexamples": []}
+            for name, tuples in _INVERTIBLE_BATTERY
+        ]
+        doc = {"command": "prelie", "source": str(path), "name": "L1_phi_3", "checks": checks, "passed": True}
+        assert result.stdout == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    def test_failing_operator_stops_after_preconditions(self, tmp_path):
+        """The identity is not Rota-Baxter here: only the four precondition reports print."""
+        identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        result = run_cli("prelie", str(_induced_l1(tmp_path, identity)))
+        assert result.returncode == 1
+        assert result.stdout == (
+            "PASS grading (tuples=3, failures=0)\n"
+            "PASS super-skew (tuples=27, failures=0)\n"
+            "PASS nambu (tuples=243, failures=0)\n"
+            "FAIL rota-baxter-nary(weight=0) (tuples=30, failures=3)\n"
+            "  at (e2, e3, e3): lhs=(3)*e1 rhs=(9)*e1\n"
+            "  at (e3, e2, e3): lhs=(-3)*e1 rhs=(-9)*e1\n"
+            "  at (e3, e3, e2): lhs=(3)*e1 rhs=(9)*e1\n"
+        )
 
     def test_needs_ternary(self):
         result = run_cli("prelie", "catalog:g3_1_1?a=2")

@@ -25,7 +25,7 @@ from homnambu.cochains import (
     derivation_transfer,
     is_supertrace,
 )
-from homnambu.core import GradedLinearMap, HomSuperAlgebra
+from homnambu.core import GradedLinearMap, HomSuperAlgebra, multiplicative_algebra
 from homnambu.derivations import (
     DerivationCandidate,
     check_derivation,
@@ -102,7 +102,8 @@ def replay_cli() -> list[dict]:
 def _twist_variants(alg: HomSuperAlgebra) -> list[tuple[str, HomSuperAlgebra]]:
     """The declared twist, identity twists, and a shear when two labels share a parity."""
     space = alg.space
-    variants = [("declared", alg), ("identity", cli._with_identity_twists(alg))]
+    identity = multiplicative_algebra(space, alg.bracket, GradedLinearMap.identity(space))
+    variants = [("declared", alg), ("identity", identity)]
     for i, a in enumerate(space.labels):
         for b in space.labels[i + 1 :]:
             if space.parity(a) == space.parity(b):

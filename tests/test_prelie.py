@@ -1,7 +1,11 @@
+import json
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
 
+from homnambu import cli, prelie
+from homnambu.algfile import strip_comments
 from homnambu.axioms import check_nambu_identity, check_super_skew
 from homnambu.catalog import catalog_build
 from homnambu.cochains import cochain_induced_bracket
@@ -284,3 +288,56 @@ class TestImageProduct:
         rb = RotaBaxterOperator(diag(tern.space, [1, 1, 0]), F(0))
         with pytest.raises(ValueError):
             image_product(tern, rb)
+
+
+class TestPrelieCommandRunsEachCheckOnce:
+    """One ``prelie`` command runs each check and builds each construction once."""
+
+    @staticmethod
+    def _induced_l1_file(tmp_path, capsys, matrix):
+        assert cli.main(["induce", "catalog:L1?a=1,b=3", "--method", "phi", "--n", "3"]) == 0
+        doc = json.loads(strip_comments(capsys.readouterr().out))
+        if matrix is not None:
+            doc["operators"][0]["matrix"] = matrix
+        path = tmp_path / "tern.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "matrix, invertible",
+        [(None, False), ([["1/3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], True)],
+        ids=["projection", "diagonal"],
+    )
+    def test_run_counts(self, tmp_path, capsys, monkeypatch, matrix, invertible):
+        path = self._induced_l1_file(tmp_path, capsys, matrix)
+        calls = defaultdict(list)
+
+        def count(owner, name, key=lambda args: None):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name].append(key(args))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for module in (cli, prelie):
+            for name in ("check_grading", "check_super_skew", "check_nambu_identity"):
+                count(module, name, key=lambda args: args[0])
+            for name in ("check_rb", "compatibility_report"):
+                count(module, name)
+        count(prelie, "_five_argument_reports")
+        count(prelie, "_permute", key=lambda args: len(args[1]))  # 3-slot orders: the cyclic supercommutator
+        count(prelie.TriProduct, "__init__")
+
+        assert cli.main(["prelie", str(path)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 8 + invertible
+        for name in ("check_grading", "check_super_skew", "check_nambu_identity"):
+            # once on the base algebra and once on the sub-adjacent one
+            assert len(calls[name]) == 2 and calls[name][0] is not calls[name][1]
+        assert len(calls["check_rb"]) == 1
+        assert len(calls["_five_argument_reports"]) == 2
+        products = len(calls["__init__"])
+        assert products == 1 + invertible
+        assert calls["_permute"].count(3) == 3 * products
+        assert len(calls["compatibility_report"]) == invertible
