@@ -21,7 +21,6 @@ from fractions import Fraction
 from .axioms import check_grading
 from .cochains import SuperCochain
 from .core import (
-    Element,
     GradedLinearMap,
     HomSuperAlgebra,
     NaryBracket,
@@ -29,6 +28,7 @@ from .core import (
     SuperSpace,
     complete_skew_orbit,
     format_scalar,
+    integer_table,
     record,
     scalar,
 )
@@ -188,13 +188,14 @@ def load(doc) -> AlgebraBundle:
                 raise AlgebraFileError(f"unknown basis label {label!r}")
         if args in generators:
             raise AlgebraFileError(f"duplicate bracket entry {args}")
-        generators[args] = Element(value)
+        generators[args] = value
 
+    table = integer_table(generators)
     if doc["skew_complete"]:
-        entries = complete_skew_orbit(arity, generators, space)
+        table = complete_skew_orbit(arity, table, space)
     else:
-        entries = {a: v for a, v in generators.items() if not v.is_zero()}
-    bracket = NaryBracket(arity, entries)
+        table = table[0], {a: cell for a, cell in table[1].items() if cell}
+    bracket = NaryBracket.of_table(arity, table)
     algebra = HomSuperAlgebra(space, bracket, twists, multiplicative_flag=multiplicative)
     grading = check_grading(algebra)
     if not grading.passed:
@@ -238,12 +239,7 @@ def load(doc) -> AlgebraBundle:
         power = odoc.get("power", 0)
         if type(power) is not int or power < 0:
             raise AlgebraFileError(f'operator {i}: "power" must be a nonnegative integer')
-        try:
-            operators.append(AttachedOperator(kind, mat, weight, power))
-        except AlgebraFileError:
-            raise
-        except ValueError as exc:
-            raise AlgebraFileError(f"bad operator {i}: {exc}") from None
+        operators.append(AttachedOperator(kind, mat, weight, power))
 
     return AlgebraBundle(name, algebra, tuple(cochains), tuple(operators))
 
@@ -302,10 +298,10 @@ def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
         bracket=_block([entry(a, cells[a], scale) for a in sorted(cells, key=lambda a: [index[l] for l in a])], 1),
         skew_complete="false",  # emitted tensors are always fully listed
     )
-    value = lambda c, args: obj(4, args=labels(args, 5), value=f'"{format_scalar(c.values[args])}"')
+    value = lambda c, args: obj(4, args=labels(args, 5), value=_ratio(c.table[1][args][0], c.table[0]))
     if bundle.cochains:
         fields["cochains"] = _block([
-            obj(2, degree=c.degree, values=_block([value(c, a) for a in sorted(c.values, key=space.sort_key)], 3))
+            obj(2, degree=c.degree, values=_block([value(c, a) for a in sorted(c.table[1], key=space.sort_key)], 3))
             for c in bundle.cochains
         ], 1)
     if bundle.operators:

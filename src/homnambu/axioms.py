@@ -13,7 +13,9 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .core import Element, GradedLinearMap, HomSuperAlgebra, element_at, eval_bracket, koszul_sign, record
+from .core import (
+    Element, GradedLinearMap, HomSuperAlgebra, element_at, eval_bracket, format_scalar, koszul_sign, record,
+)
 
 DEFAULT_COUNTEREXAMPLE_CAP = 16
 
@@ -29,7 +31,8 @@ class Counterexample:
         loc = f"({', '.join(self.args)})"
         if self.note:
             loc += f" [{self.note}]"
-        return f"{loc}: lhs={self.lhs!r} rhs={self.rhs!r}"
+        side = lambda v: repr(v) if isinstance(v, Element) else format_scalar(v)  # a cochain's Fraction
+        return f"{loc}: lhs={side(self.lhs)} rhs={side(self.rhs)}"
 
 
 @record

@@ -29,11 +29,11 @@ from fractions import Fraction
 from .algfile import AlgebraBundle, AttachedOperator
 from .cochains import SuperCochain
 from .core import (
-    Element,
     GradedLinearMap,
     NaryBracket,
     SuperSpace,
     complete_skew_orbit,
+    integer_table,
     multiplicative_algebra,
     record,
     scalar,
@@ -90,8 +90,8 @@ class CatalogEntry:
 
 def _skew_algebra(space, generators, alpha_rows):
     alpha = GradedLinearMap.from_matrix(space, alpha_rows, parity=0)
-    entries = complete_skew_orbit(2, generators, space)
-    return multiplicative_algebra(space, NaryBracket(2, entries), alpha)
+    table = complete_skew_orbit(2, integer_table(generators), space)
+    return multiplicative_algebra(space, NaryBracket.of_table(2, table), alpha)
 
 
 def _build_g1(p):
@@ -109,18 +109,16 @@ def _build_g2(p):
 def _build_g3(p):
     space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
     alg = _skew_algebra(
-        space, {("e0", "e1"): Element({"e1": 1})}, [[1, 0], [0, p["a"]]]
+        space, {("e0", "e1"): {"e1": 1}}, [[1, 0], [0, p["a"]]]
     )
     operators = (
         AttachedOperator(
             "derivation",
             GradedLinearMap.from_matrix(space, [[0, 0], [0, 1]], parity=0),
-            power=0,
         ),
         AttachedOperator(
             "rota_baxter",
             GradedLinearMap.from_matrix(space, [[1, 0], [0, 0]], parity=0),
-            weight=Fraction(0),
         ),
     )
     return AlgebraBundle("g3_1_1", alg, operators=operators)
@@ -129,7 +127,7 @@ def _build_g3(p):
 def _build_g4(p):
     space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
     alg = _skew_algebra(
-        space, {("e0", "e1"): Element({"e1": 1})}, [[p["a"], 0], [0, 0]]
+        space, {("e0", "e1"): {"e1": 1}}, [[p["a"], 0], [0, 0]]
     )
     return AlgebraBundle("g4_1_1", alg)
 
@@ -138,18 +136,16 @@ def _build_g5(p):
     a = p["a"]
     space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
     alg = _skew_algebra(
-        space, {("e1", "e1"): Element({"e0": 1})}, [[a * a, 0], [0, a]]
+        space, {("e1", "e1"): {"e0": 1}}, [[a * a, 0], [0, a]]
     )
     operators = (
         AttachedOperator(
             "rota_baxter",
             GradedLinearMap.from_matrix(space, [[Fraction(1, 2), 0], [0, 1]], parity=0),
-            weight=Fraction(0),
         ),
         AttachedOperator(
             "derivation",
             GradedLinearMap.from_matrix(space, [[2, 0], [0, 1]], parity=0),
-            power=0,
         ),
     )
     return AlgebraBundle("g5_1_1", alg, operators=operators)
@@ -162,16 +158,16 @@ def _build_osp12(p):
     )
     l2 = lam * lam
     generators = {
-        ("H", "X"): Element({"X": 2 * l2}),
-        ("H", "Y"): Element({"Y": Fraction(-2) / l2}),
-        ("X", "Y"): Element({"H": 1}),
-        ("Y", "G"): Element({"F": 1 / lam}),
-        ("X", "F"): Element({"G": lam}),
-        ("H", "F"): Element({"F": -1 / lam}),
-        ("H", "G"): Element({"G": lam}),
-        ("G", "F"): Element({"H": 1}),
-        ("G", "G"): Element({"X": -2 * l2}),
-        ("F", "F"): Element({"Y": 2 / l2}),
+        ("H", "X"): {"X": 2 * l2},
+        ("H", "Y"): {"Y": Fraction(-2) / l2},
+        ("X", "Y"): {"H": 1},
+        ("Y", "G"): {"F": 1 / lam},
+        ("X", "F"): {"G": lam},
+        ("H", "F"): {"F": -1 / lam},
+        ("H", "G"): {"G": lam},
+        ("G", "F"): {"H": 1},
+        ("G", "G"): {"X": -2 * l2},
+        ("F", "F"): {"Y": 2 / l2},
     }
     alpha = [
         [l2, 0, 0, 0, 0],
@@ -189,8 +185,8 @@ def _build_L1(p):
     alg = _skew_algebra(
         space,
         {
-            ("e2", "e3"): Element({"e3": 1}),
-            ("e3", "e3"): Element({"e1": 1}),
+            ("e2", "e3"): {"e3": 1},
+            ("e3", "e3"): {"e1": 1},
         },
         [[a * a, 0, 0], [0, 1, 0], [0, 0, a]],
     )
@@ -201,7 +197,6 @@ def _build_L1(p):
             GradedLinearMap.from_matrix(
                 space, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], parity=0
             ),
-            weight=Fraction(0),
         ),
     )
     return AlgebraBundle("L1", alg, cochains=(phi,), operators=operators)
@@ -213,8 +208,8 @@ def _build_L2(p):
     alg = _skew_algebra(
         space,
         {
-            ("e1", "e3"): Element({"e2": b}),
-            ("e2", "e3"): Element({"e1": c}),
+            ("e1", "e3"): {"e2": b},
+            ("e2", "e3"): {"e1": c},
         },
         [[a, 0, 0], [0, a, 0], [0, 0, 1]],
     )

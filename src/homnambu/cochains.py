@@ -26,39 +26,47 @@ from .axioms import (
     _leibniz_sweep, _negated, _permute, _skew_report, _sum_tables,
 )
 from .core import (
-    Element, HomSuperAlgebra, NaryBracket, SuperSpace, ZERO, complete_skew_orbit, element_at, integer_table,
-    multiplicative_algebra, multilinear_terms, record, scalar,
+    Element, HomSuperAlgebra, NaryBracket, OrbitConflict, SuperSpace, ZERO, complete_skew_orbit, element_at,
+    integer_table, multiplicative_algebra, multilinear_terms, record, scalar,
 )
 from .derivations import DerivationCandidate, check_derivation
 
 
 class SuperCochain:
-    """Even super-skew k-linear form: a completed sparse tensor and its one-output integer ``table``."""
+    """Even super-skew k-linear form, stored as its completed one-output integer ``table`` (args -> {0: numerator})."""
 
-    __slots__ = ("space", "degree", "values", "table")
+    __slots__ = ("space", "degree", "table", "_values")
 
     def __init__(self, space: SuperSpace, degree: int, values, complete: bool = True):
         if degree < 1:
             raise ValueError("cochain degree must be at least 1")
-        vals = {tuple(args): scalar(v) for args, v in values.items()}
-        for args, v in vals.items():
+        table = integer_table({tuple(args): {0: scalar(v)} for args, v in values.items()})
+        for args, cell in table[1].items():
             if len(args) != degree:
                 raise ValueError(f"entry {args} does not have degree {degree}")
-            if v != 0 and sum(space.parity(a) for a in args) % 2 != 0:
+            if cell and sum(space.parity(a) for a in args) % 2 != 0:
                 raise ValueError(f"even cochain cannot be nonzero on odd-parity tuple {args}")
-        if complete:
-            vals = complete_skew_orbit(degree, vals, space)
-        else:
-            vals = {a: v for a, v in vals.items() if v != 0}
-            if complete_skew_orbit(degree, vals, space) != vals:
-                raise ValueError("cochain table is not closed under its super-skew orbits")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "table", integer_table({args: {0: v} for args, v in vals.items()}))
+        if not complete:
+            table = table[0], {a: cell for a, cell in table[1].items() if cell}
+        try:
+            completed = complete_skew_orbit(degree, table, space)
+        except OrbitConflict as exc:  # the sides as cochain values
+            raise OrbitConflict(exc.args_tuple, _scalar(exc.expected), _scalar(exc.found)) from None
+        if not complete and completed != table:
+            raise ValueError("cochain table is not closed under its super-skew orbits")
+        for name, v in (("space", space), ("degree", degree), ("table", completed), ("_values", None)):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SuperCochain is immutable")
+
+    @property
+    def values(self) -> dict:
+        """The completed values as {args: Fraction}."""
+        if self._values is None:
+            scale, cells = self.table
+            object.__setattr__(self, "_values", {args: Fraction(cell[0], scale) for args, cell in cells.items()})
+        return self._values
 
     def value(self, args) -> Fraction:
         return self.values.get(tuple(args), ZERO)
@@ -70,18 +78,16 @@ class SuperCochain:
         return sum((coeff * v for v, coeff in multilinear_terms(self.values, args)), ZERO)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.table[1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SuperCochain)
-            and self.space == other.space
-            and self.degree == other.degree
-            and self.values == other.values
+        return isinstance(other, SuperCochain) and (self.space, self.degree, self.table) == (
+            other.space, other.degree, other.table
         )
 
     def __hash__(self):
-        return hash((self.space, self.degree, frozenset(self.values.items())))
+        scale, cells = self.table
+        return hash((self.space, self.degree, scale, frozenset((args, cell[0]) for args, cell in cells.items())))
 
 
 def _check_space(phi: SuperCochain, alg: HomSuperAlgebra):

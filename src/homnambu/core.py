@@ -58,11 +58,12 @@ def integer_table(coefficients: Mapping) -> tuple[int, dict]:
     """(scale, cells): {key: {label: Fraction}} dicts as integer numerators over their least common denominator.
 
     The one way from rationals into the integer table algebra; the least
-    scale makes the form of a tensor unique.
+    scale makes the form of a tensor unique.  Zero values are dropped: a key
+    with only zeros keeps an empty cell.
     """
     scale = math.lcm(1, *(c.denominator for cs in coefficients.values() for c in cs.values()))
     return scale, {
-        key: {l: c.numerator * (scale // c.denominator) for l, c in cs.items()} for key, cs in coefficients.items()
+        k: {l: c.numerator * (scale // c.denominator) for l, c in cs.items() if c} for k, cs in coefficients.items()
     }
 
 
@@ -612,39 +613,39 @@ def eval_bracket(alg: HomSuperAlgebra, args: Sequence[Element]) -> Element:
 
 def complete_skew_orbit(
     arity: int,
-    generators: Mapping[tuple[str, ...], object],
+    table: tuple[int, dict],
     space: SuperSpace,
     swaps: Sequence[int] | None = None,
-) -> dict:
-    """Extend generating values to every index tuple their orbit reaches.
+) -> tuple[int, dict]:
+    """Extend a generating integer table (:func:`integer_table`) to every index tuple its orbits reach.
 
     The orbit is generated by the adjacent transpositions at the 1-based
     positions ``swaps`` (all of 1..arity-1 by default); each carries the
-    Koszul skew sign, applied by unary minus, so values may be
-    :class:`Element` brackets or ``Fraction`` cochain values (mappings are
-    read as elements).  A tuple whose orbit forces v = -v with v nonzero, or
-    two generators disagreeing on one orbit, raise :class:`OrbitConflict`.
-    Zero values are dropped from the result.
+    Koszul skew sign, a sign flip of the numerators.  A tuple whose orbit
+    forces v = -v with v nonzero, or two generators (an empty cell is zero)
+    disagreeing on one orbit, raise :class:`OrbitConflict` with both values
+    as elements.  Empty cells are dropped from the result.
     """
     if swaps is None:
         swaps = range(1, arity)
-    table = {}
+    scale, generators = table
+    cells = {}
     worklist = []
 
-    def insert(args, value):
-        existing = table.get(args)
+    def insert(args, cell):
+        existing = cells.get(args)
         if existing is None:
-            table[args] = value
-            worklist.append((args, value))
-        elif existing != value:
-            raise OrbitConflict(args, existing, value)
+            cells[args] = cell
+            worklist.append((args, cell))
+        elif existing != cell:
+            raise OrbitConflict(args, *(element_at((scale, {args: c}), args) for c in (existing, cell)))
 
-    for args, value in generators.items():
-        insert(tuple(args), Element(value) if isinstance(value, Mapping) else value)
+    for args, cell in generators.items():
+        insert(tuple(args), cell)
     while worklist:
-        args, value = worklist.pop()
+        args, cell = worklist.pop()
         parities = [space.parity(a) for a in args]
         for i in swaps:
             swapped = args[: i - 1] + (args[i], args[i - 1]) + args[i + 1 :]
-            insert(swapped, value if adjacent_transposition_sign(parities, i) > 0 else -value)
-    return {args: v for args, v in table.items() if v}
+            insert(swapped, cell if adjacent_transposition_sign(parities, i) > 0 else {l: -v for l, v in cell.items()})
+    return scale, {args: c for args, c in cells.items() if c}

@@ -34,6 +34,7 @@ from .core import (
     NaryBracket,
     SuperSpace,
     complete_skew_orbit,
+    integer_table,
     multiplicative_algebra,
 )
 from .linalg import invert_map
@@ -64,9 +65,9 @@ class TriProduct:
 
     @classmethod
     def from_generators(cls, space, generators, twist) -> "TriProduct":
-        """Complete only the first-pair transposition orbit of the generators."""
-        table = complete_skew_orbit(3, generators, space, swaps=(1,))
-        return cls(space, NaryBracket(3, table), twist)
+        """Complete only the first-pair transposition orbit of the generators, {args: Element or mapping}."""
+        table = integer_table({a: (v if isinstance(v, Element) else Element(v)).coeffs for a, v in generators.items()})
+        return cls(space, NaryBracket.of_table(3, complete_skew_orbit(3, table, space, swaps=(1,))), twist)
 
     def value(self, args) -> Element:
         return self.product.value(args)

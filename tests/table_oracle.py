@@ -13,10 +13,14 @@ The table algebra itself ran on ``{cell: Element}`` tables with ``Fraction``
 coefficients before it moved to integer numerators over one scale; that
 form of ``_compose``, ``_permute`` and ``_sum_tables`` is kept below, with
 the helpers it used and its cell-by-cell ``diff_report``, as the oracle for
-the integer form.
+the integer form.  So is the skew-orbit completion on ``Element``,
+``Fraction`` and mapping values that :func:`homnambu.core.complete_skew_orbit`
+replaced with one on integer tables.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
 
 from homnambu.axioms import CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP
 from homnambu.cochains import SuperCochain
@@ -25,6 +29,8 @@ from homnambu.core import (
     GradedLinearMap,
     HomSuperAlgebra,
     NaryBracket,
+    OrbitConflict,
+    SuperSpace,
     adjacent_transposition_sign,
     eval_bracket,
     koszul_sign,
@@ -244,3 +250,47 @@ def diff_report(identity, space, n, left, right, cap, note="") -> CheckReport:
         if left.get(x) != right.get(x):
             col.fail(x, left.get(x, Element()), right.get(x, Element()), note)
     return col.report()
+
+
+# ---------------------------------------------------------------------------
+# Skew-orbit completion on Element, Fraction and mapping values
+# ---------------------------------------------------------------------------
+
+def complete_skew_orbit(
+    arity: int,
+    generators: Mapping[tuple[str, ...], object],
+    space: SuperSpace,
+    swaps: Sequence[int] | None = None,
+) -> dict:
+    """Extend generating values to every index tuple their orbit reaches.
+
+    The orbit is generated by the adjacent transpositions at the 1-based
+    positions ``swaps`` (all of 1..arity-1 by default); each carries the
+    Koszul skew sign, applied by unary minus, so values may be
+    :class:`Element` brackets or ``Fraction`` cochain values (mappings are
+    read as elements).  A tuple whose orbit forces v = -v with v nonzero, or
+    two generators disagreeing on one orbit, raise :class:`OrbitConflict`.
+    Zero values are dropped from the result.
+    """
+    if swaps is None:
+        swaps = range(1, arity)
+    table = {}
+    worklist = []
+
+    def insert(args, value):
+        existing = table.get(args)
+        if existing is None:
+            table[args] = value
+            worklist.append((args, value))
+        elif existing != value:
+            raise OrbitConflict(args, existing, value)
+
+    for args, value in generators.items():
+        insert(tuple(args), Element(value) if isinstance(value, Mapping) else value)
+    while worklist:
+        args, value = worklist.pop()
+        parities = [space.parity(a) for a in args]
+        for i in swaps:
+            swapped = args[: i - 1] + (args[i], args[i - 1]) + args[i + 1 :]
+            insert(swapped, value if adjacent_transposition_sign(parities, i) > 0 else -value)
+    return {args: v for args, v in table.items() if v}

@@ -82,6 +82,17 @@ class TestParse:
         bundle = algfile.parse(json.dumps(doc))
         assert bundle.algebra.bracket.value(("e1", "e0")).is_zero()
 
+    @pytest.mark.parametrize("skew_complete", [True, False])
+    def test_zero_entries_add_no_cell(self, skew_complete):
+        """An entry whose values are all zero adds no cell to the bracket, completed or verbatim."""
+        doc = sample_doc()
+        doc["skew_complete"] = skew_complete
+        plain = algfile.parse(json.dumps(doc)).algebra.bracket
+        doc["bracket"] += [{"args": ["e1", "e1"], "value": {"e0": "0"}}, {"args": ["e0", "e0"], "value": {}}]
+        bracket = algfile.parse(json.dumps(doc)).algebra.bracket
+        assert bracket == plain
+        assert all(bracket.table[1].values())
+
     def test_unknown_label_in_bracket(self):
         doc = sample_doc()
         doc["bracket"][0]["args"] = ["e0", "zz"]

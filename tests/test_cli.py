@@ -177,6 +177,16 @@ def _with_operator(**fields):
     return mutate
 
 
+def _bracket(*entries):
+    """A mutation replacing the bracket by (args, value) entries, args spelled as one string of labels."""
+    return _set(("bracket",), [{"args": list(args), "value": value} for args, value in entries])
+
+
+def _cochain(*values):
+    """A mutation attaching one degree-2 cochain with (args, value) entries, args as in :func:`_bracket`."""
+    return _set(("cochains",), [{"degree": 2, "values": [{"args": list(args), "value": v} for args, v in values]}])
+
+
 def _check_malformed(tmp_path, mutate, command="check") -> str:
     """Run ``command`` on the mutated one-entry file; return its one error line."""
     doc = _one_entry_doc()
@@ -261,6 +271,43 @@ class TestMalformedFile:
         text = json.dumps(doc).replace('"BARE"', digits)
         assert len(_check_unreadable(tmp_path, text.encode())) < 200
 
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (
+                _bracket(("ab", {"a": "1/2"}), ("ba", {"a": "1/2"})),
+                "error: inconsistent values on ('a', 'b'): orbit forces (1/2)*a, found (-1/2)*a",
+            ),
+            (
+                _bracket(("aa", {"b": "1"})),
+                "error: inconsistent values on ('a', 'a'): orbit forces (1)*b, found (-1)*b",
+            ),
+            (
+                _bracket(("ab", {"a": "0"}), ("ba", {"a": "2", "b": "-1/3"})),
+                "error: inconsistent values on ('a', 'b'): orbit forces 0, found (-2)*a + (1/3)*b",
+            ),
+            (
+                _cochain(("ab", "1"), ("ba", "1")),
+                "error: bad cochain 0: inconsistent values on ('a', 'b'): orbit forces 1, found -1",
+            ),
+            (
+                _cochain(("aa", "-1")),
+                "error: bad cochain 0: inconsistent values on ('a', 'a'): orbit forces -1, found 1",
+            ),
+        ],
+        ids=[
+            "bracket-disagree", "bracket-repeated-even", "bracket-zero-generator", "cochain-disagree", "cochain-repeated-even",
+        ],
+    )
+    def test_orbit_conflict_error_line(self, tmp_path, mutate, line):
+        """Each conflict names the first tuple the completion meets and both values it saw there."""
+        assert _check_malformed(tmp_path, mutate) == line
+
+    def test_unknown_operator_kind(self, tmp_path):
+        assert _check_malformed(tmp_path, _with_operator(kind="derivative"), "rb-verify") == (
+            "error: unknown operator kind 'derivative'"
+        )
+
 
 def _oversized_twist_file(tmp_path):
     """osp12 with two twist entries of 2,200 digits: the loader takes them, the output outgrows int()."""
@@ -324,6 +371,28 @@ class TestInternalError:
 
 
 class TestInduce:
+    def test_failing_cochain_text_report(self, tmp_path):
+        """Scalar sides of a failing cochain identity read as reduced fractions,
+        as in the structured report; the text report printed Fraction(-1, 1)."""
+        from homnambu import algfile
+        from homnambu.catalog import catalog_build
+        from homnambu.cochains import SuperCochain
+
+        bundle = catalog_build("g5_1_1")
+        phi = SuperCochain(bundle.algebra.space, 1, {("e0",): 1})
+        path = tmp_path / "g5_phi.json"
+        path.write_text(algfile.emit(algfile.AlgebraBundle("g5_phi", bundle.algebra, (phi,), bundle.operators)))
+        result = run_cli("induce", str(path), "--method", "phi", "--n", "3")
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == [
+            "FAIL wedge-obstruction (tuples=8, failures=3)",
+            "  at (e0, e1, e1): lhs=-1 rhs=0",
+            "  at (e1, e0, e1): lhs=1 rhs=0",
+            "  at (e1, e1, e0): lhs=-1 rhs=0",
+            "FAIL twist-invariance (tuples=2, failures=1)",
+            "  at (e0): lhs=4 rhs=1",
+        ]
+
     def test_arity_below_two_exit_two(self):
         result = run_cli(
             "induce", "catalog:g3_1_1?a=2", "--method", "iterate", "--n", "1"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import table_oracle
 from homnambu import algfile, axioms, catalog, cochains, core, derivations, rotabaxter
 from homnambu.core import (
     Element,
@@ -15,7 +16,9 @@ from homnambu.core import (
     SuperSpace,
     adjacent_transposition_sign,
     complete_skew_orbit,
+    element_at,
     eval_bracket,
+    integer_table,
     map_compose,
     map_power,
     multiplicative_algebra,
@@ -49,16 +52,16 @@ def two_dim(parities=(0, 1)):
 
 def g3(a=2):
     space = two_dim()
-    entries = complete_skew_orbit(2, {("e0", "e1"): Element({"e1": 1})}, space)
+    table = complete_skew_orbit(2, integer_table({("e0", "e1"): {"e1": 1}}), space)
     alpha = GradedLinearMap.from_matrix(space, [[1, 0], [0, a]])
-    return multiplicative_algebra(space, NaryBracket(2, entries), alpha)
+    return multiplicative_algebra(space, NaryBracket.of_table(2, table), alpha)
 
 
 def g5(a=2):
     space = two_dim()
-    entries = complete_skew_orbit(2, {("e1", "e1"): Element({"e0": 1})}, space)
+    table = complete_skew_orbit(2, integer_table({("e1", "e1"): {"e0": 1}}), space)
     alpha = GradedLinearMap.from_matrix(space, [[a * a, 0], [0, a]])
-    return multiplicative_algebra(space, NaryBracket(2, entries), alpha)
+    return multiplicative_algebra(space, NaryBracket.of_table(2, table), alpha)
 
 
 class TestScalar:
@@ -237,57 +240,131 @@ class TestEvalBracket:
 class TestOrbitCompletion:
     def test_fills_swapped_entry(self):
         space = two_dim()
-        entries = complete_skew_orbit(2, {("e0", "e1"): Element({"e1": 1})}, space)
-        assert entries[("e1", "e0")] == Element({"e1": -1})
+        table = complete_skew_orbit(2, integer_table({("e0", "e1"): {"e1": 1}}), space)
+        assert element_at(table, ("e1", "e0")) == Element({"e1": -1})
 
     def test_odd_square_is_fixed_point(self):
         space = two_dim()
-        entries = complete_skew_orbit(2, {("e1", "e1"): Element({"e0": 1})}, space)
-        assert entries[("e1", "e1")] == Element({"e0": 1})
+        table = complete_skew_orbit(2, integer_table({("e1", "e1"): {"e0": 1}}), space)
+        assert element_at(table, ("e1", "e1")) == Element({"e0": 1})
 
     def test_even_square_conflicts(self):
         space = SuperSpace.from_pairs([("a", 0), ("b", 0)])
         with pytest.raises(OrbitConflict):
-            complete_skew_orbit(2, {("a", "a"): Element({"b": 1})}, space)
+            complete_skew_orbit(2, integer_table({("a", "a"): {"b": 1}}), space)
 
     def test_inconsistent_generators_conflict(self):
         space = SuperSpace.from_pairs([("a", 0), ("b", 0), ("v", 0)])
         with pytest.raises(OrbitConflict):
             complete_skew_orbit(
                 2,
-                {("a", "b"): Element({"v": 1}), ("b", "a"): Element({"v": 1})},
+                integer_table({("a", "b"): {"v": 1}, ("b", "a"): {"v": 1}}),
                 space,
             )
 
     def test_idempotent(self):
         space = SuperSpace.from_pairs([("a", 0), ("b", 1), ("c", 1)])
         first = complete_skew_orbit(
-            3, {("a", "b", "c"): Element({"a": F(2, 3)})}, space
+            3, integer_table({("a", "b", "c"): {"a": F(2, 3)}}), space
         )
         assert complete_skew_orbit(3, first, space) == first
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.integers(0, 1), min_size=3, max_size=4),
-        st.sampled_from((Element({"out": 1}), F(2, 3))),
+        st.sampled_from(({"out": 1}, {0: F(2, 3)})),
         st.sampled_from((None, (1,))),
     )
     def test_orbit_signs_match_permutation_oracle(self, parities, value, swaps):
-        """Bracket values and cochain scalars alike; with ``swaps=(1,)`` only the
-        first-pair transposition is applied, so the orbit has two tuples."""
+        """Bracket cells and one-output cochain cells alike; with ``swaps=(1,)``
+        only the first-pair transposition is applied, so the orbit has two tuples."""
         labels = [f"b{i}" for i in range(len(parities))]
         space = SuperSpace.from_pairs(list(zip(labels, parities)) + [("out", 0)])
         seed = tuple(labels)
-        zero = value - value
-        entries = complete_skew_orbit(len(labels), {seed: value}, space, swaps=swaps)
+        value = Element(value)
+        table = complete_skew_orbit(len(labels), integer_table({seed: value.coeffs}), space, swaps=swaps)
         for perm in itertools.permutations(range(len(labels))):
             key = tuple(labels[i] for i in perm)
             if swaps is None or perm[2:] == tuple(range(2, len(labels))):
                 sign = permutation_sign(parities, list(perm))
                 expected = value if sign > 0 else -value
             else:
-                expected = zero
-            assert entries.get(key, zero) == expected
+                expected = Element()
+            assert element_at(table, key) == expected
+        assert len(table[1]) == (2 if swaps else len(list(itertools.permutations(labels))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bracket_completion_matches_oracle(self, data):
+        """Integer-table completion against the Element completion it replaced:
+        the same tables, or the same conflict with the same message."""
+        space, n, swaps, generators = data.draw(orbit_generators(cochain=False))
+        expected = _outcome(lambda: table_oracle.complete_skew_orbit(n, generators, space, swaps))
+
+        def completed():
+            table = complete_skew_orbit(n, integer_table(generators), space, swaps)
+            return {args: element_at(table, args) for args in table[1]}
+
+        assert _outcome(completed) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cochain_completion_matches_oracle(self, data):
+        """A cochain completes on its one-output table and reports a conflict
+        with scalar sides, as the completion on Fraction values did."""
+        space, n, _, generators = data.draw(orbit_generators(cochain=True))
+        expected = _outcome(lambda: table_oracle.complete_skew_orbit(n, generators, space))
+        assert _outcome(lambda: cochains.SuperCochain(space, n, generators).values) == expected
+
+
+ORBIT_VALUES = (F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(3))
+
+
+def _outcome(complete):
+    """The completion, or the type and message of its OrbitConflict."""
+    try:
+        return complete()
+    except OrbitConflict as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def orbit_generators(draw, cochain):
+    """(space, arity, swaps, generators) over at most three labels.
+
+    Generators may be zero (a zero value or, for brackets, no outputs), repeat
+    even labels, and come in pairs on one orbit: a permutation of the first
+    generator's tuple that either disagrees with it or carries the value its
+    orbit forces.  Brackets map to {label: Fraction}, cochains to a Fraction
+    on even tuples, completed under every swap.
+    """
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    space = SuperSpace(tuple(f"e{i}" for i in range(len(parities))), tuple(parities))
+    n = draw(st.integers(2, 4))
+    swaps = None if cochain else draw(st.sampled_from((None, (1,))))
+    parity = lambda args: sum(map(space.parity, args)) % 2
+    keys = draw(st.lists(st.tuples(*[st.sampled_from(space.labels)] * n), max_size=4, unique=True))
+    if cochain:
+        keys = [args for args in keys if not parity(args)]
+
+    def value(args):
+        if cochain:
+            return draw(st.sampled_from(ORBIT_VALUES))
+        outs = [l for l in space.labels if space.parity(l) == parity(args)]
+        picked = draw(st.lists(st.sampled_from(outs), max_size=2, unique=True)) if outs else []
+        return {l: draw(st.sampled_from(ORBIT_VALUES)) for l in picked}
+
+    generators = {args: value(args) for args in keys}
+    if keys and draw(st.booleans()):
+        first, twin = keys[0], tuple(draw(st.permutations(keys[0])))
+        if twin != first:
+            generators.pop(twin, None)
+            forced = _outcome(lambda: table_oracle.complete_skew_orbit(n, {first: generators[first]}, space, swaps))
+            if isinstance(forced, dict) and draw(st.booleans()):
+                generators[twin] = forced.get(twin, F(0)) if cochain else dict(forced.get(twin, Element()).coeffs)
+            else:
+                generators[twin] = value(twin)
+    return space, n, swaps, generators
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from homnambu.core import (
     NaryBracket,
     SuperSpace,
     complete_skew_orbit,
+    integer_table,
     multiplicative_algebra,
 )
 from homnambu.derivations import (
@@ -109,12 +110,13 @@ def multiplicative_algebras(draw):
         if outputs:
             outs = draw(st.lists(st.sampled_from(outputs), min_size=1, max_size=2, unique=True))
             generators[args] = {l: draw(rationals) for l in outs}
-    entries = complete_skew_orbit(n, generators, space) if skew else generators
+    table = integer_table(generators)
+    bracket = NaryBracket.of_table(n, complete_skew_orbit(n, table, space) if skew else table)
     kind = draw(st.sampled_from(TWIST_KINDS))
     alpha = GradedLinearMap.zero(space) if kind == "zero" else draw(even_maps(space, kind))
     event(f"dim {dim}, arity {n}, {'skew' if skew else 'raw'}, {kind} twist")
     event("grassmann envelope" if envelope else "plain")
-    alg = multiplicative_algebra(space, NaryBracket(n, entries), alpha)
+    alg = multiplicative_algebra(space, bracket, alpha)
     return grassmann_envelope(alg) if envelope else alg
 
 

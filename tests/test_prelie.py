@@ -59,6 +59,13 @@ class TestTriProduct:
         )
         assert prod.value(("b", "a", "a")) == Element({"b": -1})
 
+    def test_mapping_generators_read_as_elements(self):
+        space = SuperSpace.from_pairs([("a", 0), ("b", 1)])
+        twist = GradedLinearMap.identity(space)
+        from_elements = TriProduct.from_generators(space, {("a", "b", "a"): Element({"b": F(1, 2)})}, twist)
+        from_mapping = TriProduct.from_generators(space, {("a", "b", "a"): {"b": "1/2"}}, twist)
+        assert from_mapping.product == from_elements.product
+
     def test_conflicting_generators(self):
         space = SuperSpace.from_pairs([("a", 0), ("b", 0)])
         with pytest.raises(OrbitConflict):

@@ -80,12 +80,18 @@ def odd_space(rng, max_dim=3):
             return space
 
 
+def completed(arity, entries, space):
+    """The skew orbits of {args: Element} entries, completed on their integer table, back as elements."""
+    table = complete_skew_orbit(arity, integer_table({args: v.coeffs for args, v in entries.items()}), space)
+    return {args: element_at(table, args) for args in table[1]}
+
+
 def tensor(rng, space, arity, skew):
     """Random graded entries; skew-completed when ``skew`` and the orbits allow it."""
     entries = random_inputs.graded_tensor(rng, space, arity)
     if skew:
         try:
-            return complete_skew_orbit(arity, entries, space)
+            return completed(arity, entries, space)
         except OrbitConflict:
             pass
     return entries
@@ -99,7 +105,7 @@ def skew_binary(rng, space):
     """A binary multiplicative algebra whose bracket is super-skew."""
     while True:
         try:
-            entries = complete_skew_orbit(2, random_inputs.graded_tensor(rng, space, 2), space)
+            entries = completed(2, random_inputs.graded_tensor(rng, space, 2), space)
         except OrbitConflict:
             continue
         return multiplicative_algebra(space, NaryBracket(2, entries), twist(rng, space))
