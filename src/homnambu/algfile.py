@@ -1,12 +1,13 @@
 """The on-disk algebra format: UTF-8 JSON plus '#' comment lines.
 
-Scalars are fraction strings "p/q" (the "/q" omitted when the denominator is
-1); no floating point appears anywhere.  A document carries the basis with
-parities, the twist matrices (one matrix with ``"multiplicative": true``, or a
-full list of arity-1 matrices), the bracket tensor, optional cochains and
-optional operators.  With ``skew_complete`` true the listed bracket entries
-are a generating set and the loader fills their skew orbits; with false the
-tensor is taken verbatim (nested brackets, for instance, are not skew).
+Scalars are integers or fraction strings "p/q" (the "/q" omitted when the
+denominator is 1) in :func:`core.scalar`'s grammar, which ``catalog:``
+parameters share; no floating point appears anywhere.  A document carries the
+basis with parities, the twist matrices (one matrix with ``"multiplicative":
+true``, or a full list of arity-1 matrices), the bracket tensor, optional
+cochains and optional operators.  With ``skew_complete`` true the listed
+bracket entries are a generating set and the loader fills their skew orbits;
+with false the tensor is taken verbatim (nested brackets are not skew).
 
 Emission is canonical: fixed key order, entries sorted by basis index, reduced
 scalars.  ``emit(parse(text))`` is byte-identical for canonical input.
@@ -15,7 +16,6 @@ scalars.  ``emit(parse(text))`` is byte-identical for canonical input.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 from .axioms import check_grading
@@ -24,10 +24,10 @@ from .core import (
     GradedLinearMap,
     HomSuperAlgebra,
     NaryBracket,
-    OversizedScalar,
+    ScalarSyntaxError,
     SuperSpace,
     complete_skew_orbit,
-    format_scalar,
+    format_ratio,
     integer_table,
     record,
     scalar,
@@ -60,40 +60,25 @@ class AlgebraBundle:
     operators: tuple[AttachedOperator, ...] = ()
 
 
-_FRACTION_RE = None  # compiled lazily
-
-
-def _scalar(value, where: str, seen: dict) -> Fraction:
-    """The rational ``value`` names; ``seen`` holds the strings parsed so far in this document."""
-    global _FRACTION_RE
-    if isinstance(value, bool):
+def _scalar(value, where: str) -> Fraction:
+    """The rational ``value`` names: an integer or a string in :func:`core.scalar`'s grammar."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise AlgebraFileError(f"{where}: scalars must be integers or 'p/q' strings")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if value in seen:
-            return seen[value]
-        if _FRACTION_RE is None:
-            import re
-
-            _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
-        if not _FRACTION_RE.match(value.strip()):
-            raise AlgebraFileError(f"bad scalar {value!r} in {where}: expected 'p' or 'p/q'")
-        try:
-            seen[value] = scalar(value)
-            return seen[value]
-        except ZeroDivisionError:
-            raise AlgebraFileError(f"bad scalar {value!r} in {where}: zero denominator") from None
-        except ValueError as exc:  # more digits than int() converts
-            raise AlgebraFileError(f"bad scalar in {where}: {exc}") from None
-    raise AlgebraFileError(f"{where}: scalars must be integers or 'p/q' strings")
+    try:
+        return scalar(value)
+    except ZeroDivisionError:
+        raise AlgebraFileError(f"bad scalar {value!r} in {where}: zero denominator") from None
+    except ScalarSyntaxError as exc:
+        raise AlgebraFileError(f"bad scalar {value!r} in {where}: {exc}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise AlgebraFileError(f"bad scalar in {where}: {exc}") from None
 
 
-def _matrix(space: SuperSpace, rows, where: str, seen: dict, parity: int = 0) -> GradedLinearMap:
+def _matrix(space: SuperSpace, rows, where: str, parity: int = 0) -> GradedLinearMap:
     d = space.dim
     if not isinstance(rows, list) or len(rows) != d or any(not isinstance(r, list) or len(r) != d for r in rows):
         raise AlgebraFileError(f"{where}: expected a {d}x{d} row-major matrix")
-    values = [[_scalar(v, where, seen) for v in row] for row in rows]
+    values = [[_scalar(v, where) for v in row] for row in rows]
     try:
         return GradedLinearMap.from_matrix(space, values, parity=parity)
     except ValueError as exc:
@@ -156,7 +141,6 @@ def load(doc) -> AlgebraBundle:
     if not isinstance(arity, int) or arity < 2:
         raise AlgebraFileError("arity must be an integer >= 2")
 
-    seen: dict[str, Fraction] = {}  # scalar strings parsed so far
     twist_docs = doc["twists"]
     multiplicative = doc.get("multiplicative", False)
     if not isinstance(twist_docs, list) or not twist_docs:
@@ -164,12 +148,12 @@ def load(doc) -> AlgebraBundle:
     if multiplicative:
         if len(twist_docs) != 1:
             raise AlgebraFileError("a multiplicative document carries one twist matrix")
-        alpha = _matrix(space, twist_docs[0], "twist", seen)
+        alpha = _matrix(space, twist_docs[0], "twist")
         twists = (alpha,) * (arity - 1)
     else:
         if len(twist_docs) != arity - 1:
             raise AlgebraFileError(f"arity {arity} needs {arity - 1} twist matrices")
-        twists = tuple(_matrix(space, rows, f"twist {i}", seen) for i, rows in enumerate(twist_docs))
+        twists = tuple(_matrix(space, rows, f"twist {i}") for i, rows in enumerate(twist_docs))
 
     generators = {}
     for item in _array(doc["bracket"], "bracket"):
@@ -180,7 +164,7 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f"bad bracket entry: {exc}") from None
         if not isinstance(value_doc, dict):
             raise AlgebraFileError(f"bracket entry {args}: value must be an object")
-        value = {l: _scalar(v, f"bracket {args}", seen) for l, v in value_doc.items()}
+        value = {l: _scalar(v, f"bracket {args}") for l, v in value_doc.items()}
         if len(args) != arity:
             raise AlgebraFileError(f"bracket entry {args} does not have arity {arity}")
         for label in args + tuple(value):
@@ -205,10 +189,13 @@ def load(doc) -> AlgebraBundle:
     for i, cdoc in enumerate(_array(doc.get("cochains", []), "cochains")):
         try:
             degree = cdoc["degree"]
-            values = {
-                _labels(item["args"], f"cochain {i} args"): _scalar(item["value"], f"cochain {i}", seen)
-                for item in _array(cdoc["values"], f"cochain {i} values")
-            }
+            values = {}
+            for item in _array(cdoc["values"], f"cochain {i} values"):
+                args = _labels(item["args"], f"cochain {i} args")
+                value = _scalar(item["value"], f"cochain {i}")
+                if args in values:
+                    raise AlgebraFileError(f"bad cochain {i}: duplicate entry {args}")
+                values[args] = value
         except (TypeError, KeyError) as exc:
             raise AlgebraFileError(f"bad cochain {i}: {exc}") from None
         if not isinstance(degree, int) or isinstance(degree, bool):
@@ -234,8 +221,8 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f'operator {i}: "parity" must be the integer 0 or 1')
         if kind == "rota_baxter" and parity:
             raise AlgebraFileError(f'operator {i}: a rota_baxter operator needs "parity" 0')
-        mat = _matrix(space, rows, f"operator {i}", seen, parity=parity)
-        weight = _scalar(odoc.get("weight", 0), f"operator {i}", seen)
+        mat = _matrix(space, rows, f"operator {i}", parity=parity)
+        weight = _scalar(odoc.get("weight", 0), f"operator {i}")
         power = odoc.get("power", 0)
         if type(power) is not int or power < 0:
             raise AlgebraFileError(f'operator {i}: "power" must be a nonnegative integer')
@@ -250,11 +237,7 @@ def load(doc) -> AlgebraBundle:
 
 def _ratio(numerator: int, scale: int) -> str:
     """numerator/scale as a quoted reduced scalar, "p" or "p/q"."""
-    g = math.gcd(numerator, scale)
-    try:
-        return f'"{numerator // g}"' if g == scale else f'"{numerator // g}/{scale // g}"'
-    except ValueError:  # more digits than int() converts
-        raise OversizedScalar from None
+    return f'"{format_ratio(numerator, scale)}"'
 
 
 def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -307,7 +290,8 @@ def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
     if bundle.operators:
         fields["operators"] = _block([
             obj(2, kind=json.dumps(op.kind, ensure_ascii=False), power=op.power,
-                weight=f'"{format_scalar(op.weight)}"', parity=op.map.parity, matrix=matrix(op.map, 3))
+                weight=_ratio(op.weight.numerator, op.weight.denominator), parity=op.map.parity,
+                matrix=matrix(op.map, 3))
             for op in bundle.operators
         ], 1)
     name = json.dumps({"name": bundle.name}, indent=2, ensure_ascii=False)[2:-2]  # any JSON value, at depth 1

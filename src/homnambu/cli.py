@@ -10,6 +10,7 @@ deterministic: two runs on the same input produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -131,8 +132,6 @@ def report_doc(report: CheckReport) -> dict:
 
 def render_reports(reports: list[CheckReport], mode: str, header: dict) -> str:
     if mode == "structured":
-        import json
-
         doc = dict(header)
         doc["checks"] = [report_doc(r) for r in reports]
         doc["passed"] = all(r.passed for r in reports)
@@ -255,8 +254,6 @@ def cmd_derive(args) -> int:
         raise InputProblem("k must be nonnegative")
     basis = solve_derivation_space(alg, args.k, args.parity)
     if args.report == "structured":
-        import json
-
         doc = {
             "command": "derive",
             "source": args.source,

@@ -90,9 +90,17 @@ class SuperCochain:
         return hash((self.space, self.degree, scale, frozenset((args, cell[0]) for args, cell in cells.items())))
 
 
-def _check_space(phi: SuperCochain, alg: HomSuperAlgebra):
+def _check_base(phi: SuperCochain, alg: HomSuperAlgebra, not_binary: str, n: int | None = None):
+    """Raise ValueError unless ``phi`` is on ``alg``'s space, ``alg`` is binary and, given n, phi has degree n - 2.
+
+    ``not_binary`` is the caller's message for a base of another arity.
+    """
     if phi.space != alg.space:
         raise ValueError("cochain on a different space")
+    if alg.arity != 2:
+        raise ValueError(not_binary)
+    if n is not None and phi.degree != n - 2:
+        raise ValueError(f"arity {n} needs a degree-{n - 2} cochain, got {phi.degree}")
 
 
 def _scalar(side: Element) -> Fraction:
@@ -111,9 +119,7 @@ def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     Pair (i, j) contributes with sign (-1)^(i+j+1) times the Koszul extraction
     sign (:func:`_pair_sum`); for k = 1 this collapses to x, y -> f([x, y]).
     """
-    _check_space(f, alg)
-    if alg.arity != 2:
-        raise ValueError("coboundary is defined over a binary algebra")
+    _check_base(f, alg, "coboundary is defined over a binary algebra")
     k = f.degree
     scale, pulled = _compose(f.table, slot_maps=[alg.bracket.table] + [alg.twists[0]] * (k - 1))
     # f(T(p), alpha(r)) sits at p + r; moving p behind r relabels the cells,
@@ -132,9 +138,7 @@ def wedge_obstruction(
     The value is -phi(anchor, [ys]_phi) (:func:`_wedge_table`), the induced
     bracket [ys]_phi summed only from the pair terms at permutations of ys.
     """
-    _check_space(phi, alg)
-    if alg.arity != 2:
-        raise ValueError("wedge obstruction lives over a binary algebra")
+    _check_base(phi, alg, "wedge obstruction lives over a binary algebra")
     n = phi.degree + 2
     if len(anchor) != n - 3 or len(ys) != n:
         raise ValueError("anchor/argument lengths inconsistent with the degree")
@@ -176,9 +180,7 @@ def check_induction_conditions(
     tuples, and phi(alpha x_1, x_2, ..) = phi(x) at every basis tuple x, the
     left side reported as lhs.
     """
-    _check_space(phi, alg)
-    if alg.arity != 2:
-        raise ValueError("induction conditions live over a binary algebra")
+    _check_base(phi, alg, "induction conditions live over a binary algebra")
     n = phi.degree + 2
     space = alg.space
     return InductionReport(
@@ -198,11 +200,7 @@ def triple_product(phi: SuperCochain, alg: HomSuperAlgebra) -> HomSuperAlgebra:
 
 def cochain_induced_bracket(phi: SuperCochain, alg: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     """The n-ary product induced by a degree-(n-2) cochain; twists all equal alpha."""
-    _check_space(phi, alg)
-    if alg.arity != 2:
-        raise ValueError("induced brackets start from a binary algebra")
-    if phi.degree != n - 2:
-        raise ValueError(f"arity {n} needs a degree-{n - 2} cochain, got {phi.degree}")
+    _check_base(phi, alg, "induced brackets start from a binary algebra", n)
     table = _induced_table(phi, alg)
     # the construction is skew by design; guards sign bugs
     if not _skew_report("induced", table, alg.space, n, range(1, n), 0).passed:
@@ -242,9 +240,7 @@ def _pair_sum(table, n, space):
 
 def is_supertrace(phi: SuperCochain, alg: HomSuperAlgebra) -> bool:
     """Vanishes on brackets in the first slot and is twist-invariant there."""
-    _check_space(phi, alg)
-    if alg.arity != 2:
-        raise ValueError("supertrace condition lives over a binary algebra")
+    _check_base(phi, alg, "supertrace condition lives over a binary algebra")
     return not _first_slot(phi, alg.bracket.table)[1] and not _differs(_first_slot(phi, alg.twists[0]), phi.table)
 
 
@@ -279,7 +275,7 @@ def derivation_transfer(
     every slot and basis tuple; when it fails the conclusion is not evaluated
     and no claim is made about it.
     """
-    _check_space(phi, alg)
+    _check_base(phi, alg, "induced brackets start from a binary algebra", n)
     base = check_derivation(cand, alg)
     if not base.passed:
         raise ValueError("transfer requires a verified derivation of the base algebra")

@@ -1,9 +1,9 @@
 """Exact substrate for Z2-graded n-ary algebras given by structure constants.
 
-Everything is computed over arbitrary-precision rationals (``fractions.Fraction``),
-so equality of algebraic expressions is decidable and all identity checks in the
-sibling modules are exact.  All values are immutable after construction; the
-functions here are pure and safe to call concurrently.
+Scalars are exact rationals, ``fractions.Fraction`` at the API; tensors and maps
+hold integer tables inside (:func:`integer_table`), so equality of algebraic
+expressions is decidable and all identity checks in the sibling modules are exact.
+All values are immutable; the functions here are pure and safe to call concurrently.
 
 Conventions:
 
@@ -16,8 +16,10 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
@@ -29,14 +31,29 @@ ONE = Fraction(1)
 
 
 def scalar(value) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to a reduced exact rational."""
+    """Coerce ints, Fractions and 'p' or 'p/q' strings to a reduced exact rational: the one scalar parser."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return _parse_scalar(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+class ScalarSyntaxError(ValueError):
+    """A string outside the scalar grammar."""
+
+
+_SCALAR = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+@functools.lru_cache(maxsize=1024)  # documents repeat few distinct strings many times
+def _parse_scalar(text: str) -> Fraction:
+    match = _SCALAR.fullmatch(text.strip())
+    if match is None:
+        raise ScalarSyntaxError("expected 'p' or 'p/q'")
+    return Fraction(int(match[1]), int(match[2] or 1))  # int()'s digit limit bounds the work
 
 
 class OversizedScalar(ValueError):
@@ -46,12 +63,18 @@ class OversizedScalar(ValueError):
         super().__init__(f"an output scalar has more than {sys.get_int_max_str_digits()} digits")
 
 
-def format_scalar(value: Fraction) -> str:
-    """Render as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
+def format_ratio(numerator: int, denominator: int) -> str:
+    """numerator/denominator (denominator > 0) in lowest terms as 'p' or 'p/q': the one way a scalar becomes text."""
+    g = math.gcd(numerator, denominator)
     try:
-        return str(Fraction(value))
+        return str(numerator // g) if g == denominator else f"{numerator // g}/{denominator // g}"
     except ValueError:  # more digits than int() converts
         raise OversizedScalar from None
+
+
+def format_scalar(value: Fraction) -> str:
+    """Render as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
+    return format_ratio(value.numerator, value.denominator)
 
 
 def integer_table(coefficients: Mapping) -> tuple[int, dict]:
@@ -551,9 +574,8 @@ class HomSuperAlgebra:
                 raise ValueError("twist maps must be even")
             if t.space != self.space:
                 raise ValueError("twist map on a different space")
-        if self.multiplicative_flag and len(set(id(t) for t in self.twists)) > 1:
-            if any(t != self.twists[0] for t in self.twists[1:]):
-                raise ValueError("multiplicative algebras carry one shared twist")
+        if self.multiplicative_flag and any(t != self.twists[0] for t in self.twists[1:]):
+            raise ValueError("multiplicative algebras carry one shared twist")
 
     @property
     def arity(self) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .axioms import (
     CheckReport, _Collector, DEFAULT_COUNTEREXAMPLE_CAP, _compose, _diff_report, _sum_tables, _twist_commutation
 )
-from .cochains import SuperCochain, _check_space, _pair_sum, _weighed, cochain_induced_bracket
+from .cochains import SuperCochain, _check_base, _pair_sum, _weighed, cochain_induced_bracket
 from .core import GradedLinearMap, HomSuperAlgebra, ZERO, record, scalar
 from .derivations import DerivationCandidate, check_derivation
 from .linalg import invert_map
@@ -124,9 +124,7 @@ def check_phi_rb_kernel_condition(
     when the hypotheses of the displayed equivalence hold; the report records
     both so the equivalence itself is exercised.
     """
-    _check_space(phi, alg)
-    if alg.arity != 2:
-        raise ValueError("kernel condition starts from a binary algebra")
+    _check_base(phi, alg, "kernel condition starts from a binary algebra")
     induced = cochain_induced_bracket(phi, alg, n)
     pairs = _weighed(phi, _compose(alg.bracket.table, slot_maps=[R, R]))
     # phi with R on every slot but one, summed over that slot, times B∘(R, R)

@@ -85,6 +85,30 @@ class TestCheck:
         assert len(check["counterexamples"]) == 2
         assert check["failures"] > 2
 
+    @pytest.mark.parametrize(
+        "args, piece",
+        [
+            (["catalog:g3_1_1?a=1.5"], "a=1.5"),
+            (["catalog:g3_1_1?a=1_0"], "a=1_0"),
+            (["catalog:g3_1_1", "--params", "a=+2"], "a=+2"),
+            (["catalog:g3_1_1?a=1e10000000"], "a=1e10000000"),
+            (["catalog:g3_1_1", "--params", "a=1e10000000"], "a=1e10000000"),
+        ],
+        ids=["decimal", "underscore", "plus", "exponent", "exponent-params"],
+    )
+    def test_parameter_outside_scalar_grammar_exit_two(self, args, piece):
+        """Parameters took every form Fraction() reads; a=1e10000000 ran for seconds
+        and exited 0 with a ten-million-digit twist.  Each now exits 2 at once."""
+        result = subprocess.run(CLI + ["check", *args], capture_output=True, text=True, timeout=5)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: bad parameter value in '{piece}'"]
+
+    def test_parameter_with_spaces_still_parses(self):
+        result = run_cli("check", "catalog:g3_1_1", "--params", "a= 3/6 ")
+        assert result.returncode == 0
+        assert result.stdout == run_cli("check", "catalog:g3_1_1?a=1/2").stdout
+
     def test_negative_max_counterexamples_exit_two(self):
         result = run_cli("check", "catalog:g3_1_1", "--max-counterexamples", "-1")
         assert result.returncode == 2
@@ -302,6 +326,29 @@ class TestMalformedFile:
     def test_orbit_conflict_error_line(self, tmp_path, mutate, line):
         """Each conflict names the first tuple the completion meets and both values it saw there."""
         assert _check_malformed(tmp_path, mutate) == line
+
+    @pytest.mark.parametrize(
+        "value, line",
+        [
+            ("1.5", "error: bad scalar '1.5' in bracket ('a', 'b'): expected 'p' or 'p/q'"),
+            ("1/0", "error: bad scalar '1/0' in bracket ('a', 'b'): zero denominator"),
+            (
+                "7" * 5000,
+                f"error: bad scalar in bracket ('a', 'b'): Exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+                "for integer string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+                "the limit",
+            ),
+        ],
+        ids=["grammar", "zero-denominator", "oversized"],
+    )
+    def test_bad_scalar_error_line(self, tmp_path, value, line):
+        assert _check_malformed(tmp_path, _set(("bracket", 0, "value", "b"), value)) == line
+
+    def test_duplicate_cochain_entry(self, tmp_path):
+        """A cochain listing the same args twice loaded with the last value; now it is an error, as for brackets."""
+        values = [{"args": ["a"], "value": "1"}, {"args": ["a"], "value": "2"}]
+        mutate = _set(("cochains",), [{"degree": 1, "values": values}])
+        assert _check_malformed(tmp_path, mutate) == "error: bad cochain 0: duplicate entry ('a',)"
 
     def test_unknown_operator_kind(self, tmp_path):
         assert _check_malformed(tmp_path, _with_operator(kind="derivative"), "rb-verify") == (

@@ -25,7 +25,8 @@ from homnambu.core import (
     SuperSpace,
     pair_extraction_sign,
 )
-from homnambu.derivations import DerivationCandidate, check_derivation
+from homnambu.derivations import DerivationCandidate, check_derivation, solve_derivation_space
+from homnambu.iterated import iterated_bracket
 from homnambu.rotabaxter import check_phi_rb_kernel_condition
 
 
@@ -329,6 +330,23 @@ class TestDerivationTransfer:
         assert report.conclusion is None
         assert not report.passed
 
+    def test_non_binary_base_rejected_before_the_hypothesis(self):
+        """The base's arity was checked only after the phi-annihilation hypothesis
+        passed, so this input got a hypothesis-failed report."""
+        alg3 = iterated_bracket(catalog_build("g5_1_1").algebra, 3)
+        phi = SuperCochain(alg3.space, 1, {("e0",): 1})
+        d = DerivationCandidate(solve_derivation_space(alg3, 0, 0)[0], 0)
+        with pytest.raises(ValueError, match="^induced brackets start from a binary algebra$"):
+            derivation_transfer(d, phi, alg3, 3)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_arity_off_the_degree_rejected_before_the_hypothesis(self, n):
+        g5 = catalog_build("g5_1_1").algebra
+        phi = SuperCochain(g5.space, 1, {("e0",): 1})
+        d = DerivationCandidate(solve_derivation_space(g5, 0, 0)[0], 0)
+        with pytest.raises(ValueError, match=f"^arity {n} needs a degree-{n - 2} cochain, got 1$"):
+            derivation_transfer(d, phi, g5, n)
+
     def test_non_derivation_rejected(self):
         alg, phi = L1(a=1, b=3)
         not_deriv = DerivationCandidate(
@@ -362,3 +380,12 @@ def test_cochain_on_another_space_is_rejected(entry):
     phi = SuperCochain(flipped, 1, {("e3",): 1})
     with pytest.raises(ValueError, match="cochain on a different space"):
         ENTRY_POINTS[entry](phi, alg)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_binary_base_is_rejected(entry):
+    """L1's bracket nested to arity 3, with a cochain on its space: every entry point needs a binary base."""
+    alg, _ = L1()
+    nested = iterated_bracket(alg, 3)
+    with pytest.raises(ValueError, match="binary algebra$"):
+        ENTRY_POINTS[entry](SuperCochain(nested.space, 1, {("e1",): 1}), nested)

@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from homnambu.core import (
     HomSuperAlgebra,
     NaryBracket,
     OrbitConflict,
+    OversizedScalar,
     SuperSpace,
     adjacent_transposition_sign,
     complete_skew_orbit,
@@ -26,6 +29,7 @@ from homnambu.core import (
     pair_extraction_sign,
     record,
     scalar,
+    format_ratio,
     format_scalar,
     supercommutator_maps,
 )
@@ -74,6 +78,42 @@ class TestScalar:
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
             scalar(0.5)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(["0", "1", "7", "10", "/", "-", "+", ".", "e", "_", " "]), max_size=7).map("".join))
+    def test_string_grammar_is_the_file_grammar(self, text):
+        """Strings parse exactly when they read -?digits(/digits)? once stripped, as Fraction reads them;
+        decimal, exponent, underscore and '+' forms, which Fraction also takes, raise ValueError."""
+        match = re.fullmatch(r"-?[0-9]+(/([0-9]+))?", text.strip())
+        if match is None:
+            with pytest.raises(ValueError):
+                scalar(text)
+        elif match[2] is not None and int(match[2]) == 0:
+            with pytest.raises(ZeroDivisionError):
+                scalar(text)
+        else:
+            assert scalar(text) == F(text.strip())
+
+    def test_library_strings_follow_the_grammar(self):
+        assert Element({"e0": " 3/6 "}) == Element({"e0": F(1, 2)})
+        for text in ("1.5", "1e10000000", "1_0", "+2"):
+            with pytest.raises(ValueError):
+                Element({"e0": text})
+            with pytest.raises(ValueError):
+                catalog.catalog_build("g3_1_1", a=text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    def test_format_ratio_writes_the_reduced_fraction(self, numerator, denominator):
+        assert format_ratio(numerator, denominator) == str(F(numerator, denominator))
+
+    def test_format_ratio_past_the_digit_limit(self):
+        big = 7 * 10 ** sys.get_int_max_str_digits()
+        for numerator, denominator in ((big, 1), (-big, 3), (1, big)):
+            with pytest.raises(OversizedScalar):
+                format_ratio(numerator, denominator)
+        with pytest.raises(OversizedScalar):
+            format_scalar(F(1, big))
 
 
 class TestSigns:
