@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cache
 
 from .core import (
-    Element, GradedLinearMap, HomSuperAlgebra, element_at, eval_bracket, format_scalar, koszul_sign, record,
+    Element, GradedLinearMap, HomSuperAlgebra, _common, _nonzero, _sum_tables, element_at, eval_bracket,
+    format_scalar, koszul_sign, record,
 )
 
 DEFAULT_COUNTEREXAMPLE_CAP = 16
@@ -430,36 +431,10 @@ def _permute(table, order, space, sign=1):
     return scale, out
 
 
-def _sum_tables(tables):
-    """Add integer tables cell by cell over their common scale (:func:`_common`); zero cells are dropped."""
-    scale, parts = _common(list(tables))
-    total: dict[tuple, dict] = {}
-    for cells in parts:
-        for x, value in cells.items():
-            cell = total.setdefault(x, {})
-            for r, c in value.items():
-                cell[r] = cell.get(r, 0) + c
-    return scale, _nonzero(total)
-
-
-def _common(tables) -> tuple[int, list]:
-    """(scale, [cells, ..]): the cells of integer tables over the least common multiple of their scales."""
-    scale = math.lcm(1, *(s for s, _ in tables))
-    return scale, [
-        cells if s == scale else {x: {r: v * (scale // s) for r, v in cell.items()} for x, cell in cells.items()}
-        for s, cells in tables
-    ]
-
-
 def _differs(left, right) -> list:
     """The cells where two integer tables differ, compared over their common scale."""
     _, (cl, cr) = _common([left, right])
     return [x for x in cl.keys() | cr.keys() if cl.get(x) != cr.get(x)]
-
-
-def _nonzero(cells) -> dict:
-    """``cells`` without zero numerators and without the cells left empty."""
-    return {x: kept for x, cell in cells.items() if (kept := {r: v for r, v in cell.items() if v})}
 
 
 def _negated(cell) -> dict:

@@ -18,6 +18,7 @@ basis tuple but visit only the supports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -26,16 +27,19 @@ from .axioms import (
     _leibniz_sweep, _negated, _permute, _skew_report, _sum_tables,
 )
 from .core import (
-    Element, HomSuperAlgebra, NaryBracket, OrbitConflict, SuperSpace, ZERO, complete_skew_orbit, element_at,
-    integer_table, multiplicative_algebra, multilinear_terms, record, scalar,
+    Element, HomSuperAlgebra, NaryBracket, OrbitConflict, SuperSpace, ZERO, _bare, _least_scale, complete_skew_orbit,
+    element_at, integer_table, multiplicative_algebra, multilinear_terms, record, scalar,
 )
 from .derivations import DerivationCandidate, check_derivation
 
 
+@record
 class SuperCochain:
     """Even super-skew k-linear form, stored as its completed one-output integer ``table`` (args -> {0: numerator})."""
 
-    __slots__ = ("space", "degree", "table", "_values")
+    space: SuperSpace
+    degree: int
+    table: tuple[int, dict]
 
     def __init__(self, space: SuperSpace, degree: int, values, complete: bool = True):
         if degree < 1:
@@ -54,19 +58,18 @@ class SuperCochain:
             raise OrbitConflict(exc.args_tuple, _scalar(exc.expected), _scalar(exc.found)) from None
         if not complete and completed != table:
             raise ValueError("cochain table is not closed under its super-skew orbits")
-        for name, v in (("space", space), ("degree", degree), ("table", completed), ("_values", None)):
-            object.__setattr__(self, name, v)
+        vars(self).update(space=space, degree=degree, table=completed)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SuperCochain is immutable")
+    @classmethod
+    def of_table(cls, space: SuperSpace, degree: int, table: tuple[int, dict]) -> "SuperCochain":
+        """The cochain of a completed one-output integer table with no zero numerators, at its least scale."""
+        return _bare(cls, space=space, degree=degree, table=_least_scale(table))
 
-    @property
+    @functools.cached_property
     def values(self) -> dict:
         """The completed values as {args: Fraction}."""
-        if self._values is None:
-            scale, cells = self.table
-            object.__setattr__(self, "_values", {args: Fraction(cell[0], scale) for args, cell in cells.items()})
-        return self._values
+        scale, cells = self.table
+        return {args: Fraction(cell[0], scale) for args, cell in cells.items()}
 
     def value(self, args) -> Fraction:
         return self.values.get(tuple(args), ZERO)
@@ -79,15 +82,6 @@ class SuperCochain:
 
     def is_zero(self) -> bool:
         return not self.table[1]
-
-    def __eq__(self, other):
-        return isinstance(other, SuperCochain) and (self.space, self.degree, self.table) == (
-            other.space, other.degree, other.table
-        )
-
-    def __hash__(self):
-        scale, cells = self.table
-        return hash((self.space, self.degree, scale, frozenset((args, cell[0]) for args, cell in cells.items())))
 
 
 def _check_base(phi: SuperCochain, alg: HomSuperAlgebra, not_binary: str, n: int | None = None):
@@ -124,8 +118,12 @@ def coboundary(f: SuperCochain, alg: HomSuperAlgebra) -> SuperCochain:
     scale, pulled = _compose(f.table, slot_maps=[alg.bracket.table] + [alg.twists[0]] * (k - 1))
     # f(T(p), alpha(r)) sits at p + r; moving p behind r relabels the cells,
     # it swaps no graded arguments, so it takes no Koszul sign
-    scale, delta = _pair_sum((scale, {x[2:] + x[:2]: v for x, v in pulled.items()}), k + 1, alg.space)
-    return SuperCochain(alg.space, k + 1, {x: Fraction(v[0], scale) for x, v in delta.items()}, complete=False)
+    space = alg.space
+    delta = _pair_sum((scale, {x[2:] + x[:2]: v for x, v in pulled.items()}), k + 1, space)
+    # even and skew by design over an even bracket; guards sign bugs and brackets that are not even
+    if complete_skew_orbit(k + 1, delta, space) != delta or any(sum(map(space.parity, x)) % 2 for x in delta[1]):
+        raise ValueError("the coboundary is not an even super-skew cochain")
+    return SuperCochain.of_table(space, k + 1, delta)
 
 
 def wedge_obstruction(

@@ -45,7 +45,7 @@ class ScalarSyntaxError(ValueError):
     """A string outside the scalar grammar."""
 
 
-_SCALAR = re.compile(r"(-?\d+)(?:/(\d+))?")
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: int() also reads other scripts
 
 
 @functools.lru_cache(maxsize=1024)  # documents repeat few distinct strings many times
@@ -96,6 +96,41 @@ def element_at(table: tuple[int, dict], key) -> "Element":
     return Element({l: Fraction(v, scale) for l, v in cells.get(key, {}).items()})
 
 
+def _least_scale(table: tuple[int, dict]) -> tuple[int, dict]:
+    """An integer table with no zero numerators, its scale and numerators divided by their gcd: its unique form."""
+    scale, cells = table
+    g = math.gcd(scale, *(v for cell in cells.values() for v in cell.values()))
+    if g > 1:
+        cells = {x: {l: v // g for l, v in cell.items()} for x, cell in cells.items()}
+    return scale // g, cells
+
+
+def _sum_tables(tables):
+    """Add integer tables cell by cell over their common scale (:func:`_common`); zero cells are dropped."""
+    scale, parts = _common(list(tables))
+    total: dict[tuple, dict] = {}
+    for cells in parts:
+        for x, value in cells.items():
+            cell = total.setdefault(x, {})
+            for r, c in value.items():
+                cell[r] = cell.get(r, 0) + c
+    return scale, _nonzero(total)
+
+
+def _common(tables) -> tuple[int, list]:
+    """(scale, [cells, ..]): the cells of integer tables over the least common multiple of their scales."""
+    scale = math.lcm(1, *(s for s, _ in tables))
+    return scale, [
+        cells if s == scale else {x: {r: v * (scale // s) for r, v in cell.items()} for x, cell in cells.items()}
+        for s, cells in tables
+    ]
+
+
+def _nonzero(cells) -> dict:
+    """``cells`` without zero numerators and without the cells left empty."""
+    return {x: kept for x, cell in cells.items() if (kept := {r: v for r, v in cell.items() if v})}
+
+
 class OrbitConflict(ValueError):
     """A partial tensor forces two different values on one index tuple."""
 
@@ -118,7 +153,12 @@ def record(cls):
 
     What ``@dataclass(frozen=True)`` makes, without its import cost: class
     attributes are the defaults, ``__post_init__`` runs last in ``__init__``,
-    and equality is field by field, within one class only.
+    and equality is field by field, within one class only.  The hash freezes
+    dict-valued fields, a table's cells, recursively.  As with ``dataclass``,
+    ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are made only
+    where the class defines none; a class's own ``__init__`` writes the
+    fields into the instance dict, as a ``functools.cached_property`` view
+    writes itself there.  Assigning or deleting an attribute always raises.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
@@ -132,7 +172,7 @@ def record(cls):
         for f in fields:
             if f not in given:
                 raise TypeError(f"{cls.__qualname__}() missing argument {f!r}")
-            object.__setattr__(self, f, given[f])
+        vars(self).update(given)
         post_init(self)
 
     def values(self):
@@ -144,7 +184,7 @@ def record(cls):
         return values(self) == values(other)
 
     def __hash__(self):
-        return hash(values(self))
+        return hash(_frozen(values(self)))
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
@@ -152,10 +192,27 @@ def record(cls):
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__qualname__} is immutable")
 
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__):
-        setattr(cls, method.__name__, method)
-    cls.__delattr__ = __setattr__
+    for method in (__init__, __eq__, __hash__, __repr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    cls.__setattr__ = cls.__delattr__ = __setattr__
     return cls
+
+
+def _frozen(value):
+    """``value`` with each dict in it, through tuples, a frozenset of its items: hashable, and equal where equal."""
+    if isinstance(value, dict):
+        return frozenset((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, tuple):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _bare(cls, **fields):
+    """An instance of the record class ``cls`` holding ``fields``, made without its constructor."""
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +275,14 @@ class SuperSpace:
         return tuple(self.index(a) for a in args)
 
 
+@record
 class Element:
     """Sparse vector: map from basis label to nonzero Scalar coefficient.
 
-    Treated as immutable; arithmetic returns new instances and zero
-    coefficients are never stored.
+    Arithmetic returns new instances and zero coefficients are never stored.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: dict
 
     def __init__(self, coeffs: Mapping[str, Fraction] | None = None):
         clean = {}
@@ -234,22 +291,13 @@ class Element:
                 c = scalar(c)
                 if c != 0:
                     clean[label] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - guards against mutation
-        raise AttributeError("Element is immutable")
+        vars(self).update(coeffs=clean)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.coeffs)
@@ -337,71 +385,76 @@ def pair_extraction_sign(parities: Sequence[int], i: int, j: int) -> int:
 # Graded linear maps
 # ---------------------------------------------------------------------------
 
+@record
 class GradedLinearMap:
     """Linear endomorphism with a declared parity.
 
     Even maps preserve the grading, odd maps flip it; construction rejects
-    images violating the declared parity.
+    images violating the declared parity.  The map is its nonzero columns as
+    an integer table, ``integer_columns`` (scale, {label: {row: numerator}}),
+    at its least scale; ``columns`` gives every column as an element on
+    first read.
     """
 
-    __slots__ = ("space", "parity", "columns", "integer_columns")
+    space: SuperSpace
+    parity: int
+    integer_columns: tuple[int, dict]
 
     def __init__(self, space: SuperSpace, parity: int, columns: Mapping[str, Element]):
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        cols = {}
-        for label in space.labels:
-            img = columns.get(label, Element())
-            if not isinstance(img, Element):
-                img = Element(img)
+        scale, cols = integer_table({
+            label: img.coeffs if isinstance(img, Element) else {r: scalar(c) for r, c in img.items()}
+            for label, img in sorted(columns.items(), key=lambda item: space.index(item[0]))  # unknown labels raise
+        })
+        for label, img in cols.items():
             want = (space.parity(label) + parity) % 2
-            for out_label in img.coeffs:
+            for out_label in img:
                 if space.parity(out_label) != want:
                     raise ValueError(
                         f"map declared parity {parity} but {label} "
                         f"(parity {space.parity(label)}) hits {out_label} "
                         f"(parity {space.parity(out_label)})"
                     )
-            cols[label] = img
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "columns", cols)
-        # (scale, {label: {row: numerator}}): the nonzero columns as an integer table
-        object.__setattr__(self, "integer_columns", integer_table({l: e.coeffs for l, e in cols.items() if e}))
+        vars(self).update(space=space, parity=parity, integer_columns=(scale, _nonzero(cols)))
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("GradedLinearMap is immutable")
+    @classmethod
+    def of_table(cls, space: SuperSpace, parity: int, table: tuple[int, dict]) -> "GradedLinearMap":
+        """The map of integer columns with no zero numerators, its scale reduced to the least one."""
+        return _bare(cls, space=space, parity=parity, integer_columns=_least_scale(table))
 
     @classmethod
     def from_matrix(cls, space: SuperSpace, rows, parity: int | None = None) -> "GradedLinearMap":
-        """Build from a dense row-major matrix: rows[i][j] = <e_i | M e_j>."""
+        """Build from a dense row-major matrix: rows[i][j] = <e_i | M e_j>.
+
+        The parity defaults to that of the first nonzero entry, in column-major order.
+        """
         d = space.dim
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError(f"matrix must be {d}x{d}")
-        cols = {}
-        for j, label in enumerate(space.labels):
-            cols[label] = Element(
-                {space.labels[i]: scalar(rows[i][j]) for i in range(d)}
-            )
+        cols = {c: {r: scalar(rows[i][j]) for i, r in enumerate(space.labels)} for j, c in enumerate(space.labels)}
         if parity is None:
-            parity = _infer_parity(space, cols)
+            nonzero = ((r, c) for c, col in cols.items() for r, v in col.items() if v)
+            parity = next(((space.parity(r) + space.parity(c)) % 2 for r, c in nonzero), 0)
         return cls(space, parity, cols)
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedLinearMap":
-        return cls(space, 0, {l: space.basis_element(l) for l in space.labels})
+        return cls.of_table(space, 0, (1, {l: {l: 1} for l in space.labels}))
 
     @classmethod
     def zero(cls, space: SuperSpace, parity: int = 0) -> "GradedLinearMap":
-        return cls(space, parity, {})
+        return cls.of_table(space, parity, (1, {}))
+
+    @functools.cached_property
+    def columns(self) -> dict:
+        """The image of every basis vector as {label: Element}."""
+        return {l: element_at(self.integer_columns, l) for l in self.space.labels}
 
     def matrix(self) -> list[list[Fraction]]:
-        d = self.space.dim
-        rows = [[ZERO] * d for _ in range(d)]
-        for j, label in enumerate(self.space.labels):
-            for out_label, c in self.columns[label].coeffs.items():
-                rows[self.space.index(out_label)][j] = c
-        return rows
+        scale, cols = self.integer_columns
+        labels = self.space.labels
+        return [[Fraction(cols.get(c, {}).get(r, 0), scale) for c in labels] for r in labels]
 
     def apply(self, elem: Element) -> Element:
         out = Element()
@@ -413,50 +466,29 @@ class GradedLinearMap:
         return self.columns[label]
 
     def is_zero(self) -> bool:
-        return all(col.is_zero() for col in self.columns.values())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedLinearMap)
-            and self.space == other.space
-            and self.columns == other.columns
-        )
-
-    def __hash__(self):
-        return hash((self.space, frozenset((l, e) for l, e in self.columns.items())))
+        return not self.integer_columns[1]
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         _same_space(self, other)
         if self.parity != other.parity and not (self.is_zero() or other.is_zero()):
             raise ValueError("cannot add maps of different parity")
         parity = other.parity if self.is_zero() else self.parity
-        return GradedLinearMap(
-            self.space,
-            parity,
-            {l: self.columns[l] + other.columns[l] for l in self.space.labels},
-        )
+        return GradedLinearMap.of_table(self.space, parity, _sum_tables([self.integer_columns, other.integer_columns]))
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         return self + other.scale(-1)
 
     def scale(self, a) -> "GradedLinearMap":
         a = scalar(a)
-        return GradedLinearMap(
-            self.space, self.parity, {l: col.scale(a) for l, col in self.columns.items()}
-        )
+        if a == 0:
+            return GradedLinearMap.zero(self.space, self.parity)
+        scale, cols = self.integer_columns
+        cols = {l: {r: v * a.numerator for r, v in col.items()} for l, col in cols.items()}
+        return GradedLinearMap.of_table(self.space, self.parity, (scale * a.denominator, cols))
 
     def __repr__(self):
-        entries = ", ".join(
-            f"{l} -> {self.columns[l]!r}" for l in self.space.labels if not self.columns[l].is_zero()
-        )
+        entries = ", ".join(f"{l} -> {self.columns[l]!r}" for l in self.space.labels if self.columns[l])
         return f"GradedLinearMap(parity={self.parity}, {entries or '0'})"
-
-
-def _infer_parity(space: SuperSpace, cols: Mapping[str, Element]) -> int:
-    for label, img in cols.items():
-        for out_label in img.coeffs:
-            return (space.parity(out_label) - space.parity(label)) % 2
-    return 0
 
 
 def _same_space(f: GradedLinearMap, g: GradedLinearMap):
@@ -467,11 +499,14 @@ def _same_space(f: GradedLinearMap, g: GradedLinearMap):
 def map_compose(f: GradedLinearMap, g: GradedLinearMap) -> GradedLinearMap:
     """f after g; parities add mod 2."""
     _same_space(f, g)
-    return GradedLinearMap(
-        f.space,
-        (f.parity + g.parity) % 2,
-        {l: f.apply(g.columns[l]) for l in f.space.labels},
-    )
+    (s, fc), (t, gc) = f.integer_columns, g.integer_columns
+    cols = {}
+    for c, image in gc.items():
+        col = cols[c] = {}
+        for r, v in image.items():
+            for out, w in fc.get(r, {}).items():
+                col[out] = col.get(out, 0) + v * w
+    return GradedLinearMap.of_table(f.space, (f.parity + g.parity) % 2, (s * t, _nonzero(cols)))
 
 
 def map_power(f: GradedLinearMap, k: int) -> GradedLinearMap:
@@ -494,6 +529,7 @@ def supercommutator_maps(d1: GradedLinearMap, d2: GradedLinearMap) -> GradedLine
 # Structure-constant brackets
 # ---------------------------------------------------------------------------
 
+@record
 class NaryBracket:
     """Arity-n multilinear product stored as a sparse structure-constant tensor.
 
@@ -504,7 +540,8 @@ class NaryBracket:
     deliberately broken tensors can be built and diagnosed.
     """
 
-    __slots__ = ("arity", "table", "_entries")
+    arity: int
+    table: tuple[int, dict]
 
     def __init__(self, arity: int, entries: Mapping[tuple[str, ...], Element] | None = None):
         if arity < 2:
@@ -516,39 +553,20 @@ class NaryBracket:
             value = value if isinstance(value, Element) else Element(value)
             if value:
                 coeffs[tuple(args)] = value.coeffs
-        for name, v in (("arity", arity), ("table", integer_table(coeffs)), ("_entries", None)):
-            object.__setattr__(self, name, v)
+        vars(self).update(arity=arity, table=integer_table(coeffs))
 
     @classmethod
     def of_table(cls, arity: int, table: tuple[int, dict]) -> "NaryBracket":
         """The bracket of an integer table with no zero numerators, its scale reduced to the least one."""
-        scale, cells = table
-        g = math.gcd(scale, *(v for cell in cells.values() for v in cell.values()))
-        if g > 1:
-            cells = {args: {l: v // g for l, v in cell.items()} for args, cell in cells.items()}
-        bracket = cls(arity)
-        object.__setattr__(bracket, "table", (scale // g, cells))
-        return bracket
+        return _bare(cls, arity=arity, table=_least_scale(table))
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("NaryBracket is immutable")
-
-    @property
+    @functools.cached_property
     def entries(self) -> dict:
         """The tensor as {args: Element}."""
-        if self._entries is None:
-            object.__setattr__(self, "_entries", {args: element_at(self.table, args) for args in self.table[1]})
-        return self._entries
+        return {args: element_at(self.table, args) for args in self.table[1]}
 
     def value(self, args: Sequence[str]) -> Element:
         return self.entries.get(tuple(args), Element())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NaryBracket) and (self.arity, self.table) == (other.arity, other.table)
-
-    def __hash__(self):
-        scale, cells = self.table
-        return hash((self.arity, scale, frozenset((args, frozenset(c.items())) for args, c in cells.items())))
 
     def is_zero(self) -> bool:
         return not self.table[1]

@@ -24,7 +24,7 @@ from .axioms import (
     _preimages, _shared_twist, _twist_commutation, adjoint_map,
 )
 from .core import (
-    Element, FixedPointViolation, GradedLinearMap, HomSuperAlgebra, map_compose, map_power, record,
+    FixedPointViolation, GradedLinearMap, HomSuperAlgebra, integer_table, map_compose, map_power, record,
     supercommutator_maps,
 )
 from . import linalg
@@ -238,12 +238,11 @@ def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[Gr
     """
     rows, variables = derivation_constraints(alg, k, parity)
     vectors = linalg.nullspace(rows, ncols=len(variables))
-    space = alg.space
     maps = []
     for vec in vectors:
-        cols: dict[str, dict[str, Fraction]] = {l: {} for l in space.labels}
+        cols: dict[str, dict[str, Fraction]] = {}
         for (r, c), value in zip(variables, vec):
             if value:
-                cols[c][r] = value
-        maps.append(GradedLinearMap(space, parity, {c: Element(d) for c, d in cols.items()}))
+                cols.setdefault(c, {})[r] = value
+        maps.append(GradedLinearMap.of_table(alg.space, parity, integer_table(cols)))
     return maps

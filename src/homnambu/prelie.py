@@ -14,6 +14,8 @@ R([x, y, R^{-1}(z)]) whose supercommutator recovers the original bracket.
 
 from __future__ import annotations
 
+import functools
+
 from .axioms import (
     CheckReport,
     DEFAULT_COUNTEREXAMPLE_CAP,
@@ -36,6 +38,7 @@ from .core import (
     complete_skew_orbit,
     integer_table,
     multiplicative_algebra,
+    record,
 )
 from .linalg import invert_map
 from .rotabaxter import RotaBaxterOperator, check_rb
@@ -44,24 +47,24 @@ from .rotabaxter import RotaBaxterOperator, check_rb
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
+@record
 class TriProduct:
     """A twisted ternary product, super-skew in the first two slots only; ``cyclic`` is its cyclic supercommutator."""
 
-    __slots__ = ("space", "product", "twist", "cyclic")
+    space: SuperSpace
+    product: NaryBracket
+    twist: GradedLinearMap
 
-    def __init__(self, space: SuperSpace, product: NaryBracket, twist: GradedLinearMap):
-        if product.arity != 3:
+    def __post_init__(self):
+        if self.product.arity != 3:
             raise ValueError("product must be ternary")
-        if twist.parity != 0:
+        if self.twist.parity != 0:
             raise ValueError("twist must be even")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "twist", twist)
-        cyclic = _sum_tables(_permute(product.table, order, space) for order in _CYCLIC)
-        object.__setattr__(self, "cyclic", NaryBracket.of_table(3, cyclic))
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("TriProduct is immutable")
+    @functools.cached_property
+    def cyclic(self) -> NaryBracket:
+        cyclic = _sum_tables(_permute(self.product.table, order, self.space) for order in _CYCLIC)
+        return NaryBracket.of_table(3, cyclic)
 
     @classmethod
     def from_generators(cls, space, generators, twist) -> "TriProduct":

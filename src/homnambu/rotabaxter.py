@@ -29,7 +29,7 @@ class RotaBaxterOperator:
     def __post_init__(self):
         if self.map.parity != 0:
             raise ValueError("Rota-Baxter operators must be even")
-        object.__setattr__(self, "weight", scalar(self.weight))
+        vars(self).update(weight=scalar(self.weight))
 
 
 def _rb_tables(rb: RotaBaxterOperator, alg: HomSuperAlgebra):

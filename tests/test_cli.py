@@ -93,8 +93,10 @@ class TestCheck:
             (["catalog:g3_1_1", "--params", "a=+2"], "a=+2"),
             (["catalog:g3_1_1?a=1e10000000"], "a=1e10000000"),
             (["catalog:g3_1_1", "--params", "a=1e10000000"], "a=1e10000000"),
+            (["catalog:g3_1_1?a=\u0663"], "a=\u0663"),
+            (["catalog:g3_1_1", "--params", "a=\uff13"], "a=\uff13"),
         ],
-        ids=["decimal", "underscore", "plus", "exponent", "exponent-params"],
+        ids=["decimal", "underscore", "plus", "exponent", "exponent-params", "arabic-indic-digit", "fullwidth-digit"],
     )
     def test_parameter_outside_scalar_grammar_exit_two(self, args, piece):
         """Parameters took every form Fraction() reads; a=1e10000000 ran for seconds
@@ -332,6 +334,7 @@ class TestMalformedFile:
         [
             ("1.5", "error: bad scalar '1.5' in bracket ('a', 'b'): expected 'p' or 'p/q'"),
             ("1/0", "error: bad scalar '1/0' in bracket ('a', 'b'): zero denominator"),
+            ("\u0663", "error: bad scalar '\u0663' in bracket ('a', 'b'): expected 'p' or 'p/q'"),
             (
                 "7" * 5000,
                 f"error: bad scalar in bracket ('a', 'b'): Exceeds the limit ({sys.get_int_max_str_digits()} digits) "
@@ -339,7 +342,7 @@ class TestMalformedFile:
                 "the limit",
             ),
         ],
-        ids=["grammar", "zero-denominator", "oversized"],
+        ids=["grammar", "zero-denominator", "non-ascii-digit", "oversized"],
     )
     def test_bad_scalar_error_line(self, tmp_path, value, line):
         assert _check_malformed(tmp_path, _set(("bracket", 0, "value", "b"), value)) == line

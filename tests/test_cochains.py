@@ -7,6 +7,7 @@ from homnambu.axioms import (
     check_nambu_identity,
     check_super_skew,
 )
+from homnambu import cochains
 from homnambu.catalog import catalog_build
 from homnambu.cochains import (
     SuperCochain,
@@ -21,8 +22,10 @@ from homnambu.cochains import (
 from homnambu.core import (
     Element,
     GradedLinearMap,
+    NaryBracket,
     OrbitConflict,
     SuperSpace,
+    multiplicative_algebra,
     pair_extraction_sign,
 )
 from homnambu.derivations import DerivationCandidate, check_derivation, solve_derivation_space
@@ -91,6 +94,20 @@ class TestCoboundary:
         assert delta.value(("e1", "e1")) == 1
         for args, v in delta.values.items():
             assert sum(g5.space.parity(a) for a in args) % 2 == 0
+
+    def test_guard_rejects_an_odd_or_non_skew_table(self, monkeypatch):
+        """The coboundary of an even cochain over a bracket that is not even, or a pair sum that loses skew
+        symmetry, is no even super-skew cochain: ValueError, never a cochain that breaks its own invariants."""
+        space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
+        odd = NaryBracket(2, {("e0", "e1"): {"e0": 1}, ("e1", "e0"): {"e0": -1}})  # [e0, e1] = e0 is odd
+        alg = multiplicative_algebra(space, odd, GradedLinearMap.identity(space))
+        phi = SuperCochain(space, 1, {("e0",): 1})
+        with pytest.raises(ValueError):
+            coboundary(phi, alg)
+        alg, phi = L1()
+        monkeypatch.setattr(cochains, "_pair_sum", lambda *args: (1, {("e1", "e2"): {0: 1}}))
+        with pytest.raises(ValueError):
+            coboundary(phi, alg)
 
     def test_degree_two_output_is_skew(self):
         alg, _ = L1(a=2, b=3)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import table_oracle
-from homnambu import algfile, axioms, catalog, cochains, core, derivations, rotabaxter
+from homnambu import algfile, axioms, catalog, cochains, core, derivations, prelie, rotabaxter
+from homnambu.iterated import iterated_bracket
 from homnambu.core import (
     Element,
     GradedLinearMap,
@@ -80,10 +81,12 @@ class TestScalar:
             scalar(0.5)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.sampled_from(["0", "1", "7", "10", "/", "-", "+", ".", "e", "_", " "]), max_size=7).map("".join))
+    @given(st.lists(st.sampled_from(["0", "1", "7", "10", "/", "-", "+", ".", "e", "_", " ", "\u0663", "\uff13"]),
+                    max_size=7).map("".join))
     def test_string_grammar_is_the_file_grammar(self, text):
-        """Strings parse exactly when they read -?digits(/digits)? once stripped, as Fraction reads them;
-        decimal, exponent, underscore and '+' forms, which Fraction also takes, raise ValueError."""
+        """Strings parse exactly when they read -?digits(/digits)? once stripped, as Fraction reads them, with
+        ASCII digits only; decimal, exponent, underscore and '+' forms and the digits of other scripts (Arabic-Indic
+        and fullwidth here), which Fraction also takes, raise ValueError."""
         match = re.fullmatch(r"-?[0-9]+(/([0-9]+))?", text.strip())
         if match is None:
             with pytest.raises(ValueError):
@@ -96,7 +99,7 @@ class TestScalar:
 
     def test_library_strings_follow_the_grammar(self):
         assert Element({"e0": " 3/6 "}) == Element({"e0": F(1, 2)})
-        for text in ("1.5", "1e10000000", "1_0", "+2"):
+        for text in ("1.5", "1e10000000", "1_0", "+2", "\u0663", "\uff13", "1/\u0663"):
             with pytest.raises(ValueError):
                 Element({"e0": text})
             with pytest.raises(ValueError):
@@ -411,16 +414,16 @@ def orbit_generators(draw, cochain):
 # Frozen records
 # ---------------------------------------------------------------------------
 
-RECORD_MODULES = (algfile, axioms, catalog, cochains, core, derivations, rotabaxter)
+RECORD_MODULES = (algfile, axioms, catalog, cochains, core, derivations, prelie, rotabaxter)
 
 
 def record_classes():
-    """Every class in the engine that :func:`record` decorated."""
+    """Every class in the engine that :func:`record` decorated: it always installs the raising ``__setattr__``."""
     return {
         obj
         for module in RECORD_MODULES
         for obj in vars(module).values()
-        if isinstance(obj, type) and obj.__init__.__qualname__ == "record.<locals>.__init__"
+        if isinstance(obj, type) and obj.__setattr__.__qualname__ == "record.<locals>.__setattr__"
     }
 
 
@@ -453,15 +456,171 @@ def record_samples() -> dict:
         rotabaxter.RotaBaxterOperator: dict(map=ident, weight=F(3)),
         rotabaxter.EquivalenceReport: dict(rb=report, inverse_derivation=other),
         rotabaxter.KernelConditionReport: dict(kernel=other, nary=report),
+        prelie.TriProduct: dict(space=space, product=NaryBracket(3, {("e0", "e0", "e0"): {"e0": 1}}), twist=ident),
     }
 
 
 RECORD_SAMPLES = record_samples()
 
 
+def value_samples() -> dict:
+    """{class: (make, view)} for the records that keep their own constructor, plus ``TriProduct``.
+
+    ``make()`` builds a fresh instance with one dict-valued field; ``view`` names its cached derived view.
+    """
+    space, even = two_dim(), two_dim((0, 0))
+    return {
+        Element: (lambda: Element({"e0": F(1, 2), "e1": 3}), None),
+        GradedLinearMap: (lambda: GradedLinearMap(space, 1, {"e0": {"e1": F(2, 3)}, "e1": {"e0": 1}}), "columns"),
+        NaryBracket: (lambda: NaryBracket(2, {("e0", "e1"): {"e1": F(1, 2)}, ("e1", "e0"): {"e1": -1}}), "entries"),
+        cochains.SuperCochain: (lambda: cochains.SuperCochain(even, 2, {("e0", "e1"): F(3, 4)}), "values"),
+        prelie.TriProduct: (lambda: prelie.TriProduct(**RECORD_SAMPLES[prelie.TriProduct]), "cyclic"),
+    }
+
+
+VALUE_SAMPLES = value_samples()
+
+
 def test_every_record_class_has_a_sample():
-    assert set(RECORD_SAMPLES) == record_classes()
-    assert len(RECORD_SAMPLES) == 16
+    assert set(RECORD_SAMPLES) | set(VALUE_SAMPLES) == record_classes()
+    assert len(set(RECORD_SAMPLES) | set(VALUE_SAMPLES)) == 21
+
+
+@pytest.mark.parametrize("cls", list(VALUE_SAMPLES), ids=lambda cls: cls.__name__)
+class TestValueRecords:
+    def test_fields_and_assigned_view_are_frozen(self, cls):
+        make, view = VALUE_SAMPLES[cls]
+        a = make()
+        names = list(cls.__annotations__) + ([view] if view else [])
+        if view:
+            getattr(a, view)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == make()
+
+    def test_equal_values_hash_equal(self, cls):
+        make, _ = VALUE_SAMPLES[cls]
+        a, b = make(), make()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", [cls for cls, (_, view) in VALUE_SAMPLES.items() if view], ids=lambda cls: cls.__name__)
+def test_view_is_built_once_and_left_out(cls):
+    make, view = VALUE_SAMPLES[cls]
+    a, b = make(), make()
+    assert view not in vars(a)
+    first = getattr(a, view)
+    assert vars(a)[view] is first and getattr(a, view) is first
+    assert a == b and hash(a) == hash(b)
+    assert view not in vars(b)
+    if cls.__repr__.__qualname__ == "record.<locals>.__repr__":
+        fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in cls.__annotations__)
+        assert repr(a) == repr(b) == f"{cls.__name__}({fields})"
+        assert view not in vars(b)
+
+
+def test_record_keeps_class_defined_dunders():
+    @record
+    class Tagged:
+        tag: str
+
+        def __init__(self, tag):
+            vars(self).update(tag=tag.lower())
+
+        def __repr__(self):
+            return f"<{self.tag}>"
+
+    a = Tagged("X")
+    assert a.tag == "x" and repr(a) == "<x>"
+    assert a == Tagged("x") and hash(a) == hash(Tagged("x"))  # made by record
+    with pytest.raises(AttributeError):
+        a.tag = "y"
+    assert Element.__init__.__qualname__ == "Element.__init__"
+    assert Element.__repr__.__qualname__ == "Element.__repr__"
+    assert repr(Element({"e1": 1, "e0": F(-1, 2)})) == "(-1/2)*e0 + (1)*e1"
+    assert GradedLinearMap.__repr__.__qualname__ == "GradedLinearMap.__repr__"
+    assert NaryBracket.__eq__.__qualname__ == "record.<locals>.__eq__"
+
+
+def test_dict_valued_fields_hash_by_content():
+    """Dicts in fields, through tuples, hash as their items: insertion order does not matter."""
+    space = two_dim()
+    assert hash(Element({"e0": 1, "e1": 2})) == hash(Element({"e1": 2, "e0": 1}))
+    assert hash(Element({"e0": 1})) != hash(Element({"e0": 2}))  # values are hashed, not only keys
+    f = GradedLinearMap(space, 0, {"e0": {"e0": 1}, "e1": {"e1": F(1, 2)}})
+    g = GradedLinearMap(space, 0, {"e1": {"e1": F(1, 2)}, "e0": {"e0": 1}})
+    assert list(f.integer_columns[1]) == list(g.integer_columns[1])  # columns in basis order either way
+    h = GradedLinearMap.of_table(space, 0, (2, {"e1": {"e1": 1}, "e0": {"e0": 2}}))
+    assert f == g == h and hash(f) == hash(g) == hash(h)
+
+
+def test_map_constructors_agree_at_the_least_scale():
+    space = two_dim((0, 0))
+    from_elements = GradedLinearMap(space, 0, {"e0": Element({"e0": F(2, 6), "e1": F(1, 2)}), "e1": Element()})
+    from_matrix = GradedLinearMap.from_matrix(space, [[F(1, 3), 0], [F(1, 2), 0]], parity=0)
+    of_table = GradedLinearMap.of_table(space, 0, (12, {"e0": {"e0": 4, "e1": 6}}))
+    assert from_elements == from_matrix == of_table
+    for m in (from_elements, from_matrix, of_table):
+        assert m.integer_columns == (6, {"e0": {"e0": 2, "e1": 3}})
+        assert "columns" not in vars(m)
+    assert of_table.columns == {"e0": Element({"e0": F(1, 3), "e1": F(1, 2)}), "e1": Element()}
+
+
+def test_unknown_column_label_raises():
+    """A column keyed by a label outside the basis was silently dropped; it raises as an unknown row does."""
+    space = SuperSpace.from_pairs([("a", 0)])
+    with pytest.raises(KeyError, match="unknown basis label 'zz'"):
+        GradedLinearMap(space, 0, {"zz": Element({"a": 1}), "a": {"a": 2}})
+    with pytest.raises(KeyError, match="unknown basis label 'zz'"):
+        GradedLinearMap(space, 0, {"a": {"zz": 2}})
+
+
+def test_zero_maps_of_different_parity_are_unequal():
+    """Map equality is record equality, so it compares the declared parity too, even of a zero map."""
+    space = two_dim()
+    even, odd = GradedLinearMap.zero(space, 0), GradedLinearMap.zero(space, 1)
+    assert even.is_zero() and odd.is_zero()
+    assert even != odd and hash(even) != hash(odd)
+    assert even == GradedLinearMap.identity(space).scale(0) == GradedLinearMap(space, 0, {})
+    assert odd == GradedLinearMap(space, 1, {"e0": Element()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=18, max_size=18),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_map_algebra_matches_dense_matrices(entries, a):
+    """Sums, scalings and composites on integer columns agree with dense Fraction matrices, at the least scale."""
+    space = SuperSpace.from_pairs([("x", 0), ("y", 0), ("z", 0)])
+    fm, gm = [entries[:3], entries[3:6], entries[6:9]], [entries[9:12], entries[12:15], entries[15:]]
+    f, g = (GradedLinearMap.from_matrix(space, m, parity=0) for m in (fm, gm))
+    cases = [
+        (f + g, [[fm[i][j] + gm[i][j] for j in range(3)] for i in range(3)]),
+        (f - g, [[fm[i][j] - gm[i][j] for j in range(3)] for i in range(3)]),
+        (f.scale(a), [[a * fm[i][j] for j in range(3)] for i in range(3)]),
+        (map_compose(f, g), [[sum(fm[i][k] * gm[k][j] for k in range(3)) for j in range(3)] for i in range(3)]),
+    ]
+    for computed, dense in cases:
+        assert computed.matrix() == dense
+        assert computed.integer_columns == GradedLinearMap.from_matrix(space, dense, parity=0).integer_columns
+
+
+def test_checks_and_solver_never_build_the_twist_columns():
+    """The Nambu check and the derivation solver read a map's integer columns only."""
+    nested = iterated_bracket(catalog.catalog_build("osp12", **{"lambda": F(2)}).algebra, 4)
+    twist = nested.twists[0]
+    assert axioms.check_nambu_identity(nested).passed
+    for parity in (0, 1):
+        derivations.solve_derivation_space(nested, 1, parity)
+    assert "columns" not in vars(twist)
 
 
 @pytest.mark.parametrize("cls", list(RECORD_SAMPLES), ids=lambda cls: cls.__name__)
