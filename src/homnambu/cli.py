@@ -63,17 +63,20 @@ class InputProblem(Exception):
     pass
 
 
+_SPACE = " \t\n\r\f\v"  # ASCII whitespace, all that core.scalar strips
+
+
 def parse_params(text: str) -> dict[str, Fraction]:
     out = {}
     for piece in text.split(","):
-        piece = piece.strip()
+        piece = piece.strip(_SPACE)
         if not piece:
             continue
         if "=" not in piece:
             raise InputProblem(f"bad parameter assignment {piece!r}")
         key, value = piece.split("=", 1)
         try:
-            out[key.strip()] = scalar(value.strip())
+            out[key.strip(_SPACE)] = scalar(value)
         except (ValueError, TypeError, ZeroDivisionError):
             raise InputProblem(f"bad parameter value in {piece!r}") from None
     return out

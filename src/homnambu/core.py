@@ -45,12 +45,12 @@ class ScalarSyntaxError(ValueError):
     """A string outside the scalar grammar."""
 
 
-_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: int() also reads other scripts
+_SCALAR = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)  # ASCII digits and spaces: int() and strip() read more
 
 
 @functools.lru_cache(maxsize=1024)  # documents repeat few distinct strings many times
 def _parse_scalar(text: str) -> Fraction:
-    match = _SCALAR.fullmatch(text.strip())
+    match = _SCALAR.fullmatch(text)
     if match is None:
         raise ScalarSyntaxError("expected 'p' or 'p/q'")
     return Fraction(int(match[1]), int(match[2] or 1))  # int()'s digit limit bounds the work

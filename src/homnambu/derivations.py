@@ -7,16 +7,19 @@ argument is twisted by a^k and moving D past the first i-1 arguments costs
 
 The solver returns the exact nullspace of the commutation and Leibniz
 constraints on the matrix entries of an unknown map of one parity (the
-Leibniz sign depends on it).  Each unknown tags its own entries in the
-kernel the checkers share, so one scatter per kernel, over the tensor's
-support, sums every constraint row, sparse and keyed by unknown; each row
-is made primitive with one gcd and kept once.
+Leibniz sign depends on it), in two stages on the kernel the checkers
+share.  One scatter of the 1-ary twist tensor, each matrix unit tagging its
+own entries, gives the commutation rows; one scatter over the bracket's
+support, each basis map of their nullspace tagging its entries, gives the
+Leibniz residuals on the maps that commute, which are lifted back onto that
+basis's free columns.  Each row is made primitive with one gcd and kept
+once; the rows span the row space of the defining equations.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from itertools import compress
 from fractions import Fraction
 
 from .axioms import (
@@ -198,35 +201,47 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
     """Constraint matrix over the unknown entries of a parity-``parity`` map.
 
     Rows are primitive integer rows (gcd 1, first nonzero entry positive),
-    each listed once: the commutation rows, then the Leibniz rows, one per
-    (basis tuple, output coordinate) that some term reaches.  Their row
-    space is that of the defining equations.
+    each listed once; their row space is that of the defining equations.
+    The commutation rows C come first.  The Leibniz rule is then imposed only
+    on null(C), whose canonical basis N_j has a 1 at its last nonzero, the
+    free column f_j: every v in null(C) is sum_j v[f_j] N_j, so a Leibniz
+    residual u over the N_j becomes the row with u_j at f_j.
     """
     alpha = _shared_twist(alg)
     space = alg.space
     labels = space.labels
+    width = len(labels)
     variables = derivation_variables(space, parity)
     n = alg.arity
     _, terms = alg.bracket.table
     tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
     pre = [_preimages(spec)] * n
-    # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, then the bracket's with
-    # spectator alpha^k: with each unknown E_{r,c} tagging its entries, one scatter sums every residual row
-    rows: dict = {}  # distinct primitive rows, as (unknowns, entries)
-    for kernel, arity, lhs_scale in (
-        (_leibniz_kernel({(c,): image for c, image in twist.items()}, labels, space, [], [None]), 1, 1),
-        (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
-    ):
-        out = {c: [(r, lhs_scale, idx) for idx, (r, col) in enumerate(variables) if col == c] for c in labels}
-        slot = {c: [(r, -1, idx) for idx, (r, col) in enumerate(variables) if col == c] for c in labels}
-        residuals = defaultdict(dict)  # (x, rho) -> {unknown: residual}, unknowns ascending
-        for x, vec in kernel(out, [slot] * arity, parity, len(variables)).items():
-            for key in compress(range(len(vec)), vec):
-                idx, rho = divmod(key, len(labels))
-                residuals[x, rho][idx] = vec[key]
-        for idxs, entries in dict.fromkeys((tuple(r), tuple(r.values())) for r in residuals.values()):
-            rows[idxs, linalg.primitive_ints(entries)] = None
-    return [[entry.get(j, 0) for j in range(len(variables))] for entry in (dict(zip(*row)) for row in rows)], variables
+
+    def residuals(kernel, arity, lhs_scale, basis):  # distinct primitive rows over the integer maps in basis
+        out, slot = defaultdict(list), defaultdict(list)  # each map tags its entries: one scatter sums all rows
+        for j, vec in enumerate(basis):
+            for (r, c), v in zip(variables, vec):
+                if v:
+                    out[c].append((r, lhs_scale * v, j))
+                    slot[c].append((r, -v, j))
+        acc = kernel(out, [slot] * arity, parity, len(basis)).values()
+        raw = dict.fromkeys(tuple(vec[rho::width]) for vec in acc for rho in range(width))
+        return dict.fromkeys(filter(None, map(linalg.primitive_ints, raw)))
+
+    # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, scattered over every matrix unit
+    units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]
+    rows = residuals(_leibniz_kernel({(c,): image for c, image in twist.items()}, labels, space, [], [None]), 1, 1, units)
+    free = linalg.nullspace(list(rows), ncols=len(variables))
+    if free:  # then the bracket's, with spectator alpha^k, over the N_j on one common denominator
+        delta = math.lcm(*(v.denominator for vec in free for v in vec))
+        last = [max(i for i, v in enumerate(vec) if v) for vec in free]
+        basis = [[int(v * delta) for v in vec] for vec in free]
+        for u in residuals(_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1), basis):
+            row = [0] * len(variables)
+            for f, uj in zip(last, u):
+                row[f] = uj
+            rows[tuple(row)] = None
+    return list(map(list, rows)), variables
 
 
 def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[GradedLinearMap]:

@@ -11,9 +11,14 @@ rows keep the raw rational coefficients of the defining equations.
 :func:`constraints_per_unit` is the row assembly the solver ran before it
 tagged its unknowns: one kernel scatter per matrix unit, each residual
 copied into the rows of a dense accumulator, every distinct row reduced with
-the rational :func:`homnambu.linalg.primitive_row`.  The tagged one-pass
-:func:`homnambu.derivations.derivation_constraints` must give the same set of
-rows over the same variables.
+the rational :func:`homnambu.linalg.primitive_row`.  Its rows span the row
+space of the defining equations, which is all the solver's rows must match.
+:func:`constraints_staged` runs the solver's two stages the slow way: the
+commuting maps from ``dense_rref`` of the per-unit commutation rows, one
+Leibniz scatter per commuting basis map, each row lifted onto the free
+columns.  :func:`homnambu.derivations.derivation_constraints`, which
+scatters every basis map in one pass on an integer common denominator,
+must give the same set of rows over the same variables.
 
 The report oracles below are the per-checker loops that the derivation,
 quasi-derivation, generalized-derivation and adjoint-expansion checks and
@@ -157,38 +162,83 @@ def solve_oracle(alg: HomSuperAlgebra, k: int, parity: int) -> list[list[Fractio
     return dense_nullspace(rows, len(variables))
 
 
-def constraints_per_unit(alg: HomSuperAlgebra, k: int, parity: int):
-    """(rows, variables): the solver's primitive rows, one scatter per matrix unit and kernel.
-
-    The residual (left minus right side) of the unit E_{r,c} at (x, rho) is
-    the entry of that unknown in the row of (x, rho); the commutation rows
-    come from the 1-ary tensor alpha, the Leibniz rows from the bracket with
-    spectator alpha^k.
-    """
+def _kernels(alg: HomSuperAlgebra, k: int):
+    """(kernel, arity, lhs scale) for the 1-ary tensor alpha, then for the bracket with spectator alpha^k."""
     alpha = alg.twists[0]
     space = alg.space
     labels = space.labels
-    variables = derivation_variables(space, parity)
     n = alg.arity
-    width = len(labels)
     _, terms = alg.bracket.table
     tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
     pre = [_preimages(spec)] * n
-    kernels = (
+    return (
         (_leibniz_kernel({(c,): twist.get(c, {}) for c in labels}, labels, space, [], [None]), 1, 1),
         (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
     )
+
+
+def _residual_rows(kernel, arity, lhs_scale, maps, variables, parity, width):
+    """Distinct rows over ``maps``, one scatter per map: entry j of the row of (x, rho) is
+    the residual (left minus right side) of maps[j], a vector over ``variables``, there."""
+    acc = defaultdict(([0] * len(maps)).copy)  # (x, rho) -> row
+    for j, vec in enumerate(maps):
+        out, slot = defaultdict(list), defaultdict(list)
+        for (r, c), v in zip(variables, vec):
+            if v:
+                out[c].append((r, lhs_scale * v, 0))
+                slot[c].append((r, v, 1))
+        for args, sides in kernel(out, [slot] * arity, parity).items():
+            for rho in range(width):
+                if sides[rho] != sides[width + rho]:
+                    acc[args, rho][j] = sides[rho] - sides[width + rho]
+    return list(dict.fromkeys(map(tuple, acc.values())))
+
+
+def constraints_per_unit(alg: HomSuperAlgebra, k: int, parity: int):
+    """(rows, variables): the distinct primitive rows, one scatter per matrix unit and kernel.
+
+    The residual of the unit E_{r,c} at (x, rho) is the entry of that
+    unknown in the row of (x, rho); the commutation rows come from the 1-ary
+    tensor alpha, the Leibniz rows from the bracket with spectator alpha^k.
+    """
+    variables = derivation_variables(alg.space, parity)
+    units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]
     rows = {}
-    for kernel, arity, lhs_scale in kernels:
-        acc = defaultdict(([0] * len(variables)).copy)  # (x, rho) -> row
-        for idx, (r, c) in enumerate(variables):
-            for args, vec in kernel({c: [(r, lhs_scale, 0)]}, [{c: [(r, 1, 1)]}] * arity, parity).items():
-                for rho in range(width):
-                    if vec[rho] != vec[width + rho]:
-                        acc[args, rho][idx] = vec[rho] - vec[width + rho]
-        for row in dict.fromkeys(map(tuple, acc.values())):
+    for kernel, arity, lhs_scale in _kernels(alg, k):
+        for row in _residual_rows(kernel, arity, lhs_scale, units, variables, parity, alg.space.dim):
             rows[linalg.primitive_row(row)] = None
     return [list(row) for row in rows], variables
+
+
+def constraints_staged(alg: HomSuperAlgebra, k: int, parity: int):
+    """(rows, variables): the commutation rows C of :func:`constraints_per_unit`, then the
+    Leibniz rows on the maps that commute, lifted onto the free columns of C.
+
+    ``dense_rref`` of C gives the free columns f_j and the nullspace basis
+    N_j (N_j[f_j] = 1, zero at the other free columns); the bracket's kernel
+    is scattered once per N_j, with its rational entries, and each distinct
+    primitive residual row u over the N_j becomes the row with u_j at f_j.
+    """
+    variables = derivation_variables(alg.space, parity)
+    m = len(variables)
+    units = [[int(i == j) for i in range(m)] for j in range(m)]
+    (twist, _, _), (bracket, n, lhs_scale) = _kernels(alg, k)
+    width = alg.space.dim
+    rows = dict.fromkeys(map(linalg.primitive_row, _residual_rows(twist, 1, 1, units, variables, parity, width)))
+    pivots = dense_rref(list(rows))[1] if rows else []
+    free = [c for c in range(m) if c not in pivots]
+    basis = dense_nullspace(list(rows), m)
+    for u in dict.fromkeys(map(linalg.primitive_row, _residual_rows(bracket, n, lhs_scale, basis, variables, parity, width))):
+        row = [0] * m
+        for f, uj in zip(free, u):
+            row[f] = uj
+        rows[tuple(row)] = None
+    return [list(row) for row in rows], variables
+
+
+def row_space(rows):
+    """The nonzero rows of the reduced row echelon form: equal exactly for equal row spaces."""
+    return [row for row in dense_rref(rows)[0] if any(row)] if rows else []
 
 
 def _report(identity, cells, cap):

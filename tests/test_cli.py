@@ -111,6 +111,15 @@ class TestCheck:
         assert result.returncode == 0
         assert result.stdout == run_cli("check", "catalog:g3_1_1?a=1/2").stdout
 
+    @pytest.mark.parametrize("value", ["\xa03\u3000", "3\u3000", "\t\xa03"])
+    def test_parameter_with_unicode_padding_exit_two(self, value):
+        """Only ASCII whitespace pads a value; a no-break or ideographic space around it
+        was stripped and the value read as 3."""
+        result = run_cli("check", "catalog:g3_1_1", "--params", f"a={value}")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: bad parameter value in {'a=' + value!r}"]
+
     def test_negative_max_counterexamples_exit_two(self):
         result = run_cli("check", "catalog:g3_1_1", "--max-counterexamples", "-1")
         assert result.returncode == 2
@@ -335,6 +344,7 @@ class TestMalformedFile:
             ("1.5", "error: bad scalar '1.5' in bracket ('a', 'b'): expected 'p' or 'p/q'"),
             ("1/0", "error: bad scalar '1/0' in bracket ('a', 'b'): zero denominator"),
             ("\u0663", "error: bad scalar '\u0663' in bracket ('a', 'b'): expected 'p' or 'p/q'"),
+            ("\xa03\u3000", "error: bad scalar '\\xa03\\u3000' in bracket ('a', 'b'): expected 'p' or 'p/q'"),
             (
                 "7" * 5000,
                 f"error: bad scalar in bracket ('a', 'b'): Exceeds the limit ({sys.get_int_max_str_digits()} digits) "
@@ -342,7 +352,7 @@ class TestMalformedFile:
                 "the limit",
             ),
         ],
-        ids=["grammar", "zero-denominator", "non-ascii-digit", "oversized"],
+        ids=["grammar", "zero-denominator", "non-ascii-digit", "unicode-padding", "oversized"],
     )
     def test_bad_scalar_error_line(self, tmp_path, value, line):
         assert _check_malformed(tmp_path, _set(("bracket", 0, "value", "b"), value)) == line

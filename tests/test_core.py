@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import table_oracle
 from homnambu import algfile, axioms, catalog, cochains, core, derivations, prelie, rotabaxter
 from homnambu.iterated import iterated_bracket
+
+ASCII_SPACE = " \t\n\r\f\v"
 from homnambu.core import (
     Element,
     GradedLinearMap,
@@ -81,13 +83,16 @@ class TestScalar:
             scalar(0.5)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.sampled_from(["0", "1", "7", "10", "/", "-", "+", ".", "e", "_", " ", "\u0663", "\uff13"]),
+    @given(st.lists(st.sampled_from(["0", "1", "7", "10", "/", "-", "+", ".", "e", "_", " ", "\t", "\xa0", "\u3000",
+                                     "\u0663", "\uff13"]),
                     max_size=7).map("".join))
     def test_string_grammar_is_the_file_grammar(self, text):
-        """Strings parse exactly when they read -?digits(/digits)? once stripped, as Fraction reads them, with
-        ASCII digits only; decimal, exponent, underscore and '+' forms and the digits of other scripts (Arabic-Indic
-        and fullwidth here), which Fraction also takes, raise ValueError."""
-        match = re.fullmatch(r"-?[0-9]+(/([0-9]+))?", text.strip())
+        """Strings parse exactly when they read -?digits(/digits)? once stripped of ASCII whitespace, as Fraction
+        reads them, with ASCII digits only; decimal, exponent, underscore and '+' forms, the digits of other scripts
+        (Arabic-Indic and fullwidth here) and other whitespace (no-break and ideographic spaces here), which
+        Fraction also takes, raise ValueError."""
+        text_stripped = text.strip(ASCII_SPACE)
+        match = re.fullmatch(r"-?[0-9]+(/([0-9]+))?", text_stripped)
         if match is None:
             with pytest.raises(ValueError):
                 scalar(text)
@@ -95,7 +100,14 @@ class TestScalar:
             with pytest.raises(ZeroDivisionError):
                 scalar(text)
         else:
-            assert scalar(text) == F(text.strip())
+            assert scalar(text) == F(text_stripped)
+
+    def test_strips_ascii_whitespace_only(self):
+        """str.strip() also drops Unicode spaces and separators, so "\\xa03\\u3000" read as 3."""
+        assert scalar(" \t\n\r\f\v3/6 \t\n\r\f\v") == F(1, 2)
+        for text in ("\xa03\u3000", "\xa03", "3\u3000", "\x1c3", "3\x85", "\u20283"):
+            with pytest.raises(core.ScalarSyntaxError):
+                scalar(text)
 
     def test_library_strings_follow_the_grammar(self):
         assert Element({"e0": " 3/6 "}) == Element({"e0": F(1, 2)})

@@ -16,11 +16,15 @@ so these draws reach the sign that plain random algebras almost never do.
 Every solved map is also re-verified with ``check_derivation``, which pins
 the sign of the shared slot-wise Leibniz sum.
 
-The constraint rows themselves are compared with ``constraints_per_unit``,
-the one-scatter-per-matrix-unit assembly the solver ran before it tagged
-its unknowns: on the same random algebras and on nested osp12 at arities
-3, 4 and 5, both must give the same set of primitive rows over the same
-variables.
+The constraint rows themselves are compared with ``constraints_staged``,
+the solver's two stages run the slow way (the commuting maps from
+``dense_rref``, one Leibniz scatter per commuting basis map): on the same
+random algebras and on nested osp12 at arities 3, 4 and 5, both must give
+the same set of primitive rows over the same variables, and their row space
+must be that of ``constraints_per_unit``, one scatter per matrix unit.  A
+counting kernel pins the work on nested osp12: one bracket scatter, tagged
+by the five diagonal units that commute with its twist, for even maps, none
+for odd ones, and a tag per unknown under the identity twist.
 """
 
 import itertools
@@ -30,6 +34,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from homnambu import derivations
 from homnambu.catalog import catalog_build, catalog_list
 from homnambu.core import (
     Element,
@@ -48,7 +53,7 @@ from homnambu.derivations import (
     solve_derivation_space,
 )
 from homnambu.iterated import iterated_bracket
-from derivation_oracle import constraints_per_unit, solve_oracle
+from derivation_oracle import constraints_per_unit, constraints_staged, row_space, solve_oracle
 from test_nambu_kernel import even_maps, rationals
 
 TWIST_KINDS = ("diagonal", "shear", "singular", "zero")
@@ -121,15 +126,17 @@ def multiplicative_algebras(draw):
 
 
 def assert_same_rows(alg, k, parity):
-    """The tagged one-pass rows against one scatter per matrix unit: same set, same variables."""
+    """The staged one-pass rows against the staged oracle: same set, same variables; and the
+    same row space as one scatter per matrix unit."""
     rows, variables = derivation_constraints(alg, k, parity)
-    expected, expected_variables = constraints_per_unit(alg, k, parity)
+    expected, expected_variables = constraints_staged(alg, k, parity)
     assert variables == expected_variables
     assert len(set(map(tuple, rows))) == len(rows)
     assert set(map(tuple, rows)) == set(map(tuple, expected))
     for row in rows:  # primitive: gcd 1, first nonzero entry positive
         nonzero = [v for v in row if v]
         assert nonzero[0] > 0 and math.gcd(*nonzero) == 1
+    assert row_space(rows) == row_space(constraints_per_unit(alg, k, parity)[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,3 +188,45 @@ def test_nested_osp12_matches_oracle(n, k, parity):
 @pytest.mark.parametrize("k,parity", POWERS_AND_PARITIES)
 def test_nested_osp12_rows_match_per_unit_oracle(n, k, parity):
     assert_same_rows(iterated_bracket(catalog_build("osp12").algebra, n), k, parity)
+
+
+def counted_scatters(monkeypatch):
+    """(arity, tags) of every scatter the derivation module's kernels run, in order."""
+    scatters = []
+    kernel = derivations._leibniz_kernel
+
+    def counting_kernel(*args):
+        scatter = kernel(*args)
+
+        def counted(out_cols, slot_cols, odd, tags=2, cell=None):
+            scatters.append((len(slot_cols), tags))
+            return scatter(out_cols, slot_cols, odd, tags, cell)
+
+        return counted
+
+    monkeypatch.setattr(derivations, "_leibniz_kernel", counting_kernel)
+    return scatters
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_bracket_scatter_tags_only_the_commuting_maps(monkeypatch, k):
+    """On nested osp12 the twist has distinct eigenvalues: only the five diagonal units
+    commute with it and no odd map does, so odd maps skip the bracket's scatter."""
+    alg = iterated_bracket(catalog_build("osp12").algebra, 4)
+    scatters = counted_scatters(monkeypatch)
+    derivation_constraints(alg, k, 1)
+    assert scatters == [(1, len(derivation_variables(alg.space, 1)))]
+    scatters.clear()
+    derivation_constraints(alg, k, 0)
+    assert scatters == [(1, len(derivation_variables(alg.space, 0))), (4, 5)]
+
+
+@pytest.mark.parametrize("parity", (0, 1))
+def test_identity_twist_tags_every_unknown(monkeypatch, parity):
+    nested = iterated_bracket(catalog_build("osp12").algebra, 4)
+    alg = multiplicative_algebra(nested.space, nested.bracket, GradedLinearMap.identity(nested.space))
+    scatters = counted_scatters(monkeypatch)
+    derivation_constraints(alg, 1, parity)
+    m = len(derivation_variables(alg.space, parity))
+    assert scatters == [(1, m), (4, m)]
+    assert_same_rows(alg, 1, parity)

@@ -11,8 +11,8 @@ derivation and generalized cases replace a^k by a random even spectator.
 A third of the algebras are Grassmann envelopes carrying d/dtheta, an odd
 power-0 derivation whose Leibniz sign is the Koszul sign itself; the other
 passing candidates are solved derivations, and the random maps mostly fail.
-The same checks, and the solver's rows against one scatter per matrix unit,
-also run under spectators whose preimage lists are empty in a middle slot
+The same checks, and the solver's rows against the staged oracle and the
+row space of one scatter per matrix unit, also run under spectators whose preimage lists are empty in a middle slot
 or have several terms on both sides of a slot (``random_inputs.hard_map``).
 Every check reaches the kernel through ``axioms._leibniz_sweep``, which
 scatters once per primitive input; the adjoint expansion on algebras where
@@ -24,7 +24,6 @@ import random
 
 import pytest
 
-from homnambu import derivations
 from homnambu.catalog import catalog_build
 from homnambu.cochains import SuperCochain, derivation_transfer
 from homnambu.core import (
@@ -42,13 +41,12 @@ from homnambu.derivations import (
     check_derivation,
     check_generalized_derivation,
     check_quasi_derivation,
-    derivation_constraints,
     solve_derivation_space,
 )
 from homnambu.iterated import check_adjoint_expansion
 import derivation_oracle
 import random_inputs
-from test_derivation_solver import grassmann_envelope
+from test_derivation_solver import assert_same_rows, counted_scatters, grassmann_envelope
 
 CAPS = (0, 2, 10**6)
 
@@ -123,8 +121,8 @@ def test_derivation_checkers_match_oracles():
 def test_hard_preimage_pools_match_oracles(kind):
     """Spectators a^k under which e1 has no preimage, met in a middle slot, or under
     which e0 and e1 have two preimages each, met left and right of the slot: the
-    derivation, quasi- and generalized reports, and the solver's rows against one
-    scatter per matrix unit."""
+    derivation, quasi- and generalized reports, and the solver's rows against the
+    staged oracle and the row space of one scatter per matrix unit."""
     rng = random.Random(29)
     cases, hits, failing = 16, 0, 0
     for _ in range(cases):
@@ -149,10 +147,7 @@ def test_hard_preimage_pools_match_oracles(kind):
         full = derivation_oracle.generalized_derivation_report(tup, alg, 10**6)
         assert_equal_at_every_cap(lambda cap: check_generalized_derivation(tup, alg, cap), full)
 
-        rows, variables = derivation_constraints(alg, k, parity)
-        expected, expected_variables = derivation_oracle.constraints_per_unit(alg, k, parity)
-        assert variables == expected_variables
-        assert set(map(tuple, rows)) == set(map(tuple, expected))
+        assert_same_rows(alg, k, parity)
     assert hits >= cases / 2
     assert cases / 5 <= failing < cases
 
@@ -241,19 +236,7 @@ def proportional_adjoint_algebra(rng, central):
 def test_adjoint_expansion_memo_serves_proportional_x_labels(monkeypatch):
     """x = e0 and x = e1 share one kernel scatter; e1's failing cells come from e0's,
     rescaled, and must match the oracle at every cap."""
-    scatters = []
-    kernel = derivations._leibniz_kernel
-
-    def counting_kernel(*args):
-        scatter = kernel(*args)
-
-        def counted(*a, **k):
-            scatters.append(a)
-            return scatter(*a, **k)
-
-        return counted
-
-    monkeypatch.setattr(derivations, "_leibniz_kernel", counting_kernel)
+    scatters = counted_scatters(monkeypatch)
     rng = random.Random(31)
     cases, failing = 16, 0
     for case in range(cases):
