@@ -16,6 +16,7 @@ scalars.  ``emit(parse(text))`` is byte-identical for canonical input.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .axioms import check_grading
@@ -98,10 +99,10 @@ def _labels(value, where: str) -> tuple[str, ...]:
 
 
 def strip_comments(text: str) -> str:
-    lines = text.splitlines()
-    if "#" not in text:  # no comment line to drop
-        return "\n".join(lines)
-    return "\n".join(line for line in lines if not line.lstrip().startswith("#"))
+    """``text`` less its comment lines, whose first character other than a space or a tab is '#', with "\\n" breaks."""
+    # Only CR LF, CR and LF break a line: a JSON string may hold U+0085, U+2028 or U+2029 raw.
+    text = "\n" + text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")  # a last break ends no line
+    return re.sub(r"\n[ \t]*#[^\n]*", "", text)[1:]  # each comment line goes with the break before it
 
 
 def parse(text: str) -> AlgebraBundle:

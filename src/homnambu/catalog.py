@@ -5,9 +5,10 @@ orthosymplectic family osp12, and two three-dimensional examples L1 (carrying
 the degree-1 form used for induced ternary brackets) and L2 (the base of the
 nested-bracket worked example).
 
-Each entry declares the axiom profile its instantiations satisfy; the CI suite
-re-verifies the profile for several parameter choices.  Two quirks inherited
-from the sources are normalized here:
+Each entry is an algebra-file document read by :func:`algfile.load`, so it gets
+a file's schema, orbit and grading checks.  It declares the axiom profile its
+instantiations satisfy; the CI suite re-verifies the profile for several
+parameter choices.  Two quirks inherited from the sources are normalized here:
 
 * L1's printed twist sends the odd basis vector to an even one, which no even
   map can do; the unique even reading consistent with form-invariance and
@@ -26,25 +27,18 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from .algfile import AlgebraBundle, AttachedOperator
-from .cochains import SuperCochain
-from .core import (
-    GradedLinearMap,
-    NaryBracket,
-    SuperSpace,
-    complete_skew_orbit,
-    integer_table,
-    multiplicative_algebra,
-    record,
-    scalar,
-)
+from . import algfile
+from .core import complete_skew_orbit, format_scalar, record, scalar
+
+# benchmarks/tracer.py wraps this name; algfile.load completes the orbits. ROADMAP item 2's tracer fix retires it.
+_TRACED_ORBIT = complete_skew_orbit
 
 FULL_PROFILE = ("grading", "super-skew", "hom-jacobi", "multiplicative")
 NO_JACOBI_PROFILE = ("grading", "super-skew", "multiplicative")
 
 
 class CatalogError(ValueError):
-    """Unknown entry or violated parameter constraint."""
+    """Unknown entry, unknown or repeated parameter, or violated parameter constraint."""
 
 
 @record
@@ -67,15 +61,16 @@ class CatalogEntry:
     summary: str
     parameters: tuple[ParamSpec, ...]
     profile: tuple[str, ...]
-    builder: Callable[[Mapping[str, Fraction]], AlgebraBundle]
+    builder: Callable[[Mapping[str, Fraction]], algfile.AlgebraBundle]
 
-    def build(self, **params) -> AlgebraBundle:
+    def build(self, **params) -> algfile.AlgebraBundle:
         resolved = {}
-        aliases = dict(params)
-        if "λ" in aliases:
-            aliases["lambda"] = aliases.pop("λ")
+        if "λ" in params:
+            if "lambda" in params:
+                raise CatalogError(f"{self.name}: parameter lambda given twice, as lambda and λ")
+            params["lambda"] = params.pop("λ")
         for param in self.parameters:
-            raw = aliases.pop(param.name, param.default)
+            raw = params.pop(param.name, param.default)
             value = scalar(raw)
             if not param.admits(value):
                 raise CatalogError(
@@ -83,79 +78,61 @@ class CatalogEntry:
                     f"constraint '{param.constraint}'"
                 )
             resolved[param.name] = value
-        if aliases:
-            raise CatalogError(f"{self.name}: unknown parameters {sorted(aliases)}")
+        if params:
+            raise CatalogError(f"{self.name}: unknown parameters {sorted(params)}")
         return self.builder(resolved)
 
 
-def _skew_algebra(space, generators, alpha_rows):
-    alpha = GradedLinearMap.from_matrix(space, alpha_rows, parity=0)
-    table = complete_skew_orbit(2, integer_table(generators), space)
-    return multiplicative_algebra(space, NaryBracket.of_table(2, table), alpha)
+def _document(name, basis, generators, twist, cochains=(), operators=()):
+    """An entry as a file document; ``cochains`` are (degree, values) pairs, ``operators`` (kind, matrix) pairs."""
+    matrix = lambda rows: [[format_scalar(v) for v in row] for row in rows]
+    return {
+        "name": name,
+        "basis": [{"label": label, "parity": parity} for label, parity in basis],
+        "arity": 2,
+        "multiplicative": True,
+        "twists": [matrix(twist)],
+        "bracket": [
+            {"args": list(args), "value": {label: format_scalar(v) for label, v in value.items()}}
+            for args, value in generators.items()
+        ],
+        "skew_complete": True,
+        "cochains": [
+            {"degree": k, "values": [{"args": list(args), "value": format_scalar(v)} for args, v in values.items()]}
+            for k, values in cochains
+        ],
+        "operators": [{"kind": kind, "matrix": matrix(rows)} for kind, rows in operators],
+    }
 
 
 def _build_g1(p):
-    space = SuperSpace.from_pairs([("e1", 1), ("e2", 1)])
-    alg = _skew_algebra(space, {}, [[p["a"], 0], [0, p["a"]]])
-    return AlgebraBundle("g1_0_2", alg)
+    return algfile.load(_document("g1_0_2", [("e1", 1), ("e2", 1)], {}, [[p["a"], 0], [0, p["a"]]]))
 
 
 def _build_g2(p):
-    space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
-    alg = _skew_algebra(space, {}, [[p["a"], 0], [0, p["a"]]])
-    return AlgebraBundle("g2_1_1", alg)
+    return algfile.load(_document("g2_1_1", [("e0", 0), ("e1", 1)], {}, [[p["a"], 0], [0, p["a"]]]))
 
 
 def _build_g3(p):
-    space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
-    alg = _skew_algebra(
-        space, {("e0", "e1"): {"e1": 1}}, [[1, 0], [0, p["a"]]]
-    )
-    operators = (
-        AttachedOperator(
-            "derivation",
-            GradedLinearMap.from_matrix(space, [[0, 0], [0, 1]], parity=0),
-        ),
-        AttachedOperator(
-            "rota_baxter",
-            GradedLinearMap.from_matrix(space, [[1, 0], [0, 0]], parity=0),
-        ),
-    )
-    return AlgebraBundle("g3_1_1", alg, operators=operators)
+    operators = [("derivation", [[0, 0], [0, 1]]), ("rota_baxter", [[1, 0], [0, 0]])]
+    generators = {("e0", "e1"): {"e1": 1}}
+    return algfile.load(_document("g3_1_1", [("e0", 0), ("e1", 1)], generators, [[1, 0], [0, p["a"]]], (), operators))
 
 
 def _build_g4(p):
-    space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
-    alg = _skew_algebra(
-        space, {("e0", "e1"): {"e1": 1}}, [[p["a"], 0], [0, 0]]
-    )
-    return AlgebraBundle("g4_1_1", alg)
+    return algfile.load(_document("g4_1_1", [("e0", 0), ("e1", 1)], {("e0", "e1"): {"e1": 1}}, [[p["a"], 0], [0, 0]]))
 
 
 def _build_g5(p):
     a = p["a"]
-    space = SuperSpace.from_pairs([("e0", 0), ("e1", 1)])
-    alg = _skew_algebra(
-        space, {("e1", "e1"): {"e0": 1}}, [[a * a, 0], [0, a]]
-    )
-    operators = (
-        AttachedOperator(
-            "rota_baxter",
-            GradedLinearMap.from_matrix(space, [[Fraction(1, 2), 0], [0, 1]], parity=0),
-        ),
-        AttachedOperator(
-            "derivation",
-            GradedLinearMap.from_matrix(space, [[2, 0], [0, 1]], parity=0),
-        ),
-    )
-    return AlgebraBundle("g5_1_1", alg, operators=operators)
+    operators = [("rota_baxter", [[Fraction(1, 2), 0], [0, 1]]), ("derivation", [[2, 0], [0, 1]])]
+    generators = {("e1", "e1"): {"e0": 1}}
+    return algfile.load(_document("g5_1_1", [("e0", 0), ("e1", 1)], generators, [[a * a, 0], [0, a]], (), operators))
 
 
 def _build_osp12(p):
     lam = p["lambda"]
-    space = SuperSpace.from_pairs(
-        [("X", 0), ("Y", 0), ("H", 0), ("F", 1), ("G", 1)]
-    )
+    basis = [("X", 0), ("Y", 0), ("H", 0), ("F", 1), ("G", 1)]
     l2 = lam * lam
     generators = {
         ("H", "X"): {"X": 2 * l2},
@@ -176,44 +153,30 @@ def _build_osp12(p):
         [0, 0, 0, 1 / lam, 0],
         [0, 0, 0, 0, lam],
     ]
-    return AlgebraBundle("osp12", _skew_algebra(space, generators, alpha))
+    return algfile.load(_document("osp12", basis, generators, alpha))
 
 
 def _build_L1(p):
     a, b = p["a"], p["b"]
-    space = SuperSpace.from_pairs([("e1", 0), ("e2", 0), ("e3", 1)])
-    alg = _skew_algebra(
-        space,
-        {
-            ("e2", "e3"): {"e3": 1},
-            ("e3", "e3"): {"e1": 1},
-        },
-        [[a * a, 0, 0], [0, 1, 0], [0, 0, a]],
-    )
-    phi = SuperCochain(space, 1, {("e2",): b})
-    operators = (
-        AttachedOperator(
-            "rota_baxter",
-            GradedLinearMap.from_matrix(
-                space, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], parity=0
-            ),
-        ),
-    )
-    return AlgebraBundle("L1", alg, cochains=(phi,), operators=operators)
+    basis = [("e1", 0), ("e2", 0), ("e3", 1)]
+    generators = {
+        ("e2", "e3"): {"e3": 1},
+        ("e3", "e3"): {"e1": 1},
+    }
+    alpha = [[a * a, 0, 0], [0, 1, 0], [0, 0, a]]
+    cochains = [(1, {("e2",): b})]
+    operators = [("rota_baxter", [[1, 0, 0], [0, 0, 0], [0, 0, 0]])]
+    return algfile.load(_document("L1", basis, generators, alpha, cochains, operators))
 
 
 def _build_L2(p):
     a, b, c = p["a"], p["b"], p["c"]
-    space = SuperSpace.from_pairs([("e1", 0), ("e2", 1), ("e3", 1)])
-    alg = _skew_algebra(
-        space,
-        {
-            ("e1", "e3"): {"e2": b},
-            ("e2", "e3"): {"e1": c},
-        },
-        [[a, 0, 0], [0, a, 0], [0, 0, 1]],
-    )
-    return AlgebraBundle("L2", alg)
+    generators = {
+        ("e1", "e3"): {"e2": b},
+        ("e2", "e3"): {"e1": c},
+    }
+    alpha = [[a, 0, 0], [0, a, 0], [0, 0, 1]]
+    return algfile.load(_document("L2", [("e1", 0), ("e2", 1), ("e3", 1)], generators, alpha))
 
 
 ENTRIES = (
@@ -295,7 +258,7 @@ def catalog_entry(name: str) -> CatalogEntry:
         raise CatalogError(f"unknown catalog entry {name!r}") from None
 
 
-def catalog_build(name: str, **params) -> AlgebraBundle:
+def catalog_build(name: str, **params) -> algfile.AlgebraBundle:
     return catalog_entry(name).build(**params)
 
 

@@ -75,8 +75,11 @@ def parse_params(text: str) -> dict[str, Fraction]:
         if "=" not in piece:
             raise InputProblem(f"bad parameter assignment {piece!r}")
         key, value = piece.split("=", 1)
+        key = key.strip(_SPACE)
+        if key in out:
+            raise InputProblem(f"parameter {key!r} given twice in {text!r}")
         try:
-            out[key.strip(_SPACE)] = scalar(value)
+            out[key] = scalar(value)
         except (ValueError, TypeError, ZeroDivisionError):
             raise InputProblem(f"bad parameter value in {piece!r}") from None
     return out

@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homnambu import algfile
 from homnambu.algfile import AlgebraBundle, AlgebraFileError
@@ -244,3 +247,53 @@ def test_emit_writes_json_dumps_layout(case, bundle):
     expected = json.dumps(reference_document(bundle), indent=2, ensure_ascii=False)
     assert algfile.emit(bundle) == expected + "\n"
     assert algfile.emit(bundle, ["a", "b"]) == expected + "\n# a\n# b\n"
+
+
+def line_filter(text: str) -> str:
+    """The comment stripping rule written as a loop over lines: lines end at CR LF, CR or LF only."""
+    lines = re.split("\r\n|\r|\n", text)
+    if lines[-1] == "":  # a last break ends the last line and starts none
+        lines.pop()
+    return "\n".join(line for line in lines if not line.lstrip(" \t").startswith("#"))
+
+
+class TestLineBreaks:
+    @given(st.text(alphabet="\n\r \t#a{}\"\u2028\u2029\x85\x0c\xa0", max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_strip_comments_drops_exactly_the_comment_lines(self, text):
+        assert algfile.strip_comments(text) == line_filter(text)
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_separators_in_strings_survive_emit_and_parse(self, char):
+        """str.splitlines() broke lines at these too, so an emitted name or label that held one raw no longer parsed."""
+        doc = sample_doc()
+        doc["name"] = f"g{char}x"
+        doc["basis"][1]["label"] = f"e{char}1"
+        doc["bracket"] = [{"args": ["e0", f"e{char}1"], "value": {f"e{char}1": "1"}}]
+        bundle = algfile.load(doc)
+        text = algfile.emit(bundle, comments=["note"])
+        assert f"g{char}x" in text and f"e{char}1" in text  # written raw
+        reparsed = algfile.parse(text)
+        assert reparsed == bundle
+        assert algfile.emit(reparsed, comments=["note"]) == text
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"name": \n', "Expecting value: line 1 column 10 (char 9)"),
+            ('# c\n{"name": 1,\n  # d\n}\n', "Expecting property name enclosed in double quotes: line 2 column 1 (char 12)"),
+            ('{\n  "a": 1\n  "b": 2\n}\n', "Expecting ',' delimiter: line 3 column 3 (char 13)"),
+            ('{\n  "a": "x\ty"\n}\n# end\n', "Invalid control character at: line 2 column 10 (char 11)"),
+        ],
+    )
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    def test_json_error_text_is_the_same_for_every_line_break(self, text, error, brk):
+        with pytest.raises(AlgebraFileError) as exc:
+            algfile.parse(text.replace("\n", brk))
+        assert str(exc.value) == f"not valid JSON: {error}"
+
+    def test_comment_line_may_be_indented_by_spaces_and_tabs_only(self):
+        text = json.dumps(sample_doc())
+        assert algfile.parse(" \t# note\n" + text).name == "sample"
+        with pytest.raises(AlgebraFileError, match="not valid JSON"):
+            algfile.parse("\xa0# note\n" + text)

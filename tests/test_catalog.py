@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from homnambu import algfile
 from homnambu.axioms import (
     check_grading,
     check_hom_jacobi,
@@ -16,6 +18,8 @@ from homnambu.catalog import (
     hom_lie_entries,
 )
 from homnambu.core import Element, GradedLinearMap
+
+from catalog_reference import BUILDERS
 
 CHECKS = {
     "grading": check_grading,
@@ -76,6 +80,11 @@ class TestConstraints:
         with pytest.raises(CatalogError):
             catalog_build("g3_1_1", q=1)
 
+    def test_lambda_with_its_alias_is_rejected(self):
+        for params in ({"lambda": 2, "λ": 3}, {"λ": 3, "lambda": 2}, {"lambda": 2, "λ": 2}):
+            with pytest.raises(CatalogError, match="parameter lambda given twice"):
+                catalog_build("osp12", **params)
+
     def test_lambda_alias(self):
         a = catalog_build("osp12", **{"λ": 2}).algebra
         b = catalog_build("osp12", **{"lambda": 2}).algebra
@@ -118,3 +127,47 @@ class TestEntryContents:
     def test_hom_lie_entries_helper(self):
         names = {e.name for e in hom_lie_entries()}
         assert names == {"g1_0_2", "g2_1_1", "g3_1_1", "g4_1_1", "g5_1_1", "osp12"}
+
+
+# zero, negative and fractional values where admissible, beside the three choices above
+MORE_CHOICES = {
+    "g1_0_2": [{"a": 0}, {"a": -7}],
+    "g2_1_1": [{"a": 0}, {"a": F(-9, 4)}],
+    "g3_1_1": [{"a": 0}, {"a": F(-2, 5)}],
+    "g4_1_1": [{"a": -1}, {"a": F(5, 3)}],
+    "g5_1_1": [{"a": -1}, {"a": F(-3, 8)}],
+    "osp12": [{"lambda": F(-2, 3)}, {"lambda": 5}],
+    "L1": [{"a": 3, "b": 0}, {"a": -3, "b": F(-1, 4)}],
+    "L2": [{"a": -1, "b": 0, "c": 0}, {"a": F(-5, 3), "b": F(1, 7), "c": -2}],
+}
+REFERENCE_CHOICES = {name: [{}] + PARAM_CHOICES[name] + MORE_CHOICES[name] for name in PARAM_CHOICES}
+
+
+@pytest.mark.parametrize(
+    "name, params", [(name, params) for name in sorted(REFERENCE_CHOICES) for params in REFERENCE_CHOICES[name]]
+)
+def test_entry_matches_its_reference_builder(name, params):
+    """The document an entry hands the loader gives the bundle its old builder made, record for record and byte for byte."""
+    entry = catalog_entry(name)
+    resolved = {p.name: F(params.get(p.name, p.default)) for p in entry.parameters}
+    expected = BUILDERS[name](resolved)
+    bundle = catalog_build(name, **params)
+    assert bundle == expected
+    assert algfile.emit(bundle) == algfile.emit(expected)
+
+
+def test_every_entry_is_a_plain_document_read_by_the_loader(monkeypatch):
+    documents = []
+    load = algfile.load
+
+    def recording_load(doc):
+        documents.append(doc)
+        return load(doc)
+
+    monkeypatch.setattr(algfile, "load", recording_load)
+    for entry in catalog_list():
+        bundle = entry.build()
+        assert documents[-1]["name"] == entry.name
+        assert json.loads(json.dumps(documents[-1])) == documents[-1]  # only JSON types: lists, strings, integers
+        assert bundle == load(documents[-1])
+    assert len(documents) == len(catalog_list())

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from homnambu.core import OversizedScalar
+
 CLI = [sys.executable, "-m", "homnambu.cli"]
 
 
@@ -105,6 +107,39 @@ class TestCheck:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.splitlines() == [f"error: bad parameter value in '{piece}'"]
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["catalog:osp12?lambda=2,λ=3"], "error: osp12: parameter lambda given twice, as lambda and λ"),
+            (["catalog:osp12?λ=3,lambda=2"], "error: osp12: parameter lambda given twice, as lambda and λ"),
+            (["catalog:osp12?lambda=2", "--params", "λ=3"], "error: osp12: parameter lambda given twice, as lambda and λ"),
+            (["catalog:g3_1_1?a=2,a=3"], "error: parameter 'a' given twice in 'a=2,a=3'"),
+            (["catalog:g3_1_1?a=2, a =2"], "error: parameter 'a' given twice in 'a=2, a =2'"),
+            (["catalog:g3_1_1", "--params", "a=2,a=3"], "error: parameter 'a' given twice in 'a=2,a=3'"),
+        ],
+        ids=["lambda-then-alias", "alias-then-lambda", "alias-in-params", "query", "query-same-value", "params"],
+    )
+    def test_repeated_parameter_exit_two(self, args, line):
+        """Each of these took one of the values, the last one given, and exited 0."""
+        result = run_cli("check", *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [line]
+
+    def test_entry_scalar_too_long_for_a_document_exit_two(self):
+        """An entry is a document, so a twist entry a^2 with more digits than int() converts is an input error, as in a file."""
+        result = run_cli("check", "catalog:g5_1_1?a=" + "7" * 3000)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: bad parameters for g5_1_1: {OversizedScalar()}"]
+
+    def test_params_override_a_query_parameter(self):
+        induce = lambda *args: run_cli("induce", *args, "--method", "iterate", "--n", "3")
+        result = induce("catalog:g3_1_1?a=2", "--params", "a=3")
+        assert result.returncode == 0
+        assert result.stdout == induce("catalog:g3_1_1?a=3").stdout
+        assert result.stdout != induce("catalog:g3_1_1?a=2").stdout
 
     def test_parameter_with_spaces_still_parses(self):
         result = run_cli("check", "catalog:g3_1_1", "--params", "a= 3/6 ")
