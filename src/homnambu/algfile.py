@@ -15,7 +15,6 @@ scalars.  ``emit(parse(text))`` is byte-identical for canonical input.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -106,6 +105,7 @@ def strip_comments(text: str) -> str:
 
 
 def parse(text: str) -> AlgebraBundle:
+    import json  # loaded only by commands that read or write a document
     try:
         doc = json.loads(strip_comments(text))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -258,6 +258,7 @@ def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
     the pure-Python encoder), each tensor scalar formatted from its
     numerator and scale.
     """
+    import json
     alg, space = bundle.algebra, bundle.algebra.space
     index = {l: i for i, l in enumerate(space.labels)}
     q = {l: json.dumps(l, ensure_ascii=False) for l in space.labels}

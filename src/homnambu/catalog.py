@@ -65,7 +65,7 @@ class CatalogEntry:
 
     def build(self, **params) -> algfile.AlgebraBundle:
         resolved = {}
-        if "λ" in params:
+        if "λ" in params and any(param.name == "lambda" for param in self.parameters):  # else unknown, as typed
             if "lambda" in params:
                 raise CatalogError(f"{self.name}: parameter lambda given twice, as lambda and λ")
             params["lambda"] = params.pop("λ")

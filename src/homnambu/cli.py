@@ -10,7 +10,7 @@ deterministic: two runs on the same input produce byte-identical text.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 from fractions import Fraction
 
@@ -138,6 +138,7 @@ def report_doc(report: CheckReport) -> dict:
 
 def render_reports(reports: list[CheckReport], mode: str, header: dict) -> str:
     if mode == "structured":
+        import json  # loaded only for structured output, as few commands need it
         doc = dict(header)
         doc["checks"] = [report_doc(r) for r in reports]
         doc["passed"] = all(r.passed for r in reports)
@@ -260,6 +261,7 @@ def cmd_derive(args) -> int:
         raise InputProblem("k must be nonnegative")
     basis = solve_derivation_space(alg, args.k, args.parity)
     if args.report == "structured":
+        import json
         doc = {
             "command": "derive",
             "source": args.source,
@@ -435,5 +437,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> int:
+    """The process entry (``python -m homnambu.cli``, the ``homnambu`` script): ``main()``'s exit code."""
+    code = main()
+    gc.freeze()  # teardown's last collections skip the live heap; flushes and atexit still run
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

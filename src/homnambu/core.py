@@ -401,12 +401,15 @@ class GradedLinearMap:
     integer_columns: tuple[int, dict]
 
     def __init__(self, space: SuperSpace, parity: int, columns: Mapping[str, Element]):
+        parsed = lambda img: img.coeffs if isinstance(img, Element) else {r: scalar(c) for r, c in img.items()}
+        self._fill(space, parity, {label: parsed(img) for label, img in columns.items()})
+
+    def _fill(self, space: SuperSpace, parity: int, columns: dict) -> "GradedLinearMap":
+        """Store ``columns``, {label: {row: Fraction}}, as integer columns; each image must have the declared parity."""
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        scale, cols = integer_table({
-            label: img.coeffs if isinstance(img, Element) else {r: scalar(c) for r, c in img.items()}
-            for label, img in sorted(columns.items(), key=lambda item: space.index(item[0]))  # unknown labels raise
-        })
+        order = sorted(columns, key=space.index)  # unknown labels raise
+        scale, cols = integer_table({label: columns[label] for label in order})
         for label, img in cols.items():
             want = (space.parity(label) + parity) % 2
             for out_label in img:
@@ -417,6 +420,7 @@ class GradedLinearMap:
                         f"(parity {space.parity(out_label)})"
                     )
         vars(self).update(space=space, parity=parity, integer_columns=(scale, _nonzero(cols)))
+        return self
 
     @classmethod
     def of_table(cls, space: SuperSpace, parity: int, table: tuple[int, dict]) -> "GradedLinearMap":
@@ -436,7 +440,7 @@ class GradedLinearMap:
         if parity is None:
             nonzero = ((r, c) for c, col in cols.items() for r, v in col.items() if v)
             parity = next(((space.parity(r) + space.parity(c)) % 2 for r, c in nonzero), 0)
-        return cls(space, parity, cols)
+        return _bare(cls)._fill(space, parity, cols)  # each entry parsed once, above
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedLinearMap":
@@ -510,12 +514,13 @@ def map_compose(f: GradedLinearMap, g: GradedLinearMap) -> GradedLinearMap:
 
 
 def map_power(f: GradedLinearMap, k: int) -> GradedLinearMap:
+    """f composed with itself k times, by repeated squaring: at most 2*floor(log2 k) compositions."""
     if k < 0:
         raise ValueError("negative powers are not defined here")
-    out = GradedLinearMap.identity(f.space)
-    for _ in range(k):
-        out = map_compose(f, out)
-    return out
+    if k < 2:
+        return f if k else GradedLinearMap.identity(f.space)
+    power = map_power(map_compose(f, f), k // 2)
+    return map_compose(f, power) if k % 2 else power
 
 
 def supercommutator_maps(d1: GradedLinearMap, d2: GradedLinearMap) -> GradedLinearMap:

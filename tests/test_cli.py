@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,13 @@ class TestCheck:
     def test_unicode_lambda_parameter(self):
         result = run_cli("check", "catalog:osp12?λ=2")
         assert result.returncode == 0
+
+    def test_alias_on_an_entry_without_lambda_is_named_as_typed(self):
+        """The alias was renamed before the names were checked, so the error named 'lambda', a key not typed."""
+        result = run_cli("check", "catalog:g3_1_1?λ=2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: g3_1_1: unknown parameters ['λ']"]
 
     def test_unknown_entry_exit_two(self):
         result = run_cli("check", "catalog:zzz")
@@ -596,6 +605,13 @@ class TestDerive:
         result = run_cli("derive", "catalog:g3_1_1?a=2", "--k", "0", "--parity", "0")
         assert result.stdout.startswith("dimension 1")
 
+    def test_power_too_long_to_print_exit_two(self):
+        """map_power composed the twist k times, so this ran for about a minute before it exited 2."""
+        result = run_cli("derive", "catalog:osp12", "--k", "30000", "--parity", "0")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {OversizedScalar()}"]
+
 
 class TestRbVerify:
     def test_g5_operator(self):
@@ -720,3 +736,29 @@ class TestDeterminism:
         assert first.stdout == second.stdout
         assert first.stderr == second.stderr
         assert first.returncode == second.returncode
+
+
+class TestProcessEntry:
+    def test_main_leaves_the_collector_alone(self, capsys):
+        """Tests, the corpus and the benchmark's replays call main in-process: it must not freeze their heap."""
+        from homnambu import cli
+
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(["catalog", "show", "g3_1_1"]) == 0
+        assert cli.main(["check", "catalog:nope"]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        capsys.readouterr()
+
+    def test_run_returns_the_code_of_main_then_freezes(self, monkeypatch, capsys):
+        from homnambu import cli
+
+        events = []
+        monkeypatch.setattr(sys, "argv", ["homnambu", "check", "catalog:nope"])
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        assert cli.run() == 2
+        assert events == ["freeze"]
+        assert capsys.readouterr() == ("", "error: unknown catalog entry 'nope'\n")
+
+    def test_the_installed_script_is_run(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'homnambu = "homnambu.cli:run"' in pyproject.splitlines()

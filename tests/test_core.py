@@ -585,6 +585,56 @@ def test_map_constructors_agree_at_the_least_scale():
     assert of_table.columns == {"e0": Element({"e0": F(1, 3), "e1": F(1, 2)}), "e1": Element()}
 
 
+def _k_fold_power(f, k):
+    """f composed with itself k times, one composition at a time: map_power's oracle."""
+    out = GradedLinearMap.identity(f.space)
+    for _ in range(k):
+        out = map_compose(f, out)
+    return out
+
+
+def test_map_power_matches_the_k_fold_product():
+    """Every catalog twist at its defaults, an odd swap and a dense even map, for k up to 9."""
+    maps = [catalog.catalog_build(e.name).algebra.twists[0] for e in catalog.catalog_list()]
+    maps.append(GradedLinearMap(two_dim(), 1, {"e0": Element({"e1": 1}), "e1": Element({"e0": F(-2, 3)})}))
+    maps.append(GradedLinearMap.from_matrix(two_dim((0, 0)), [[1, 2], [F(1, 3), -1]]))
+    for f in maps:
+        for k in range(10):
+            assert map_power(f, k) == _k_fold_power(f, k), (f, k)
+
+
+def test_map_power_composes_at_most_twice_log2_k(monkeypatch):
+    """Repeated squaring: at most 2*floor(log2 k) + 1 compositions, where the k-fold product made k."""
+    alpha = catalog.catalog_build("osp12").algebra.twists[0]
+    calls = []
+    monkeypatch.setattr(core, "map_compose", lambda f, g: calls.append(1) or map_compose(f, g))  # the oracle's is not counted
+    for k in [*range(1, 70), 2000, 30000]:
+        calls.clear()
+        power = map_power(alpha, k)
+        assert len(calls) <= 2 * (k.bit_length() - 1) + 1, k
+        assert k >= 70 or power == _k_fold_power(alpha, k), k
+    scale, cols = power.integer_columns  # alpha^30000 = diag(4, 1/4, 1, 1/2, 2)^30000 on X, Y, H, F, G
+    assert scale == 4**30000 and cols["X"] == {"X": 16**30000} and cols["H"] == {"H": 4**30000}
+
+
+def test_from_matrix_parses_each_entry_once(monkeypatch):
+    """from_matrix reads each entry through core.scalar once and builds the record the constructor builds."""
+    space = two_dim((0, 0))
+    rows = [["1/3", 0], ["1/2", "0"]]
+    parse, calls = core.scalar, []
+    monkeypatch.setattr(core, "scalar", lambda value: calls.append(value) or parse(value))
+    m = GradedLinearMap.from_matrix(space, rows)
+    assert sorted(map(str, calls)) == ["0", "0", "1/2", "1/3"]
+    assert m == GradedLinearMap(space, 0, {"e0": {"e0": F(1, 3), "e1": F(1, 2)}, "e1": {}})
+    with pytest.raises(ValueError, match="declared parity 1"):
+        GradedLinearMap.from_matrix(space, rows, parity=1)
+    odd = GradedLinearMap.from_matrix(two_dim(), [[0, 1], [2, 0]])
+    assert odd.parity == 1 and odd == GradedLinearMap(two_dim(), 1, {"e0": {"e1": 2}, "e1": {"e0": 1}})
+    for entry in catalog.catalog_list():
+        for f in catalog.catalog_build(entry.name).algebra.twists:
+            assert GradedLinearMap.from_matrix(f.space, f.matrix(), f.parity) == f
+
+
 def test_unknown_column_label_raises():
     """A column keyed by a label outside the basis was silently dropped; it raises as an unknown row does."""
     space = SuperSpace.from_pairs([("a", 0)])

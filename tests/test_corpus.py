@@ -13,6 +13,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -222,6 +224,20 @@ def test_cli_corpus_is_byte_identical(tmp_path, monkeypatch):
     assert [r["argv"] for r in actual] == [r["argv"] for r in expected]
     for got, want in zip(actual, expected):
         assert got == want, " ".join(want["argv"])
+
+
+def test_cli_corpus_through_the_process_entry(tmp_path, monkeypatch):
+    """Each command run as its own ``python -m homnambu.cli`` process, which exits through ``cli.run``,
+    prints the bytes and exits with the code that in-process ``main`` gives."""
+    monkeypatch.chdir(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])  # the homnambu these tests import, from any directory
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    for record in replay_cli():
+        done = subprocess.run(
+            [sys.executable, "-m", "homnambu.cli", *record["argv"]], capture_output=True, env=env, timeout=300
+        )
+        got = (done.returncode, done.stdout, done.stderr)
+        assert got == (record["exit"], record["stdout"].encode(), record["stderr"].encode()), " ".join(record["argv"])
 
 
 def test_library_corpus_is_byte_identical():
