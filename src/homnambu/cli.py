@@ -9,10 +9,10 @@ deterministic: two runs on the same input produce byte-identical text.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import algfile, catalog
 from .algfile import AlgebraBundle, AlgebraFileError
@@ -363,66 +363,96 @@ def cmd_catalog(args) -> int:
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command table, the one statement of the command-line grammar: per subcommand its help, its function
+# and its arguments as (name, type, choices, default, required, help), positionals first, then options in
+# usage order.  build_parser builds argparse's tree from it; _parse_exact reads well-formed argv with it.
+_SOURCE = (("source", None, None, None, True, None),)
+_COMMON = (
+    ("--params", None, None, "", False, "extra k=v,... catalog parameters"),
+    ("--report", None, ("text", "structured"), "text", False, None),
+    ("--max-counterexamples", int, None, 16, False, None))
+_OPERATOR = _SOURCE + (("--operator", int, None, None, False, None),) + _COMMON
+COMMANDS = {
+    "check": ("verify identities of an algebra", cmd_check, _SOURCE + (
+        ("--identity", None, ("all",) + IDENTITY_CHECKS, "all", False, None),
+        ("--twist", None, ("identity",), None, False, None)) + _COMMON),
+    "induce": ("emit an induced higher-arity algebra", cmd_induce, _SOURCE + (
+        ("--method", None, ("phi", "iterate"), None, True, None),
+        ("--n", int, None, None, True, None),
+        ("--cochain", int, None, 0, False, None)) + _COMMON),
+    "derive": ("solve for twisted derivations", cmd_derive, _SOURCE + (
+        ("--k", int, None, None, True, None),
+        ("--parity", int, None, None, True, None)) + _COMMON),
+    "rb-verify": ("verify an attached Rota-Baxter operator", cmd_rb_verify, _OPERATOR),
+    "prelie": ("induced ternary pre-Lie verification battery", cmd_prelie, _OPERATOR),
+    "catalog": ("list or show built-in entries", cmd_catalog, (
+        ("action", None, ("list", "show"), None, True, None),
+        ("name", None, None, None, False, None))),
+}
+
+
+def build_parser():
+    """argparse's tree for the command table: the one source of help, usage and error text."""
+    import argparse  # loaded only for help, errors and unusual forms; _parse_exact reads the rest
     parser = argparse.ArgumentParser(
-        prog="homnambu",
-        description="exact checks and constructions for graded n-ary twisted algebras",
-    )
+        prog="homnambu", description="exact checks and constructions for graded n-ary twisted algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--params", default="", help="extra k=v,... catalog parameters")
-        p.add_argument("--report", choices=("text", "structured"), default="text")
-        p.add_argument("--max-counterexamples", type=int, default=16)
-
-    p = sub.add_parser("check", help="verify identities of an algebra")
-    p.add_argument("source")
-    p.add_argument(
-        "--identity", default="all", choices=("all",) + IDENTITY_CHECKS
-    )
-    p.add_argument("--twist", choices=("identity",), default=None)
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("induce", help="emit an induced higher-arity algebra")
-    p.add_argument("source")
-    p.add_argument("--method", required=True, choices=("phi", "iterate"))
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--cochain", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("derive", help="solve for twisted derivations")
-    p.add_argument("source")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--parity", required=True, type=int)
-    common(p)
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("rb-verify", help="verify an attached Rota-Baxter operator")
-    p.add_argument("source")
-    p.add_argument("--operator", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_rb_verify)
-
-    p = sub.add_parser("prelie", help="induced ternary pre-Lie verification battery")
-    p.add_argument("source")
-    p.add_argument("--operator", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_prelie)
-
-    p = sub.add_parser("catalog", help="list or show built-in entries")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_catalog)
+    for command, (help_text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, type_, choices, default, required, arg_help in arguments:
+            shape = {"required": required} if name.startswith("-") else {"nargs": None if required else "?"}
+            p.add_argument(name, type=type_, choices=choices, default=default, help=arg_help, **shape)
+        p.set_defaults(func=func)
     return parser
 
 
+def _catalog_misuse(args) -> str | None:
+    """The usage error of a catalog action given a name it cannot take, if any."""
+    if args.command == "catalog" and (args.action == "show") != bool(args.name):
+        return f"catalog {args.action} " + ("takes no entry name" if args.name else "needs an entry name")
+
+
+def _parse_exact(argv: list[str]):
+    """What ``parse_args`` sets for an exact, well-formed argv, or None for argparse to read it.
+
+    Exact: the subcommand first, each option a separate ``--flag value`` pair given once, no value or
+    positional starting with ``-``, no positional too many and every required argument there."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    given, words, rest = {}, [], iter(argv[1:])
+    for token in rest:
+        if token.startswith("--") and token not in given and any(token == a[0] for a in arguments):
+            given[token] = next(rest, "-")  # a flag with no value declines below
+        else:
+            words.append(token)
+    positionals = [a[0] for a in arguments if not a[0].startswith("-")]
+    if len(words) > len(positionals) or any(t.startswith("-") for t in words + list(given.values())):
+        return None
+    given.update(zip(positionals, words))
+    values = {"command": argv[0], "func": func}
+    for name, type_, choices, value, required, _ in arguments:  # value: the default unless given
+        if name in given:
+            try:
+                value = given[name] if type_ is None else type_(given[name])
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        elif required:
+            return None
+        values[name.lstrip("-").replace("-", "_")] = value
+    args = SimpleNamespace(**values)
+    return None if _catalog_misuse(args) else args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        parser.error("catalog show needs an entry name")
+    args = _parse_exact(sys.argv[1:] if argv is None else list(argv))
+    if args is None:  # argparse prints help, usage and every error, and exits on them
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if problem := _catalog_misuse(args):
+            parser.error(problem)
     try:
         if getattr(args, "max_counterexamples", 0) < 0:
             raise InputProblem("--max-counterexamples must be 0 or more")

@@ -717,6 +717,21 @@ class TestCatalogCommands:
         assert result.returncode == 0
         assert '"name": "g5_1_1"' in result.stdout
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (("catalog", "show"), "homnambu: error: catalog show needs an entry name"),
+            (("catalog", "list", "osp12"), "homnambu: error: catalog list takes no entry name"),
+        ],
+    )
+    def test_name_where_the_action_cannot_take_it_exit_two(self, args, line):
+        """``catalog list NAME`` printed the whole list and exited 0, ignoring NAME."""
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: homnambu ")
+        assert result.stderr.splitlines()[-1] == line
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

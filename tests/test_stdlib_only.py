@@ -60,8 +60,9 @@ def test_every_imported_name_is_used():
 
 
 # Standard-library modules each one-shot CLI command would pay for at start-up; json is loaded
-# only by the commands that read or write a document or print structured output.
-HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "typing", "json")
+# only by the commands that read or write a document or print structured output, argparse (and
+# gettext, which it imports) only for help, usage errors and argv the command table does not read.
+HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "typing", "json", "argparse", "gettext")
 
 
 def test_cli_import_loads_no_heavy_module():
@@ -75,3 +76,24 @@ def test_cli_import_loads_no_heavy_module():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_well_formed_commands_load_no_argparse():
+    """A well-formed command runs without argparse; a usage error still goes through it (exit 2)."""
+    probe = "\n".join([
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); from homnambu import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['check', 'catalog:g1_0_2']), cli.main(['catalog', 'show', 'osp12'])]",
+        "loaded = sorted({'argparse', 'gettext'} & set(sys.modules))",
+        "with contextlib.redirect_stderr(io.StringIO()):",
+        "    try:",
+        "        cli.main(['check'])",
+        "    except SystemExit as exc:",
+        "        codes.append(exc.code)",
+        "print(codes, loaded, 'argparse' in sys.modules)",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[0, 0, 2] [] True"
