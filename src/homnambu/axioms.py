@@ -202,12 +202,11 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     with a_j the j-th twist; the twist subscript on the right lags the argument
     index by one after the inner bracket, exactly as the identity is stated.
 
-    That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted
-    derivation with out map ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .]: one
-    :func:`_leibniz_sweep` instance per support prefix or twist preimage of
-    one, in basis order (other x-tuples make both sides vanish).  Both sides
-    scale by sigma^2 tau^(n-1), sigma and tau the tensor's and the twists'
-    denominators.  ``tuples_checked`` counts all d^(2n-1) cells, visited or not.
+    That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted derivation with out map
+    ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .]: one :func:`_leibniz_sweep` instance per support
+    prefix or twist preimage of one, in basis order (other x-tuples make both sides vanish).  Both
+    sides scale by sigma^2 tau^(n-1), sigma and tau the tensor's and the twists' denominators;
+    ``tuples_checked`` counts all d^(2n-1) cells.
     """
     n = alg.arity
     space = alg.space
@@ -220,57 +219,60 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     rows: dict[tuple, dict] = {}  # rows[prefix][last] = T[prefix + (last,)]
     for args, value in terms.items():
         rows.setdefault(args[:-1], {})[args[-1]] = value
-    relevant = set(rows).union(xs for prefix in rows for xs, _ in _choices(prefix, reverse))
-
-    def instances():  # (xs, |x|, ad_{ax} over the twist images of xs, n copies of ad_x)
-        for xs in sorted(relevant, key=space.sort_key):
-            ad = defaultdict(lambda: defaultdict(int))
-            for w, cw in _choices(xs, forward):
-                for e, image in rows.get(w, {}).items():
-                    for l, c in image.items():
-                        ad[e][l] += cw * c
-            yield xs, sum(map(space.parity, xs)) % 2, ad, [rows.get(xs, {})] * n
-
+    ad = {xs: {} for xs in rows}  # ad[xs] = ad_{ax}: each row scattered onto the x-tuples it is a twist image of
+    for w, row in rows.items():
+        picks = [((), 1)]
+        for pool, l in zip(reverse, w):
+            picks = [(xs + (x,), c * cx) for xs, c in picks for x, cx in pool.get(l, {}).items()]
+        for xs, cw in picks:
+            for e, image in row.items():
+                column = ad.setdefault(xs, {}).setdefault(e, {})
+                for l, c in image.items():
+                    column[l] = column.get(l, 0) + cw * c
+    at, parity = {l: k for k, l in enumerate(labels)}, dict(zip(labels, space.parities))
+    instances = ((xs, sum(map(parity.get, xs)) % 2, ad[xs], [rows.get(xs, {})] * n)  # (xs, |x|, ad_{ax}, n ad_x)
+                 for xs in sorted(ad, key=lambda xs: [at[l] for l in xs]))
     col = _Collector("nambu", cap)
     col.tick(space.dim ** (2 * n - 1))
-    _leibniz_sweep(col, kernel, instances(), _as_element(labels, sigma * sigma * tau ** (n - 1)), space.sort_key)
+    _leibniz_sweep(col, kernel, instances, _as_element(labels, sigma * sigma * tau ** (n - 1)), space, len(labels))
     return col.report()
 
 
-def _leibniz_sweep(col, kernel, instances, value, sort_key, cell=None, swap=False):
+def _leibniz_sweep(col, kernel, instances, value, space, width, cell=None, swap=False):
     """Fail into ``col`` the cells where the two sides of a :func:`_leibniz_kernel` differ.
 
-    An instance is (head, |f|, O, [f_1, .., f_n]), each map as integer
-    columns, {column: {row: numerator}}.  Its failing cells y are
-    counted and the first kept at head + y in basis order (``sort_key``);
-    ``value`` turns a side back into the reported value, ``swap`` reports
-    the Leibniz sum as lhs and ``cell`` checks that one y, its scatter
-    visiting only the terms that land there.  The scatter is
-    linear in (O, f_1, .., f_n) jointly, so each instance is reduced to g
-    times a primitive key (:func:`_primitive`) and the scatter runs once per
-    distinct key: its failing cells serve every instance with that key,
-    their two sides scaled by that instance's g.
+    An instance is (head, |f|, O, [f_1, .., f_n]), each map as integer columns {column: {row:
+    numerator}} over ``width`` outputs.  With the f_i negated, the scatter's nonzero keys are the
+    failing cells y, integers in basis order: counted, the first kept at head + y (labels from
+    ``space``), the left side read from the O terms and the right side that minus the difference.
+    ``value`` turns a side into the reported value, ``swap`` reports the Leibniz sum as lhs and
+    ``cell`` checks that one y.  The scatter is linear in (O, f_1, .., f_n) jointly, so it runs once
+    per distinct primitive key (:func:`_primitive`), serving every instance with it at its own g.
     """
     if cell is not None:
-        sort_key(cell)  # unknown labels raise
+        space.sort_key(cell)  # unknown labels raise
+    labels, d = space.labels, space.dim
     memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
     for head, odd, out, slots in instances:
         distinct = [f for i, f in enumerate(slots) if f not in slots[:i]]  # equal f_i enter the key once
         pattern = tuple(map(distinct.index, slots))
         g, key = _primitive((odd, pattern), out, *distinct)
-        if key not in memo:
+        if (entry := memo.get(key)) is None:
             cols = [{} for _ in range(len(distinct) + 1)]
             for t, c, r, v in key[1:]:
-                cols[t].setdefault(c, []).append((r, v, min(t, 1)))
-            acc = kernel(cols[0], [cols[1 + j] for j in pattern], odd, cell=cell)
-            if cell is not None:
-                acc = {cell: acc[cell]} if cell in acc else {}
-            h = len(next(iter(acc.values()), ())) // 2
-            bad = [ys for ys, vec in acc.items() if vec[:h] != vec[h:]]
-            sides = lambda vec: (vec[h:], vec[:h]) if swap else (vec[:h], vec[h:])
-            memo[key] = len(bad), {ys: sides(acc[ys]) for ys in col.first(bad, sort_key)}
-        failures, first = memo[key]
-        col.fail_first(failures, list(first), lambda ys: [value([g * v for v in side]) for side in first[ys]], head)
+                cols[t].setdefault(c, []).append((r, -v if t else v, 0))
+            acc, lhs = kernel(cols[0], [cols[1 + j] for j in pattern], odd, cell=cell)
+            bad = {k // width for k, v in acc.items() if v} if any(acc.values()) else ()
+            kept = {}
+            for y in col.first(bad, None):
+                left = [lhs.get(k, 0) for k in range(y * width, y * width + width)]
+                right = [v - acc.get(k, 0) for k, v in enumerate(left, y * width)]
+                ys = tuple(labels[y // d**j % d] for j in reversed(range(len(slots))))
+                kept[ys] = (right, left) if swap else (left, right)
+            entry = memo[key] = len(bad), kept
+        failures, first = entry
+        if failures:
+            col.fail_first(failures, list(first), lambda ys: [value([g * v for v in side]) for side in first[ys]], head)
 
 
 def _primitive(lead, *tables):
@@ -281,89 +283,94 @@ def _primitive(lead, *tables):
     in sorted order, the numerators divided by their gcd and signed so that
     the first is positive; inputs equal up to a scalar share one key.
     """
-    cells = sorted((t, c, r, v) for t, m in enumerate(tables) for c, col in m.items() for r, v in col.items() if v)
-    g = math.gcd(*(cell[3] for cell in cells)) or 1
+    cells = [(t, c, r, v) for t, m in enumerate(tables) for c, col in m.items() for r, v in col.items() if v]
+    cells.sort()
+    g = math.gcd(*[cell[3] for cell in cells]) or 1
     if cells and cells[0][3] < 0:
         g = -g
-    return g, (lead, *((t, c, r, v // g) for t, c, r, v in cells))
+    return g, (lead, *([(t, c, r, v // g) for t, c, r, v in cells] if g != 1 else cells))
 
 
 def _leibniz_kernel(terms, outputs, space, before, after):
-    """The one twisted-Leibniz scatter, over the support of an integer tensor T.
+    """The one twisted-Leibniz scatter, over the support of an integer tensor T with ``len(after)`` slots.
 
-    At every cell y (an argument tuple of T) it accumulates both sides of
-
-        O(T(y)) = sum_i (-1)^(|f| (p(y_1) + .. + p(y_{i-1})))
-                  T(S_1 y_1, .., S_{i-1} y_{i-1}, f_i(y_i), S'_{i+1} y_{i+1}, .., S'_n y_n)
-
-    ``terms`` maps each support key of T to its {output: numerator} dict,
-    the outputs among ``outputs``.  ``before[j]`` and ``after[j]`` are the
-    preimages (:func:`_preimages`) of S_j and S'_j; parities come from
-    ``space``.  Returns ``scatter(out_cols, slot_cols, odd, tags=2, cell=None)``:
-    the columns of O and f_i list (row, numerator, tag < ``tags``) entries
-    and ``odd`` is |f|; with ``cell`` only the terms landing on that y are
-    visited (slot i reads only column y_i), and the other cells of the
-    result are partial.
-    Each cell a term reaches gets numerators at tag * len(outputs) + output
-    position, per the tag of the entry each term came through: tags 0 on O
-    and 1 on the f_i give [left side | right side]; a tag per unknown, the
-    f_i negated, gives the residual rows of a linear system.  Slot i's terms
-    through e are indexed on first use, from spectator picks built once per
-    support prefix and suffix.
+    At every cell y it sums O(T(y)) and, over the slots i, the terms
+    (-1)^(|f| (p(y_1) + .. + p(y_{i-1}))) T(S_1 y_1, .., S_{i-1} y_{i-1}, f_i(y_i), S'_{i+1} y_{i+1}, .., S'_n y_n);
+    negated f_i give the left side minus the right.  ``terms`` maps each support key to its {output:
+    numerator} dict over ``outputs`` (w of them); ``before[j]``, ``after[j]`` are the preimages
+    (:func:`_preimages`) of the even spectators S_j, S'_j.  A cell is its mixed-radix index c in
+    basis order.  One pass over the support, with spectator picks built once per prefix and suffix,
+    builds ``index[i][e] = (even, odd)``: T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) at y_i = e
+    as {c w + output position: numerator}, slot i's digit of c zero, picks reaching one entry merged
+    and zeros dropped, split by the parity of y_1 .. y_{i-1}, which fixes the Koszul sign.  Returns
+    ``scatter(out_cols, slot_cols, odd, cell=None) -> (acc, lhs)``, the index as ``scatter.index``:
+    O and the f_i list (row, numerator, tag) per column, ``odd`` is |f|, a term lands in the flat
+    dict ``acc`` at tag d^n w + c w + output position, and ``lhs`` is ``acc`` after the O terms.
+    ``cell`` (a label tuple) visits and keeps only the terms landing there.
     """
+    n, width, d = len(after), len(outputs), space.dim
+    at, parity = {l: k for k, l in enumerate(space.labels)}, dict(zip(space.labels, space.parities))
     position = {e: k for k, e in enumerate(outputs)}
-    parity = dict(zip(space.labels, space.parities))
-    by_out = defaultdict(list)  # by_out[e] = [(y, coeff of e in T[y])]
-    at = [defaultdict(list) for _ in after]  # at[i][e] = [(p, T[p] by position)] for p[i] = e
-    for p, value in terms.items():
-        base = [(position[e], c) for e, c in value.items()]
-        for e, c in value.items():
-            by_out[e].append((p, c))
-        for i, e in enumerate(p):
-            at[i][e].append((p, base))
+    strides = [d ** (n - 1 - i) * width for i in range(n)]
 
     @cache
-    def left(q):  # prefix -> [(pick of S-preimages, coeff, its parity)]
+    def lefts(q):  # [S-picks of q[:0], q[:1], .., q], each [(index part, coeff, parity)]
         if not q:
-            return [((), 1, 0)]
-        pool = before[len(q) - 1].get(q[-1], {}).items()
-        return [(lt + (l,), c * cl, odd ^ parity[l]) for lt, c, odd in left(q[:-1]) for l, cl in pool]
+            return [[(0, 1, 0)]]
+        head, i = lefts(q[:-1]), len(q) - 1
+        pool, s = before[i].get(q[-1], {}).items(), strides[i]
+        return head + [[(k + at[l] * s, c * cl, odd ^ parity[l]) for k, c, odd in head[-1] for l, cl in pool]]
 
     @cache
-    def right(s):  # suffix -> [(pick of S'-preimages, coeff)]
-        if not s:
-            return [((), 1)]
-        return [((l,) + rt, cl * c) for l, cl in after[-len(s)].get(s[0], {}).items() for rt, c in right(s[1:])]
+    def rights(r):  # [S'-picks of r, r[1:], .., ()], each [(index part, coeff)]
+        if not r:
+            return [[(0, 1)]]
+        tail, i = rights(r[1:]), n - len(r)
+        pool, s = after[i].get(r[0], {}).items(), strides[i]
+        return [[(k + at[l] * s, c * cl) for l, cl in pool for k, c in tail[0]]] + tail
 
-    @cache
-    def slot_terms(i, e):  # [(parity of left pick, T[p], picks, coeff)] for slot i through output e
-        return [(odd, base, lt, rt, lc * rc) for p, base in at[i].get(e, ())
-                for rt, rc in right(p[i + 1 :]) for lt, lc, odd in left(p[:i])]
+    merged = [defaultdict(lambda: ({}, {})) for _ in range(n)]
+    by_out = defaultdict(list)  # by_out[e] = [(c w, coeff of e in T[y]) for the cells y, index c, that output e]
+    for p, value in terms.items():
+        base, y = [(position[e], c) for e, c in value.items()], 0
+        for e, lp, rp, slot in zip(p, lefts(p[:-1]), rights(p[1:]), merged):
+            sides, y = slot[e], y * d + at[e]
+            for lk, lc, odd in lp:
+                target = sides[odd]
+                for rk, rc in rp:
+                    for pos, c in base:
+                        k = lk + rk + pos
+                        target[k] = target.get(k, 0) + lc * rc * c
+        for e, c in value.items():
+            by_out[e].append((y * width, c))
+    index = [{e: tuple({k: v for k, v in side.items() if v} for side in sides) for e, sides in slot.items()}
+             for slot in merged]
 
-    def scatter(out_cols, slot_cols, odd, tags=2, cell=None):
-        width = len(outputs)
-        acc = defaultdict(([0] * (tags * width)).copy)
+    def scatter(out_cols, slot_cols, odd, cell=None):
+        acc = {}
+        get = acc.get
+        if cell is not None:
+            y0 = sum(at[l] * s for l, s in zip(cell, strides))
+            slot_cols = [{y: cols[y]} if y in cols else {} for y, cols in zip(cell, slot_cols)]
         for e, image in out_cols.items():
-            column = [(tag * width + position[r], c) for r, c, tag in image]
+            column = [(tag * d ** n * width + position[r], c) for r, c, tag in image]
             hits = by_out.get(e, ())
-            for ys, c in hits if cell is None else [hit for hit in hits if hit[0] == cell]:
-                vec = acc[ys]
+            for y, c in hits if cell is None else [hit for hit in hits if hit[0] == y0]:
                 for k, ck in column:
-                    vec[k] += c * ck
-        for i, cols in enumerate(slot_cols):
-            if cell is not None:
-                cols = {cell[i]: cols[cell[i]]} if cell[i] in cols else {}
+                    k += y
+                    acc[k] = get(k, 0) + c * ck
+        lhs = dict(acc)
+        for cols, entries, stride in zip(slot_cols, index, strides):
             for b, image in cols.items():
-                mid = (b,)
                 for e, ce, tag in image:
-                    shift, flipped = tag * width, -ce if odd else ce
-                    for odd_prefix, base, lt, rt, coeff in slot_terms(i, e):
-                        f = (flipped if odd_prefix else ce) * coeff
-                        vec = acc[lt + mid + rt]
-                        for k, ck in base:
-                            vec[shift + k] += f * ck
-        return acc
+                    shift = at[b] * stride + tag * d ** n * width
+                    for f, pairs in zip((ce, -ce if odd else ce), entries.get(e, ())):
+                        for k, v in pairs.items():
+                            k += shift
+                            acc[k] = get(k, 0) + f * v
+        return (acc if cell is None else {k: acc[k] for k in range(y0, y0 + width) if k in acc}), lhs
 
+    scatter.index = index
     return scatter
 
 
@@ -460,14 +467,6 @@ def _preimages(cols) -> dict:
 def _as_element(labels, scale):
     """Turn one side of a kernel accumulator back into an :class:`Element`."""
     return lambda half: Element({l: Fraction(v, scale) for l, v in zip(labels, half)})
-
-
-def _choices(target, maps):
-    """(tuple, coeff) for every pick of one label: coeff from each maps[j][target[j]]."""
-    out = [((), 1)]
-    for coord, m in zip(target, maps):
-        out = [(head + (l,), c * cl) for head, c in out for l, cl in m.get(coord, {}).items()]
-    return out
 
 
 def adjoint_map(alg: HomSuperAlgebra, xs) -> GradedLinearMap:

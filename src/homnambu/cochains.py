@@ -288,7 +288,7 @@ def derivation_transfer(
     col = _Collector("phi-annihilation", cap)
     col.tick(space.dim ** phi.degree)
     instance = ((), cand.map.parity, {}, [d] * phi.degree)
-    _leibniz_sweep(col, kernel, [instance], lambda half: Fraction(half[0], sigma * delta), space.sort_key, swap=True)
+    _leibniz_sweep(col, kernel, [instance], lambda half: Fraction(half[0], sigma * delta), space, 1, swap=True)
     hypothesis = col.report()
     if not hypothesis.passed:
         return TransferReport(hypothesis, None)

@@ -118,7 +118,7 @@ def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
         odd = lambda fs: next((f.parity for f in fs if not f.is_zero()), 0)
         ints = [(head, odd(fs), scaled(next(cols)), [next(cols) for _ in fs]) for head, _, fs in instances]
         col.tick(len(ints) * (space.dim ** n if cell is None else 1))
-        _leibniz_sweep(col, kernel, ints, _as_element(labels, sigma * delta * lhs_scale), space.sort_key, cell, swap)
+        _leibniz_sweep(col, kernel, ints, _as_element(labels, sigma * delta * lhs_scale), space, len(labels), cell, swap)
 
     return check
 
@@ -224,9 +224,10 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
                 if v:
                     out[c].append((r, lhs_scale * v, j))
                     slot[c].append((r, -v, j))
-        acc = kernel(out, [slot] * arity, parity, len(basis)).values()
-        raw = dict.fromkeys(tuple(vec[rho::width]) for vec in acc for rho in range(width))
-        return dict.fromkeys(filter(None, map(linalg.primitive_ints, raw)))
+        block, raw = space.dim ** arity * width, defaultdict(([0] * len(basis)).copy)  # a key: tag * block + row
+        for key, v in kernel(out, [slot] * arity, parity)[0].items():
+            raw[key % block][key // block] = v
+        return dict.fromkeys(filter(None, map(linalg.primitive_ints, map(tuple, raw.values()))))
 
     # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, scattered over every matrix unit
     units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]

@@ -177,20 +177,19 @@ def _kernels(alg: HomSuperAlgebra, k: int):
     )
 
 
-def _residual_rows(kernel, arity, lhs_scale, maps, variables, parity, width):
+def _residual_rows(kernel, arity, lhs_scale, maps, variables, parity):
     """Distinct rows over ``maps``, one scatter per map: entry j of the row of (x, rho) is
     the residual (left minus right side) of maps[j], a vector over ``variables``, there."""
-    acc = defaultdict(([0] * len(maps)).copy)  # (x, rho) -> row
+    acc = defaultdict(([0] * len(maps)).copy)  # (x, rho) -> row, keyed x's index * width + rho
     for j, vec in enumerate(maps):
         out, slot = defaultdict(list), defaultdict(list)
         for (r, c), v in zip(variables, vec):
             if v:
                 out[c].append((r, lhs_scale * v, 0))
-                slot[c].append((r, v, 1))
-        for args, sides in kernel(out, [slot] * arity, parity).items():
-            for rho in range(width):
-                if sides[rho] != sides[width + rho]:
-                    acc[args, rho][j] = sides[rho] - sides[width + rho]
+                slot[c].append((r, -v, 0))
+        for key, residual in kernel(out, [slot] * arity, parity)[0].items():
+            if residual:
+                acc[key][j] = residual
     return list(dict.fromkeys(map(tuple, acc.values())))
 
 
@@ -205,7 +204,7 @@ def constraints_per_unit(alg: HomSuperAlgebra, k: int, parity: int):
     units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]
     rows = {}
     for kernel, arity, lhs_scale in _kernels(alg, k):
-        for row in _residual_rows(kernel, arity, lhs_scale, units, variables, parity, alg.space.dim):
+        for row in _residual_rows(kernel, arity, lhs_scale, units, variables, parity):
             rows[linalg.primitive_row(row)] = None
     return [list(row) for row in rows], variables
 
@@ -223,12 +222,11 @@ def constraints_staged(alg: HomSuperAlgebra, k: int, parity: int):
     m = len(variables)
     units = [[int(i == j) for i in range(m)] for j in range(m)]
     (twist, _, _), (bracket, n, lhs_scale) = _kernels(alg, k)
-    width = alg.space.dim
-    rows = dict.fromkeys(map(linalg.primitive_row, _residual_rows(twist, 1, 1, units, variables, parity, width)))
+    rows = dict.fromkeys(map(linalg.primitive_row, _residual_rows(twist, 1, 1, units, variables, parity)))
     pivots = dense_rref(list(rows))[1] if rows else []
     free = [c for c in range(m) if c not in pivots]
     basis = dense_nullspace(list(rows), m)
-    for u in dict.fromkeys(map(linalg.primitive_row, _residual_rows(bracket, n, lhs_scale, basis, variables, parity, width))):
+    for u in dict.fromkeys(map(linalg.primitive_row, _residual_rows(bracket, n, lhs_scale, basis, variables, parity))):
         row = [0] * m
         for f, uj in zip(free, u):
             row[f] = uj

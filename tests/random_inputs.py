@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as F
 
-from homnambu.axioms import CheckReport
-from homnambu.core import Element, GradedLinearMap, SuperSpace
+from homnambu.axioms import CheckReport, _compose
+from homnambu.core import Element, GradedLinearMap, HomSuperAlgebra, NaryBracket, SuperSpace, map_compose
+from homnambu.linalg import invert_map
 
 VALUES = (F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3))
 
@@ -100,3 +101,36 @@ def hits_hard_pool(entries, kind: str) -> bool:
         if kind == "multi-term" and any(multi & set(p[:i]) and multi & set(p[i + 1 :]) for i in range(n)):
             return True
     return False
+
+
+def even_invertible(rng, space) -> GradedLinearMap:
+    """A seeded even invertible map: a unit lower- times an upper-triangular matrix, each mixing labels of one parity."""
+    mix = lambda i, j: rng.choice(VALUES) if space.parities[i] == space.parities[j] and rng.random() < 0.7 else 0
+    d = range(space.dim)
+    lower = [[1 if i == j else mix(i, j) if i > j else 0 for j in d] for i in d]
+    upper = [[rng.choice(VALUES) if i == j else mix(i, j) if i < j else 0 for j in d] for i in d]
+    return map_compose(GradedLinearMap.from_matrix(space, lower, 0), GradedLinearMap.from_matrix(space, upper, 0))
+
+
+def monomial(rng, space) -> GradedLinearMap:
+    """A signed, scaled permutation of the basis that keeps parity."""
+    cols = {}
+    for p in (0, 1):
+        labels = [l for l in space.labels if space.parity(l) == p]
+        for l, m in zip(labels, rng.sample(labels, len(labels))):
+            cols[l] = Element({m: rng.choice(VALUES)})
+    return GradedLinearMap(space, 0, cols)
+
+
+def transport(bundle, P) -> HomSuperAlgebra:
+    """``bundle``'s algebra moved along the even invertible map P.
+
+    The bracket becomes P∘T∘(P^-1⊗..⊗P^-1) and each twist P a P^-1; the
+    result is isomorphic to the original, so every identity holds or fails
+    on it alike.  Cochains and operators are not carried over.
+    """
+    alg = bundle.algebra
+    inverse = invert_map(P)
+    table = _compose(alg.bracket.table, P, [inverse] * alg.arity)
+    twists = tuple(map_compose(P, map_compose(a, inverse)) for a in alg.twists)
+    return HomSuperAlgebra(alg.space, NaryBracket.of_table(alg.arity, table), twists, alg.multiplicative_flag)

@@ -198,9 +198,10 @@ def counted_scatters(monkeypatch):
     def counting_kernel(*args):
         scatter = kernel(*args)
 
-        def counted(out_cols, slot_cols, odd, tags=2, cell=None):
-            scatters.append((len(slot_cols), tags))
-            return scatter(out_cols, slot_cols, odd, tags, cell)
+        def counted(out_cols, slot_cols, odd, cell=None):
+            tags = {tag for cols in (out_cols, *slot_cols) for image in cols.values() for _, _, tag in image}
+            scatters.append((len(slot_cols), len(tags)))
+            return scatter(out_cols, slot_cols, odd, cell)
 
         return counted
 
