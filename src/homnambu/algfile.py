@@ -122,6 +122,8 @@ def load(doc) -> AlgebraBundle:
         if key not in doc:
             raise AlgebraFileError(f"missing required field {key!r}")
     name = doc["name"]
+    if not isinstance(name, str):
+        raise AlgebraFileError('"name" must be a string')
     basis = doc["basis"]
     if not isinstance(basis, list) or not basis:
         raise AlgebraFileError("basis must be a nonempty array")
@@ -236,6 +238,10 @@ def load(doc) -> AlgebraBundle:
 # Canonical emission
 # ---------------------------------------------------------------------------
 
+# json.dumps(s, ensure_ascii=False) of a string: '"' and '\\' escaped, the five short escapes, \u00xx for other controls
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)} | {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
 def _ratio(numerator: int, scale: int) -> str:
     """numerator/scale as a quoted reduced scalar, "p" or "p/q"."""
     return f'"{format_ratio(numerator, scale)}"'
@@ -256,12 +262,12 @@ def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
     byte what ``json.dumps(doc, indent=2, ensure_ascii=False)`` writes for
     that document, written directly in its fixed layout (``indent`` forces
     the pure-Python encoder), each tensor scalar formatted from its
-    numerator and scale.
+    numerator and scale and each string quoted through ``_ESCAPES``.
     """
-    import json
     alg, space = bundle.algebra, bundle.algebra.space
     index = {l: i for i, l in enumerate(space.labels)}
-    q = {l: json.dumps(l, ensure_ascii=False) for l in space.labels}
+    quoted = lambda s: '"' + s.translate(_ESCAPES) + '"'
+    q = {l: quoted(l) for l in space.labels}
     obj = lambda depth, **fields: _block([f'"{k}": {v}' for k, v in fields.items()], depth, "{}")
     labels = lambda args, depth: _block([q[a] for a in args], depth)
 
@@ -278,7 +284,7 @@ def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
     fields = dict(
         basis=_block([obj(2, label=q[l], parity=p) for l, p in zip(space.labels, space.parities)], 1),
         arity=alg.arity,
-        multiplicative=json.dumps(alg.multiplicative_flag),
+        multiplicative="true" if alg.multiplicative_flag else "false",
         twists=_block([matrix(t, 2) for t in (alg.twists[:1] if alg.multiplicative_flag else alg.twists)], 1),
         bracket=_block([entry(a, cells[a], scale) for a in sorted(cells, key=lambda a: [index[l] for l in a])], 1),
         skew_complete="false",  # emitted tensors are always fully listed
@@ -291,13 +297,9 @@ def emit(bundle: AlgebraBundle, comments: list[str] | None = None) -> str:
         ], 1)
     if bundle.operators:
         fields["operators"] = _block([
-            obj(2, kind=json.dumps(op.kind, ensure_ascii=False), power=op.power,
+            obj(2, kind=quoted(op.kind), power=op.power,
                 weight=_ratio(op.weight.numerator, op.weight.denominator), parity=op.map.parity,
                 matrix=matrix(op.map, 3))
             for op in bundle.operators
         ], 1)
-    name = json.dumps({"name": bundle.name}, indent=2, ensure_ascii=False)[2:-2]  # any JSON value, at depth 1
-    text = "{\n" + name + ",\n" + obj(0, **fields)[2:]
-    if comments:
-        text += "\n" + "\n".join(f"# {c}" for c in comments)
-    return text + "\n"
+    return "\n".join([obj(0, name=quoted(bundle.name), **fields), *(f"# {c}" for c in comments or ())]) + "\n"

@@ -165,10 +165,18 @@ def _twist_commutation(col: _Collector, f: GradedLinearMap, alg: HomSuperAlgebra
 
 
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
-    """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist."""
-    alpha = _shared_twist(alg)
-    n, T = alg.arity, alg.bracket.table
-    return _diff_report("multiplicative", alg.space, n, _compose(T, alpha), _compose(T, slot_maps=[alpha] * n), cap)
+    """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist, on the Nambu kernel's T∘(., alpha, .., alpha).
+
+    O = alpha times tau^(n-1), f_1 = alpha and f_i = 0 for i >= 2 scatter alpha∘T - T∘alpha^(⊗n) over sigma tau^n.
+    """
+    tau, cols = _shared_twist(alg).integer_columns
+    n, space = alg.arity, alg.space
+    col = _Collector("multiplicative", cap)
+    col.tick(space.dim ** n)
+    out = {c: {r: v * tau ** (n - 1) for r, v in image.items()} for c, image in cols.items()}
+    value = _as_element(space.labels, alg.bracket.table[0] * tau ** n)
+    _leibniz_sweep(col, alg._nambu_kernel, [((), 0, out, [cols] + [{}] * (n - 1))], value, space, space.dim)
+    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -203,38 +211,29 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     index by one after the inner bracket, exactly as the identity is stated.
 
     That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted derivation with out map
-    ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .]: one :func:`_leibniz_sweep` instance per support
-    prefix or twist preimage of one, in basis order (other x-tuples make both sides vanish).  Both
-    sides scale by sigma^2 tau^(n-1), sigma and tau the tensor's and the twists' denominators;
-    ``tuples_checked`` counts all d^(2n-1) cells.
+    ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .], read off the Nambu kernel's last table T∘(a_1, .., a_{n-1}, .):
+    one :func:`_leibniz_sweep` instance per x-tuple where either is nonzero, in basis order (other x-tuples make
+    both sides vanish).  Both sides scale by sigma^2 tau^(n-1), sigma and tau the tensor's and the twists'
+    denominators; ``tuples_checked`` counts all d^(2n-1) cells.
     """
-    n = alg.arity
-    space = alg.space
-    labels = space.labels
+    n, space = alg.arity, alg.space
+    labels, d = space.labels, space.dim
     sigma, terms = alg.bracket.table
-    tau, forward = _common([t.integer_columns for t in alg.twists])
-    reverse = [_preimages(cols) for cols in forward]
-    # slot j carries twist j before the inner bracket and twist j-1 after it
-    kernel = _leibniz_kernel(terms, labels, space, reverse, [None] + reverse)
-    rows: dict[tuple, dict] = {}  # rows[prefix][last] = T[prefix + (last,)]
+    tau = math.lcm(*(t.integer_columns[0] for t in alg.twists))
+    rows: dict[tuple, dict] = {}  # rows[x][last] = T[x + (last,)]: ad_x
     for args, value in terms.items():
         rows.setdefault(args[:-1], {})[args[-1]] = value
-    ad = {xs: {} for xs in rows}  # ad[xs] = ad_{ax}: each row scattered onto the x-tuples it is a twist image of
-    for w, row in rows.items():
-        picks = [((), 1)]
-        for pool, l in zip(reverse, w):
-            picks = [(xs + (x,), c * cx) for xs, c in picks for x, cx in pool.get(l, {}).items()]
-        for xs, cw in picks:
-            for e, image in row.items():
-                column = ad.setdefault(xs, {}).setdefault(e, {})
-                for l, c in image.items():
-                    column[l] = column.get(l, 0) + cw * c
+    ad = {}  # ad[X][e] = ad_{ax}(e), X the x-tuple's index in basis order: the table's keys are X d w + output position
+    for e, (even, odd) in alg._nambu_kernel.index[n - 1].items():
+        for k, v in (*even.items(), *odd.items()):
+            ad.setdefault(k // (d * d), {}).setdefault(e, {})[labels[k % (d * d)]] = v
+    ad = {tuple(labels[X // d ** j % d] for j in reversed(range(n - 1))): image for X, image in ad.items()}
     at, parity = {l: k for k, l in enumerate(labels)}, dict(zip(labels, space.parities))
-    instances = ((xs, sum(map(parity.get, xs)) % 2, ad[xs], [rows.get(xs, {})] * n)  # (xs, |x|, ad_{ax}, n ad_x)
-                 for xs in sorted(ad, key=lambda xs: [at[l] for l in xs]))
+    instances = ((xs, sum(map(parity.get, xs)) % 2, ad.get(xs, {}), [rows.get(xs, {})] * n)  # (x, |x|, ad_{ax}, n ad_x)
+                 for xs in sorted(rows.keys() | ad.keys(), key=lambda xs: [at[l] for l in xs]))
     col = _Collector("nambu", cap)
-    col.tick(space.dim ** (2 * n - 1))
-    _leibniz_sweep(col, kernel, instances, _as_element(labels, sigma * sigma * tau ** (n - 1)), space, len(labels))
+    col.tick(d ** (2 * n - 1))
+    _leibniz_sweep(col, alg._nambu_kernel, instances, _as_element(labels, sigma * sigma * tau ** (n - 1)), space, d)
     return col.report()
 
 
@@ -254,14 +253,13 @@ def _leibniz_sweep(col, kernel, instances, value, space, width, cell=None, swap=
     labels, d = space.labels, space.dim
     memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
     for head, odd, out, slots in instances:
-        distinct = [f for i, f in enumerate(slots) if f not in slots[:i]]  # equal f_i enter the key once
-        pattern = tuple(map(distinct.index, slots))
-        g, key = _primitive((odd, pattern), out, *distinct)
+        pattern = tuple(map(slots.index, slots))  # equal f_i enter the key once, at their first slot
+        g, key = _primitive((odd, pattern), out, *[f if pattern[i] == i else {} for i, f in enumerate(slots)])
         if (entry := memo.get(key)) is None:
-            cols = [{} for _ in range(len(distinct) + 1)]
+            cols = [{} for _ in range(len(slots) + 1)]
             for t, c, r, v in key[1:]:
                 cols[t].setdefault(c, []).append((r, -v if t else v, 0))
-            acc, lhs = kernel(cols[0], [cols[1 + j] for j in pattern], odd, cell=cell)
+            acc, lhs = kernel(cols[0], [cols[1 + i] for i in pattern], odd, cell=cell)
             bad = {k // width for k, v in acc.items() if v} if any(acc.values()) else ()
             kept = {}
             for y in col.first(bad, None):
@@ -283,8 +281,7 @@ def _primitive(lead, *tables):
     in sorted order, the numerators divided by their gcd and signed so that
     the first is positive; inputs equal up to a scalar share one key.
     """
-    cells = [(t, c, r, v) for t, m in enumerate(tables) for c, col in m.items() for r, v in col.items() if v]
-    cells.sort()
+    cells = sorted([(t, c, r, v) for t, m in enumerate(tables) for c, col in m.items() for r, v in col.items() if v])
     g = math.gcd(*[cell[3] for cell in cells]) or 1
     if cells and cells[0][3] < 0:
         g = -g

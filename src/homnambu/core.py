@@ -155,10 +155,11 @@ def record(cls):
     attributes are the defaults, ``__post_init__`` runs last in ``__init__``,
     and equality is field by field, within one class only.  The hash freezes
     dict-valued fields, a table's cells, recursively.  As with ``dataclass``,
-    ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are made only
-    where the class defines none; a class's own ``__init__`` writes the
-    fields into the instance dict, as a ``functools.cached_property`` view
-    writes itself there.  Assigning or deleting an attribute always raises.
+    ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and ``__getstate__``
+    are made only where the class defines none; a class's own ``__init__``
+    writes the fields into the instance dict, as a ``functools.cached_property``
+    view writes itself there, and pickles and copies leave such views out.
+    Assigning or deleting an attribute always raises.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
@@ -189,10 +190,13 @@ def record(cls):
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
 
+    def __getstate__(self):
+        return {f: getattr(self, f) for f in fields}
+
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__qualname__} is immutable")
 
-    for method in (__init__, __eq__, __hash__, __repr__):
+    for method in (__init__, __eq__, __hash__, __repr__, __getstate__):
         if method.__name__ not in cls.__dict__:
             setattr(cls, method.__name__, method)
     cls.__setattr__ = cls.__delattr__ = __setattr__
@@ -603,6 +607,13 @@ class HomSuperAlgebra:
     @property
     def arity(self) -> int:
         return self.bracket.arity
+
+    @functools.cached_property
+    def _nambu_kernel(self):
+        """The bracket's :func:`axioms._leibniz_kernel`, twist j before slot j and j-1 after it; built on first read."""
+        from .axioms import _leibniz_kernel, _preimages
+        reverse = [_preimages(cols) for cols in _common([t.integer_columns for t in self.twists])[1]]
+        return _leibniz_kernel(self.bracket.table[1], self.space.labels, self.space, reverse, [None] + reverse)
 
     @property
     def twist(self) -> GradedLinearMap:

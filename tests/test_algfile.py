@@ -236,17 +236,40 @@ def _emit_cases():
     relabelled = json.loads(text)
     for name in ("ünï \"q\" \\  ", 17, None, [1, {"a": [2, "é"]}], {}, 1.5, True):
         relabelled["name"] = name
-        yield f"name-{name!r}", algfile.load(relabelled)
-    relabelled.update(bracket=[], cochains=[{"degree": 1, "values": []}], operators=[])
+        # load refuses a name that is not a string, so such a case holds the document instead
+        yield f"name-{name!r}", algfile.load(relabelled) if isinstance(name, str) else dict(relabelled)
+    named = [dict(relabelled, name=name) for name in ("\x00", "\x1f", "\x7f", "\u2028", "", "\U0001d400 \\\"\x08")]
+    relabelled.update(name="L1", bracket=[], cochains=[{"degree": 1, "values": []}], operators=[])
     yield "empty", algfile.load(relabelled)
+    for doc in named:
+        yield f"name-{doc['name']!r}", algfile.load(doc)
 
 
 @pytest.mark.parametrize("case, bundle", list(_emit_cases()))
 def test_emit_writes_json_dumps_layout(case, bundle):
-    """emit writes the document's layout directly; the text must be what json.dumps writes, byte for byte."""
+    """emit writes the document's layout directly; the text must be what json.dumps writes, byte for byte.
+
+    A document whose name is not a string does not load, so no Python repr reaches emit.
+    """
+    if isinstance(bundle, dict):
+        with pytest.raises(AlgebraFileError, match='^"name" must be a string$'):
+            algfile.load(bundle)
+        return
     expected = json.dumps(reference_document(bundle), indent=2, ensure_ascii=False)
     assert algfile.emit(bundle) == expected + "\n"
     assert algfile.emit(bundle, ["a", "b"]) == expected + "\n# a\n# b\n"
+
+
+@given(st.text(st.one_of(st.sampled_from('"\\\x00\x08\x0c\n\r\t\x1f\x7f\x85\u2028\U0001d400'), st.characters())))
+@settings(max_examples=300, deadline=None)
+def test_emit_quotes_strings_as_json_dumps_does(text):
+    """emit quotes the name and the labels through one translate table, without json: controls, quotes,
+    backslashes and characters outside the BMP come out as json.dumps(s, ensure_ascii=False) writes them."""
+    doc, label = sample_doc(), f"e{text}1"
+    doc.update(name=text, bracket=[{"args": ["e0", label], "value": {label: "1"}}])
+    doc["basis"][1]["label"] = label
+    bundle = algfile.load(doc)
+    assert algfile.emit(bundle) == json.dumps(reference_document(bundle), indent=2, ensure_ascii=False) + "\n"
 
 
 def line_filter(text: str) -> str:

@@ -328,6 +328,15 @@ class TestMalformedFile:
         assert f'"{mutate.field}"' in _check_malformed(tmp_path, mutate, "rb-verify")
 
 
+    @pytest.mark.parametrize("name", [None, {"a": True}, 17, ["g"]], ids=["null", "object", "integer", "array"])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        """Any JSON value loaded as the name, and induce wrote its Python repr into the
+        output ("None_iter_3"); such a document now exits 2 with one error line."""
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(dict(_one_entry_doc(), name=name)))
+        result = run_cli("induce", str(path), "--method", "iterate", "--n", "3")
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", 'error: "name" must be a string\n')
+
     @pytest.mark.parametrize(
         "content",
         [b"\xff\xfe{}", b"[" * 100_000],

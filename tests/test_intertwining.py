@@ -1,8 +1,9 @@
 """Differential tests: the intertwining identities against their tuple-loop oracles.
 
-Multiplicativity, the Rota-Baxter morphism, the supercommutator
-compatibility and the two operator-induced ternary products all evaluate
-O∘T∘(M_1⊗..⊗M_n) through :func:`homnambu.axioms._compose`.  Each is compared
+The Rota-Baxter morphism, the supercommutator compatibility and the two
+operator-induced ternary products evaluate O∘T∘(M_1⊗..⊗M_n) through
+:func:`homnambu.axioms._compose`; multiplicativity scatters the same
+intertwining through the algebra's Nambu kernel.  Each is compared
 with the per-tuple loop in ``intertwining_oracle`` on seeded random graded
 tensors with diagonal, shear, singular and random maps: reports at caps 0, 2
 and unlimited, and product tensors entry for entry.

@@ -60,7 +60,7 @@ def test_every_imported_name_is_used():
 
 
 # Standard-library modules each one-shot CLI command would pay for at start-up; json is loaded
-# only by the commands that read or write a document or print structured output, argparse (and
+# only by the commands that read a document file or print structured output, argparse (and
 # gettext, which it imports) only for help, usage errors and argv the command table does not read.
 HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "typing", "json", "argparse", "gettext")
 
@@ -97,3 +97,19 @@ def test_well_formed_commands_load_no_argparse():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[0, 0, 2] [] True"
+
+
+def test_catalog_documents_are_written_without_json():
+    """Catalog entries are read from dicts and emit quotes strings itself, so neither command loads json."""
+    probe = "\n".join([
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); from homnambu import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['induce', 'catalog:g3_1_1', '--method', 'iterate', '--n', '3']),",
+        "             cli.main(['catalog', 'show', 'osp12'])]",
+        "print(codes, 'json' in sys.modules)",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[0, 0] False"
