@@ -1,7 +1,7 @@
 """The on-disk algebra format: UTF-8 JSON plus '#' comment lines.
 
 Scalars are integers or fraction strings "p/q" (the "/q" omitted when the
-denominator is 1) in :func:`core.scalar`'s grammar, which ``catalog:``
+denominator is 1) in :func:`core.parse_ratio`'s grammar, which ``catalog:``
 parameters share; no floating point appears anywhere.  A document carries the
 basis with parities, the twist matrices (one matrix with ``"multiplicative":
 true``, or a full list of arity-1 matrices), the bracket tensor, optional
@@ -28,9 +28,9 @@ from .core import (
     SuperSpace,
     complete_skew_orbit,
     format_ratio,
-    integer_table,
+    parse_ratio,
+    ratio_table,
     record,
-    scalar,
 )
 
 OPERATOR_KINDS = ("derivation", "rota_baxter", "map")
@@ -60,25 +60,27 @@ class AlgebraBundle:
     operators: tuple[AttachedOperator, ...] = ()
 
 
-def _scalar(value, where: str) -> Fraction:
-    """The rational ``value`` names: an integer or a string in :func:`core.scalar`'s grammar."""
+def _pair(value, memo: dict, where) -> tuple[int, int]:
+    """An integer or :func:`core.parse_ratio` string as a reduced pair, read once per ``memo``; ``where()`` in errors."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise AlgebraFileError(f"{where}: scalars must be integers or 'p/q' strings")
-    try:
-        return scalar(value)
-    except ZeroDivisionError:
-        raise AlgebraFileError(f"bad scalar {value!r} in {where}: zero denominator") from None
-    except ScalarSyntaxError as exc:
-        raise AlgebraFileError(f"bad scalar {value!r} in {where}: {exc}") from None
-    except ValueError as exc:  # more digits than int() converts
-        raise AlgebraFileError(f"bad scalar in {where}: {exc}") from None
+        raise AlgebraFileError(f"{where()}: scalars must be integers or 'p/q' strings")
+    if value not in memo:
+        try:
+            memo[value] = parse_ratio(value) if isinstance(value, str) else (value, 1)
+        except ZeroDivisionError:
+            raise AlgebraFileError(f"bad scalar {value!r} in {where()}: zero denominator") from None
+        except ScalarSyntaxError as exc:
+            raise AlgebraFileError(f"bad scalar {value!r} in {where()}: {exc}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise AlgebraFileError(f"bad scalar in {where()}: {exc}") from None
+    return memo[value]
 
 
-def _matrix(space: SuperSpace, rows, where: str, parity: int = 0) -> GradedLinearMap:
+def _matrix(space: SuperSpace, rows, memo: dict, where: str, parity: int = 0) -> GradedLinearMap:
     d = space.dim
     if not isinstance(rows, list) or len(rows) != d or any(not isinstance(r, list) or len(r) != d for r in rows):
         raise AlgebraFileError(f"{where}: expected a {d}x{d} row-major matrix")
-    values = [[_scalar(v, where) for v in row] for row in rows]
+    values = [[Fraction(*_pair(v, memo, lambda: where)) for v in row] for row in rows]
     try:
         return GradedLinearMap.from_matrix(space, values, parity=parity)
     except ValueError as exc:
@@ -100,8 +102,8 @@ def _labels(value, where: str) -> tuple[str, ...]:
 def strip_comments(text: str) -> str:
     """``text`` less its comment lines, whose first character other than a space or a tab is '#', with "\\n" breaks."""
     # Only CR LF, CR and LF break a line: a JSON string may hold U+0085, U+2028 or U+2029 raw.
-    text = "\n" + text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")  # a last break ends no line
-    return re.sub(r"\n[ \t]*#[^\n]*", "", text)[1:]  # each comment line goes with the break before it
+    text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")  # a last break ends no line
+    return re.sub(r"\n[ \t]*#[^\n]*", "", "\n" + text)[1:] if "#" in text else text  # each with the break before it
 
 
 def parse(text: str) -> AlgebraBundle:
@@ -144,6 +146,7 @@ def load(doc) -> AlgebraBundle:
     if not isinstance(arity, int) or arity < 2:
         raise AlgebraFileError("arity must be an integer >= 2")
 
+    memo = {}  # each distinct scalar string is parsed once
     twist_docs = doc["twists"]
     multiplicative = doc.get("multiplicative", False)
     if not isinstance(twist_docs, list) or not twist_docs:
@@ -151,13 +154,13 @@ def load(doc) -> AlgebraBundle:
     if multiplicative:
         if len(twist_docs) != 1:
             raise AlgebraFileError("a multiplicative document carries one twist matrix")
-        alpha = _matrix(space, twist_docs[0], "twist")
-        twists = (alpha,) * (arity - 1)
+        twists = (_matrix(space, twist_docs[0], memo, "twist"),) * (arity - 1)
     else:
         if len(twist_docs) != arity - 1:
             raise AlgebraFileError(f"arity {arity} needs {arity - 1} twist matrices")
-        twists = tuple(_matrix(space, rows, f"twist {i}") for i, rows in enumerate(twist_docs))
+        twists = tuple(_matrix(space, rows, memo, f"twist {i}") for i, rows in enumerate(twist_docs))
 
+    index = {l: i for i, l in enumerate(space.labels)}
     generators = {}
     for item in _array(doc["bracket"], "bracket"):
         try:
@@ -167,17 +170,17 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f"bad bracket entry: {exc}") from None
         if not isinstance(value_doc, dict):
             raise AlgebraFileError(f"bracket entry {args}: value must be an object")
-        value = {l: _scalar(v, f"bracket {args}") for l, v in value_doc.items()}
+        value = {l: _pair(v, memo, lambda: f"bracket {args}") for l, v in value_doc.items()}
         if len(args) != arity:
             raise AlgebraFileError(f"bracket entry {args} does not have arity {arity}")
         for label in args + tuple(value):
-            if label not in space:
+            if label not in index:
                 raise AlgebraFileError(f"unknown basis label {label!r}")
         if args in generators:
             raise AlgebraFileError(f"duplicate bracket entry {args}")
         generators[args] = value
 
-    table = integer_table(generators)
+    table = ratio_table(generators)
     if doc["skew_complete"]:
         table = complete_skew_orbit(arity, table, space)
     else:
@@ -195,7 +198,7 @@ def load(doc) -> AlgebraBundle:
             values = {}
             for item in _array(cdoc["values"], f"cochain {i} values"):
                 args = _labels(item["args"], f"cochain {i} args")
-                value = _scalar(item["value"], f"cochain {i}")
+                value = Fraction(*_pair(item["value"], memo, lambda: f"cochain {i}"))
                 if args in values:
                     raise AlgebraFileError(f"bad cochain {i}: duplicate entry {args}")
                 values[args] = value
@@ -205,7 +208,7 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f"bad cochain {i}: degree must be an integer")
         for args in values:
             for label in args:
-                if label not in space:
+                if label not in index:
                     raise AlgebraFileError(f"bad cochain {i}: unknown basis label {label!r}")
         try:
             cochains.append(SuperCochain(space, degree, values))
@@ -224,8 +227,8 @@ def load(doc) -> AlgebraBundle:
             raise AlgebraFileError(f'operator {i}: "parity" must be the integer 0 or 1')
         if kind == "rota_baxter" and parity:
             raise AlgebraFileError(f'operator {i}: a rota_baxter operator needs "parity" 0')
-        mat = _matrix(space, rows, f"operator {i}", parity=parity)
-        weight = _scalar(odoc.get("weight", 0), f"operator {i}")
+        mat = _matrix(space, rows, memo, f"operator {i}", parity=parity)
+        weight = Fraction(*_pair(odoc.get("weight", 0), memo, lambda: f"operator {i}"))
         power = odoc.get("power", 0)
         if type(power) is not int or power < 0:
             raise AlgebraFileError(f'operator {i}: "power" must be a nonnegative integer')

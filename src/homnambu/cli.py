@@ -9,7 +9,7 @@ deterministic: two runs on the same input produce byte-identical text.
 
 from __future__ import annotations
 
-import gc
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -468,10 +468,14 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The process entry (``python -m homnambu.cli``, the ``homnambu`` script): ``main()``'s exit code."""
+    """The process entry (``python -m homnambu.cli``, the ``homnambu`` script): flush, then ``os._exit(main())``."""
     code = main()
-    gc.freeze()  # teardown's last collections skip the live heap; flushes and atexit still run
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # the interpreter's exit flushes again and reports the failure
+        return code
+    os._exit(code)  # no teardown: no collections, no atexit handlers
 
 
 if __name__ == "__main__":

@@ -31,13 +31,13 @@ ONE = Fraction(1)
 
 
 def scalar(value) -> Fraction:
-    """Coerce ints, Fractions and 'p' or 'p/q' strings to a reduced exact rational: the one scalar parser."""
+    """Coerce ints, Fractions and 'p' or 'p/q' strings (through :func:`parse_ratio`) to a reduced exact rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return _parse_scalar(value)
+        return Fraction(*parse_ratio(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -48,12 +48,12 @@ class ScalarSyntaxError(ValueError):
 _SCALAR = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)  # ASCII digits and spaces: int() and strip() read more
 
 
-@functools.lru_cache(maxsize=1024)  # documents repeat few distinct strings many times
-def _parse_scalar(text: str) -> Fraction:
+def parse_ratio(text: str) -> tuple[int, int]:
+    """A 'p' or 'p/q' string as (numerator, denominator) in lowest terms, denominator > 0: the one scalar grammar."""
     match = _SCALAR.fullmatch(text)
     if match is None:
         raise ScalarSyntaxError("expected 'p' or 'p/q'")
-    return Fraction(int(match[1]), int(match[2] or 1))  # int()'s digit limit bounds the work
+    return Fraction(int(match[1]), int(match[2] or 1)).as_integer_ratio()  # int()'s digit limit bounds the work
 
 
 class OversizedScalar(ValueError):
@@ -84,10 +84,13 @@ def integer_table(coefficients: Mapping) -> tuple[int, dict]:
     scale makes the form of a tensor unique.  Zero values are dropped: a key
     with only zeros keeps an empty cell.
     """
-    scale = math.lcm(1, *(c.denominator for cs in coefficients.values() for c in cs.values()))
-    return scale, {
-        k: {l: c.numerator * (scale // c.denominator) for l, c in cs.items() if c} for k, cs in coefficients.items()
-    }
+    return ratio_table({k: {l: (c.numerator, c.denominator) for l, c in cs.items()} for k, cs in coefficients.items()})
+
+
+def ratio_table(ratios: Mapping) -> tuple[int, dict]:
+    """:func:`integer_table` of {key: {label: (numerator, denominator)}} pairs in lowest terms, denominator > 0."""
+    scale = math.lcm(1, *{q for cs in ratios.values() for _, q in cs.values()})
+    return scale, {k: {l: p * (scale // q) for l, (p, q) in cs.items() if p} for k, cs in ratios.items()}
 
 
 def element_at(table: tuple[int, dict], key) -> "Element":

@@ -227,7 +227,7 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
         block, raw = space.dim ** arity * width, defaultdict(([0] * len(basis)).copy)  # a key: tag * block + row
         for key, v in kernel(out, [slot] * arity, parity)[0].items():
             raw[key % block][key // block] = v
-        return dict.fromkeys(filter(None, map(linalg.primitive_ints, map(tuple, raw.values()))))
+        return dict.fromkeys(filter(None, map(linalg.primitive_ints, dict.fromkeys(map(tuple, raw.values())))))
 
     # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, scattered over every matrix unit
     units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]

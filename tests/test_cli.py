@@ -1,5 +1,8 @@
+import contextlib
 import gc
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -773,15 +776,68 @@ class TestProcessEntry:
         assert (gc.isenabled(), gc.get_freeze_count()) == before
         capsys.readouterr()
 
-    def test_run_returns_the_code_of_main_then_freezes(self, monkeypatch, capsys):
+    def test_run_flushes_both_streams_then_exits_with_the_code_of_main(self, monkeypatch):
         from homnambu import cli
 
         events = []
+
+        class Stream(io.StringIO):
+            def flush(self):
+                events.append(("flush", self.getvalue()))
+
+        class Exited(Exception):
+            pass
+
+        def _exit(code):
+            events.append(("exit", code))
+            raise Exited  # os._exit never returns
+
         monkeypatch.setattr(sys, "argv", ["homnambu", "check", "catalog:nope"])
-        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys, "stdout", Stream())
+        monkeypatch.setattr(sys, "stderr", Stream())
+        monkeypatch.setattr(os, "_exit", _exit)
+        with pytest.raises(Exited):
+            cli.run()
+        assert events[-3:] == [("flush", ""), ("flush", "error: unknown catalog entry 'nope'\n"), ("exit", 2)]
+
+    def test_run_returns_the_code_of_main_when_a_flush_fails(self, monkeypatch, capsys):
+        """The interpreter's own exit then flushes again and reports the failure, as it does without ``run``."""
+        from homnambu import cli
+
+        def broken():
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "argv", ["homnambu", "check", "catalog:nope"])
+        monkeypatch.setattr(sys.stdout, "flush", broken)
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit after a failed flush"))
         assert cli.run() == 2
-        assert events == ["freeze"]
+        monkeypatch.undo()
         assert capsys.readouterr() == ("", "error: unknown catalog entry 'nope'\n")
+
+    @pytest.mark.parametrize("argv", [["check", "-h"], ["check"]])
+    def test_help_and_usage_errors_exit_through_argparse(self, argv, monkeypatch):
+        """Argparse's SystemExit passes through ``run``: the reference parser's bytes and exit code."""
+        import cli_reference
+
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        done = subprocess.run(CLI + argv, capture_output=True, timeout=300)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+            cli_reference.build_parser().parse_args(argv)
+        assert exited.value.code == (0 if "-h" in argv else 2)
+        assert (done.returncode, done.stdout, done.stderr) == (exited.value.code, out.getvalue().encode(), err.getvalue().encode())
+
+    def test_a_closed_stdout_is_an_internal_error(self):
+        """The write into a pipe nobody reads fails inside main: exit 3 and the BrokenPipeError traceback."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(CLI + ["catalog", "show", "g3_1_1"], stdout=write, stderr=subprocess.PIPE, timeout=300)
+        finally:
+            os.close(write)
+        assert done.returncode == 3
+        assert done.stderr.startswith(b"Traceback (most recent call last):\n")
+        assert done.stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
 
     def test_the_installed_script_is_run(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")

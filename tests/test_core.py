@@ -101,6 +101,8 @@ class TestScalar:
                 scalar(text)
         else:
             assert scalar(text) == F(text_stripped)
+            value = F(text_stripped)  # the pair parser's pair is the reduced one, the denominator positive
+            assert core.parse_ratio(text) == (value.numerator, value.denominator)
 
     def test_strips_ascii_whitespace_only(self):
         """str.strip() also drops Unicode spaces and separators, so "\\xa03\\u3000" read as 3."""
