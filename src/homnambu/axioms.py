@@ -288,18 +288,39 @@ def _primitive(lead, *tables):
     return g, (lead, *([(t, c, r, v // g) for t, c, r, v in cells] if g != 1 else cells))
 
 
+def _expansion(pools, zero):
+    """The cached pick expansion of keys over per-slot pools: ``expand(q)`` lists the picks of q[:0], q[:1], .., q.
+
+    ``pools[i]`` maps a slot-i coordinate to its {part: coefficient} (:func:`_preimages`); a pick of q
+    adds one part per coordinate to ``zero`` and multiplies their coefficients, in slot order.  Keys that
+    share a prefix share its picks.
+    """
+    @cache
+    def expand(q):
+        if not q:
+            return [[(zero, 1)]]
+        head = expand(q[:-1])
+        pool = pools[len(q) - 1].get(q[-1], {}).items()
+        return head + [[(k + part, c * cp) for k, c in head[-1] for part, cp in pool]]
+
+    return expand
+
+
 def _leibniz_kernel(terms, outputs, space, before, after):
     """The one twisted-Leibniz scatter, over the support of an integer tensor T with ``len(after)`` slots.
 
     At every cell y it sums O(T(y)) and, over the slots i, the terms
     (-1)^(|f| (p(y_1) + .. + p(y_{i-1}))) T(S_1 y_1, .., S_{i-1} y_{i-1}, f_i(y_i), S'_{i+1} y_{i+1}, .., S'_n y_n);
     negated f_i give the left side minus the right.  ``terms`` maps each support key to its {output:
-    numerator} dict over ``outputs`` (w of them); ``before[j]``, ``after[j]`` are the preimages
-    (:func:`_preimages`) of the even spectators S_j, S'_j.  A cell is its mixed-radix index c in
-    basis order.  One pass over the support, with spectator picks built once per prefix and suffix,
-    builds ``index[i][e] = (even, odd)``: T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) at y_i = e
-    as {c w + output position: numerator}, slot i's digit of c zero, picks reaching one entry merged
-    and zeros dropped, split by the parity of y_1 .. y_{i-1}, which fixes the Koszul sign.  Returns
+    numerator} dict over ``outputs`` (w of them); ``before[j]``, ``after[j]`` are the spectators S_j, S'_j
+    as integer columns {column: {row: numerator}}, None for the identity.  The spectators must be even:
+    then a cell reached from a support key has the key's parities, and the Koszul sign of slot i is read
+    off the key's own prefix.  A cell is its mixed-radix index c in basis order.  One pass over the
+    support, with the spectator picks of every prefix and suffix expanded once (:func:`_expansion`, on
+    integer cell offsets; suffixes as reversed keys, since offsets commute), builds ``index[i][e] = (even,
+    odd)``: T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) at y_i = e as {c w + output position:
+    numerator}, slot i's digit of c zero, picks reaching one entry merged and zeros dropped, split by
+    the parity of y_1 .. y_{i-1}, which fixes the Koszul sign.  Returns
     ``scatter(out_cols, slot_cols, odd, cell=None) -> (acc, lhs)``, the index as ``scatter.index``:
     O and the f_i list (row, numerator, tag) per column, ``odd`` is |f|, a term lands in the flat
     dict ``acc`` at tag d^n w + c w + output position, and ``lhs`` is ``acc`` after the O terms.
@@ -309,31 +330,18 @@ def _leibniz_kernel(terms, outputs, space, before, after):
     at, parity = {l: k for k, l in enumerate(space.labels)}, dict(zip(space.labels, space.parities))
     position = {e: k for k, e in enumerate(outputs)}
     strides = [d ** (n - 1 - i) * width for i in range(n)]
-
-    @cache
-    def lefts(q):  # [S-picks of q[:0], q[:1], .., q], each [(index part, coeff, parity)]
-        if not q:
-            return [[(0, 1, 0)]]
-        head, i = lefts(q[:-1]), len(q) - 1
-        pool, s = before[i].get(q[-1], {}).items(), strides[i]
-        return head + [[(k + at[l] * s, c * cl, odd ^ parity[l]) for k, c, odd in head[-1] for l, cl in pool]]
-
-    @cache
-    def rights(r):  # [S'-picks of r, r[1:], .., ()], each [(index part, coeff)]
-        if not r:
-            return [[(0, 1)]]
-        tail, i = rights(r[1:]), n - len(r)
-        pool, s = after[i].get(r[0], {}).items(), strides[i]
-        return [[(k + at[l] * s, c * cl) for l, cl in pool for k, c in tail[0]]] + tail
+    identity = {l: {l: 1} for l in space.labels}
+    offsets = lambda cols, i: {at[c] * strides[i]: image for c, image in (identity if cols is None else cols).items()}
+    prefixes = _expansion([_preimages(offsets(before[i], i)) for i in range(n - 1)], 0)
+    suffixes = _expansion([_preimages(offsets(after[i], i)) for i in reversed(range(1, n))], 0)  # on p[:0:-1]
 
     merged = [defaultdict(lambda: ({}, {})) for _ in range(n)]
     by_out = defaultdict(list)  # by_out[e] = [(c w, coeff of e in T[y]) for the cells y, index c, that output e]
     for p, value in terms.items():
-        base, y = [(position[e], c) for e, c in value.items()], 0
-        for e, lp, rp, slot in zip(p, lefts(p[:-1]), rights(p[1:]), merged):
-            sides, y = slot[e], y * d + at[e]
-            for lk, lc, odd in lp:
-                target = sides[odd]
+        base, y, odd = [(position[e], c) for e, c in value.items()], 0, 0
+        for e, lp, rp, slot in zip(p, prefixes(p[:-1]), reversed(suffixes(p[:0:-1])), merged):
+            target, y, odd = slot[e][odd], y * d + at[e], odd ^ parity[e]
+            for lk, lc in lp:
                 for rk, rc in rp:
                     for pos, c in base:
                         k = lk + rk + pos
@@ -383,31 +391,26 @@ def _compose(table, out_map=None, slot_maps=None):
     the product of the scales of T, O and the M_i, as the Leibniz kernel's
     sigma^2 tau^(n-1) is.  The value at x sums prod_i <y_i | M_i x_i> O(T(y))
     over the support keys y, with no Koszul sign: the maps and inner tables
-    must be even, or T unary.
+    must be even, or T unary.  Each key's picks x come from :func:`_expansion`
+    on argument-tuple parts, so keys that share a prefix share its picks.
     """
     scale, cells = table
     n = len(next(iter(cells))) if cells else 0
-    pre = []  # pre[i][y_i] = {u: coeff}: the argument tuples u that M_i sends onto y_i; None for the identity
-    for m in slot_maps or [None] * n:
-        if m is not None:
-            s, m = m if isinstance(m, tuple) else _unary(m)
-            scale, m = scale * s, _preimages(m)
-        pre.append(m)
+    pools = []  # pools[i][y_i] = {u: coeff}: the argument tuples u that M_i sends onto y_i
+    for i, m in enumerate(slot_maps or [None] * n):
+        s, cols = (1, {(y[i],): {y[i]: 1} for y in cells}) if m is None else m if isinstance(m, tuple) else _unary(m)
+        scale *= s
+        pools.append(_preimages(cols))
     if out_map is not None:
         s, out = out_map.integer_columns
         scale *= s
+    expand = _expansion(pools, ())
     result: dict[tuple, dict] = {}
     for y, value in cells.items():
         image = value.items() if out_map is None else [
             (r, v * cr) for l, v in value.items() for r, cr in out.get(l, {}).items()
         ]
-        picks = [((), 1)]
-        for coord, pool in zip(y, pre):
-            if pool is None:
-                picks = [(head + (coord,), c) for head, c in picks]
-            else:
-                picks = [(head + u, c * cu) for head, c in picks for u, cu in pool.get(coord, {}).items()]
-        for xs, c in picks:
+        for xs, c in expand(y)[-1]:
             cell = result.setdefault(xs, {})
             for r, v in image:
                 cell[r] = cell.get(r, 0) + c * v

@@ -278,13 +278,11 @@ def derivation_transfer(
     if not base.passed:
         raise ValueError("transfer requires a verified derivation of the base algebra")
     # phi is a tensor with the one output 0, D the slot map and the identity
-    # the spectator; the out map is zero
+    # (None) the spectator; the out map is zero
     space = alg.space
-    labels = space.labels
     sigma, terms = phi.table
     delta, d = cand.map.integer_columns
-    identity = [{l: {l: 1} for l in labels}] * phi.degree
-    kernel = _leibniz_kernel(terms, (0,), space, identity, identity)
+    kernel = _leibniz_kernel(terms, (0,), space, [None] * phi.degree, [None] * phi.degree)
     col = _Collector("phi-annihilation", cap)
     col.tick(space.dim ** phi.degree)
     instance = ((), cand.map.parity, {}, [d] * phi.degree)

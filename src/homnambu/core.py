@@ -614,9 +614,9 @@ class HomSuperAlgebra:
     @functools.cached_property
     def _nambu_kernel(self):
         """The bracket's :func:`axioms._leibniz_kernel`, twist j before slot j and j-1 after it; built on first read."""
-        from .axioms import _leibniz_kernel, _preimages
-        reverse = [_preimages(cols) for cols in _common([t.integer_columns for t in self.twists])[1]]
-        return _leibniz_kernel(self.bracket.table[1], self.space.labels, self.space, reverse, [None] + reverse)
+        from .axioms import _leibniz_kernel
+        cols = _common([t.integer_columns for t in self.twists])[1]
+        return _leibniz_kernel(self.bracket.table[1], self.space.labels, self.space, cols, [None] + cols)
 
     @property
     def twist(self) -> GradedLinearMap:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .axioms import (
     CheckReport, DEFAULT_COUNTEREXAMPLE_CAP, _as_element, _Collector, _common, _leibniz_kernel, _leibniz_sweep,
-    _preimages, _shared_twist, _twist_commutation, adjoint_map,
+    _shared_twist, _twist_commutation, adjoint_map,
 )
 from .core import (
     FixedPointViolation, GradedLinearMap, HomSuperAlgebra, integer_table, map_compose, map_power, record,
@@ -106,8 +106,7 @@ def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
     n = alg.arity
     sigma, terms = alg.bracket.table
     tau, spec = spectator.integer_columns
-    pre = [_preimages(spec)] * n
-    kernel = _leibniz_kernel(terms, labels, space, pre, pre)
+    kernel = _leibniz_kernel(terms, labels, space, [spec] * n, [spec] * n)
     lhs_scale = tau ** (n - 1)  # each right-side term holds n - 1 spectator entries
 
     def check(col, instances, cell=None, swap=False):
@@ -215,7 +214,6 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
     n = alg.arity
     _, terms = alg.bracket.table
     tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
-    pre = [_preimages(spec)] * n
 
     def residuals(kernel, arity, lhs_scale, basis):  # distinct primitive rows over the integer maps in basis
         out, slot = defaultdict(list), defaultdict(list)  # each map tags its entries: one scatter sums all rows
@@ -237,7 +235,7 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
         delta = math.lcm(*(v.denominator for vec in free for v in vec))
         last = [max(i for i, v in enumerate(vec) if v) for vec in free]
         basis = [[int(v * delta) for v in vec] for vec in free]
-        for u in residuals(_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1), basis):
+        for u in residuals(_leibniz_kernel(terms, labels, space, [spec] * n, [spec] * n), n, tau ** (n - 1), basis):
             row = [0] * len(variables)
             for f, uj in zip(last, u):
                 row[f] = uj

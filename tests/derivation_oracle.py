@@ -40,7 +40,6 @@ from homnambu.axioms import (
     Counterexample,
     _common,
     _leibniz_kernel,
-    _preimages,
 )
 from homnambu.core import Element, HomSuperAlgebra, eval_bracket, map_power
 from homnambu.derivations import derivation_variables
@@ -170,10 +169,9 @@ def _kernels(alg: HomSuperAlgebra, k: int):
     n = alg.arity
     _, terms = alg.bracket.table
     tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
-    pre = [_preimages(spec)] * n
     return (
         (_leibniz_kernel({(c,): twist.get(c, {}) for c in labels}, labels, space, [], [None]), 1, 1),
-        (_leibniz_kernel(terms, labels, space, pre, pre), n, tau ** (n - 1)),
+        (_leibniz_kernel(terms, labels, space, [spec] * n, [spec] * n), n, tau ** (n - 1)),
     )
 
 

@@ -3,8 +3,13 @@
 The index of ``axioms._leibniz_kernel`` holds, per slot i, the table
 T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) grouped by its slot-i
 coordinate, each entry an integer cell key.  It is compared entry for entry
-with T_i composed independently by ``axioms._compose`` (the identity at
-slot i): no entry may be left out, repeated or unmerged.
+with T_i composed by ``table_oracle._compose``, the ``Element`` form of the
+table algebra, which shares no code with the kernel's pick expansion (the
+identity at slot i): no entry may be left out, repeated or unmerged.  Besides
+Nambu kernels, the inputs cover the expansion's edge cases: the 1-ary twist
+tensor with no spectators (the solver's commutation kernel), a one-output
+cochain table with identity spectators (the phi-annihilation hypothesis) and
+an empty support.
 
 Transported inputs move an algebra along an even invertible map P
 (``random_inputs.transport``), which turns a diagonal twist into a dense
@@ -22,35 +27,33 @@ import random
 import pytest
 
 from homnambu.algfile import AlgebraBundle, emit
-from homnambu.axioms import _common, _compose, _leibniz_kernel, _preimages, check_nambu_identity
+from homnambu.axioms import _common, _leibniz_kernel, check_nambu_identity
 from homnambu.catalog import catalog_build
 from homnambu.cli import main
 from homnambu.cochains import SuperCochain, derivation_transfer
-from homnambu.core import GradedLinearMap, HomSuperAlgebra, NaryBracket
+from homnambu.core import Element, GradedLinearMap, HomSuperAlgebra, NaryBracket
 from homnambu.derivations import DerivationCandidate
 from homnambu.iterated import iterated_bracket
 from nambu_oracle import nambu_oracle
 import random_inputs
+import table_oracle
 
 OSP12 = catalog_build("osp12")
 OSP12_P = random_inputs.even_invertible(random.Random(1), OSP12.algebra.space)
 
 
 def nambu_spectators(alg):
-    """(terms, before, after, 1-ary spectator tables per slot) as the Nambu check builds its kernel."""
+    """(terms, before, after) as the Nambu kernel is built: twist j before slot j and j - 1 after it, as integer columns."""
     _, terms = alg.bracket.table
-    tau, forward = _common([t.integer_columns for t in alg.twists])
-    reverse = [_preimages(cols) for cols in forward]
-    unary = [(tau, {(c,): image for c, image in cols.items()}) for cols in forward]
-    return terms, reverse, [None] + reverse, unary
+    _, cols = _common([t.integer_columns for t in alg.twists])
+    return terms, cols, [None] + cols
 
 
-def decoded_index(alg, before, after):
+def decoded_index(terms, outputs, space, before, after):
     """Slot i's index as {cell: {output: numerator}}, after asserting each entry's key and Koszul split."""
-    space, n = alg.space, alg.arity
-    labels, d = space.labels, space.dim  # the outputs are the labels too: d per cell
-    terms = alg.bracket.table[1]
-    index = _leibniz_kernel(terms, labels, space, before, after).index
+    n, width = len(after), len(outputs)
+    labels, d = space.labels, space.dim
+    index = _leibniz_kernel(terms, outputs, space, before, after).index
     assert len(index) == n
     slots = []
     for i, groups in enumerate(index):
@@ -58,34 +61,43 @@ def decoded_index(alg, before, after):
         for e, sides in groups.items():
             for odd, entries in enumerate(sides):
                 for k, v in entries.items():
-                    cell, pos = divmod(k, d)
+                    cell, pos = divmod(k, width)
                     digits = [cell // d ** (n - 1 - j) % d for j in range(n)]
                     assert digits[i] == 0 and v != 0
                     y = tuple(labels[g] for g in digits[:i]) + (e,) + tuple(labels[g] for g in digits[i + 1 :])
                     assert sum(map(space.parity, y[:i])) % 2 == odd
-                    cells.setdefault(y, {})[labels[pos]] = v
+                    cells.setdefault(y, {})[outputs[pos]] = v
                     count += 1
         slots.append((cells, count))
     return slots
 
 
-def assert_index_is_each_slot_table(alg):
-    """Every slot's index equals T_i by _compose, entry for entry; returns the entry counts."""
-    terms, before, after, unary = nambu_spectators(alg)
-    n = alg.arity
+def assert_index_is_each_slot_table(terms, outputs, space, before, after):
+    """Every slot's index equals T_i by the Element oracle, entry for entry; returns the entry counts.
+
+    The spectators are integer columns or None (the identity), as the kernel takes them.
+    """
+    n = len(after)
+    unary = lambda cols: None if cols is None else {(c,): Element(image) for c, image in cols.items()}
+    T = {y: Element(value) for y, value in terms.items()}
     counts = []
-    for i, (cells, count) in enumerate(decoded_index(alg, before, after)):
-        maps = unary[:i] + [None] + unary[i : n - 1]  # twist j before slot i, twist j - 1 after it
-        _, expected = _compose((1, terms), slot_maps=maps)
-        assert cells == expected
-        assert count == sum(map(len, expected.values()))  # nothing repeated
+    for i, (cells, count) in enumerate(decoded_index(terms, outputs, space, before, after)):
+        maps = [unary(m) for m in before[:i]] + [None] + [unary(m) for m in after[i + 1 : n]]
+        expected = table_oracle._compose(T, slot_maps=maps)
+        assert {y: Element(cell) for y, cell in cells.items()} == expected
+        assert count == sum(len(e.coeffs) for e in expected.values())  # nothing repeated
         counts.append(count)
     return counts
 
 
+def assert_nambu_index(alg):
+    terms, before, after = nambu_spectators(alg)
+    return assert_index_is_each_slot_table(terms, alg.space.labels, alg.space, before, after)
+
+
 def test_index_is_each_slot_table_on_transported_osp12():
     alg = iterated_bracket(random_inputs.transport(OSP12, OSP12_P), 4)
-    counts = assert_index_is_each_slot_table(alg)
+    counts = assert_nambu_index(alg)
     support = sum(map(len, alg.bracket.table[1].values()))
     assert max(counts) > support  # the dense twist spreads entries over several cells
 
@@ -98,7 +110,33 @@ def test_index_is_each_slot_table_on_hard_pools(kind):
         n = rng.choice((3, 4))
         entries = random_inputs.graded_tensor(rng, space, n, density=0.5)
         twists = tuple(random_inputs.hard_map(rng, space, kind) for _ in range(n - 1))
-        assert_index_is_each_slot_table(HomSuperAlgebra(space, NaryBracket(n, entries), twists))
+        assert_nambu_index(HomSuperAlgebra(space, NaryBracket(n, entries), twists))
+
+
+def edge_inputs():
+    """The pick expansion's edge cases as kernel inputs (terms, outputs, space, before, after), each with its entry counts."""
+    rng = random.Random(44)
+    space = OSP12.algebra.space
+    twists = [random_inputs.transport(OSP12, OSP12_P).twists[0]]
+    twists += [random_inputs.hard_map(rng, random_inputs.hard_space(rng), kind) for kind in random_inputs.HARD_POOLS]
+    for twist in twists:  # the solver's commutation kernel: the twist as a 1-ary tensor, no spectators
+        _, cols = twist.integer_columns
+        terms = {(c,): image for c, image in cols.items()}
+        yield (terms, twist.space.labels, twist.space, [], [None]), [sum(map(len, cols.values()))]
+    # the phi-annihilation kernel: a degree-3 cochain table with the one output 0, the identity in every other slot
+    phi = SuperCochain(space, 3, {("X", "Y", "H"): 1, ("X", "F", "G"): 2, ("H", "F", "G"): -3, ("F", "F", "Y"): 4})
+    yield (phi.table[1], (0,), space, [None] * 3, [None] * 3), [len(phi.table[1])] * 3
+    _, before, after = nambu_spectators(random_inputs.transport(OSP12, OSP12_P))
+    yield ({}, space.labels, space, before, after), [0, 0]  # an empty support
+    yield ({}, (0,), space, [None] * 3, [None] * 3), [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "inputs, counts", list(edge_inputs()),
+    ids=["twist-transported", "twist-empty-middle", "twist-multi-term", "cochain", "empty-nambu", "empty-cochain"],
+)
+def test_index_is_each_slot_table_on_edge_inputs(inputs, counts):
+    assert assert_index_is_each_slot_table(*inputs) == counts
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -106,7 +144,7 @@ def test_index_size_is_the_support_expansion_in_the_diagonal_basis(n):
     """osp12's twist is diagonal and invertible: each entry reaches one cell per slot, and no two merge."""
     alg = iterated_bracket(OSP12.algebra, n)
     support = sum(map(len, alg.bracket.table[1].values()))
-    assert assert_index_is_each_slot_table(alg) == [support] * n
+    assert assert_nambu_index(alg) == [support] * n
 
 
 @pytest.mark.parametrize("n", (3, 4))
