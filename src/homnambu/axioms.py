@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
 
 from .core import (
-    Element, GradedLinearMap, HomSuperAlgebra, _common, _nonzero, _sum_tables, element_at, eval_bracket,
+    Element, GradedLinearMap, HomSuperAlgebra, _nonzero, _sum_tables, element_at, eval_bracket,
     format_scalar, koszul_sign, record,
 )
 
@@ -167,15 +166,12 @@ def _twist_commutation(col: _Collector, f: GradedLinearMap, alg: HomSuperAlgebra
 def check_multiplicative(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> CheckReport:
     """alpha([x_1..x_n]) = [alpha(x_1)..alpha(x_n)] for the shared twist, on the Nambu kernel's T∘(., alpha, .., alpha).
 
-    O = alpha times tau^(n-1), f_1 = alpha and f_i = 0 for i >= 2 scatter alpha∘T - T∘alpha^(⊗n) over sigma tau^n.
+    O = alpha, f_1 = alpha and f_i = 0 for i >= 2 scatter alpha∘T - T∘alpha^(⊗n).
     """
-    tau, cols = _shared_twist(alg).integer_columns
-    n, space = alg.arity, alg.space
+    alpha, n = _shared_twist(alg).integer_columns, alg.arity
     col = _Collector("multiplicative", cap)
-    col.tick(space.dim ** n)
-    out = {c: {r: v * tau ** (n - 1) for r, v in image.items()} for c, image in cols.items()}
-    value = _as_element(space.labels, alg.bracket.table[0] * tau ** n)
-    _leibniz_sweep(col, alg._nambu_kernel, [((), 0, out, [cols] + [{}] * (n - 1))], value, space, space.dim)
+    col.tick(alg.space.dim ** n)
+    _leibniz_sweep(col, alg._nambu_kernel, [((), 0, alpha, [alpha] + [(1, {})] * (n - 1))])
     return col.report()
 
 
@@ -211,54 +207,57 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     index by one after the inner bracket, exactly as the identity is stated.
 
     That is, ad_x = [x_1..x_{n-1}, .] acts on the bracket as a twisted derivation with out map
-    ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .], read off the Nambu kernel's last table T∘(a_1, .., a_{n-1}, .):
-    one :func:`_leibniz_sweep` instance per x-tuple where either is nonzero, in basis order (other x-tuples make
-    both sides vanish).  Both sides scale by sigma^2 tau^(n-1), sigma and tau the tensor's and the twists'
-    denominators; ``tuples_checked`` counts all d^(2n-1) cells.
+    ad_{ax} = [a_1 x_1, .., a_{n-1} x_{n-1}, .], read off the Nambu kernel's last slot T∘(a_1, .., a_{n-1}, .) at the
+    kernel's scale: one :func:`_leibniz_sweep` instance per x-tuple where either is nonzero, in basis order (other
+    x-tuples make both sides vanish); ``tuples_checked`` counts all d^(2n-1) cells.
     """
-    n, space = alg.arity, alg.space
+    n, space, kernel = alg.arity, alg.space, alg._nambu_kernel
     labels, d = space.labels, space.dim
     sigma, terms = alg.bracket.table
-    tau = math.lcm(*(t.integer_columns[0] for t in alg.twists))
     rows: dict[tuple, dict] = {}  # rows[x][last] = T[x + (last,)]: ad_x
     for args, value in terms.items():
         rows.setdefault(args[:-1], {})[args[-1]] = value
-    ad = {}  # ad[X][e] = ad_{ax}(e), X the x-tuple's index in basis order: the table's keys are X d w + output position
-    for e, (even, odd) in alg._nambu_kernel.index[n - 1].items():
+    ad = {}  # ad[X][e] = ad_{ax}(e), X the x-tuple's index in basis order: the slot's keys are X d w + output position
+    for e, (even, odd) in kernel.index[n].items():
         for k, v in (*even.items(), *odd.items()):
             ad.setdefault(k // (d * d), {}).setdefault(e, {})[labels[k % (d * d)]] = v
     ad = {tuple(labels[X // d ** j % d] for j in reversed(range(n - 1))): image for X, image in ad.items()}
     at, parity = {l: k for k, l in enumerate(labels)}, dict(zip(labels, space.parities))
-    instances = ((xs, sum(map(parity.get, xs)) % 2, ad.get(xs, {}), [rows.get(xs, {})] * n)  # (x, |x|, ad_{ax}, n ad_x)
-                 for xs in sorted(rows.keys() | ad.keys(), key=lambda xs: [at[l] for l in xs]))
+    instances = [(xs, sum(map(parity.get, xs)) % 2, (kernel.scale, ad.get(xs, {})), [(sigma, rows.get(xs, {}))] * n)
+                 for xs in sorted(rows.keys() | ad.keys(), key=lambda xs: [at[l] for l in xs])]  # (x, |x|, ad_ax, n ad_x)
     col = _Collector("nambu", cap)
     col.tick(d ** (2 * n - 1))
-    _leibniz_sweep(col, alg._nambu_kernel, instances, _as_element(labels, sigma * sigma * tau ** (n - 1)), space, d)
+    _leibniz_sweep(col, kernel, instances)
     return col.report()
 
 
-def _leibniz_sweep(col, kernel, instances, value, space, width, cell=None, swap=False):
+def _leibniz_sweep(col, kernel, instances, cell=None, swap=False, value=lambda side: side):
     """Fail into ``col`` the cells where the two sides of a :func:`_leibniz_kernel` differ.
 
-    An instance is (head, |f|, O, [f_1, .., f_n]), each map as integer columns {column: {row:
-    numerator}} over ``width`` outputs.  With the f_i negated, the scatter's nonzero keys are the
-    failing cells y, integers in basis order: counted, the first kept at head + y (labels from
-    ``space``), the left side read from the O terms and the right side that minus the difference.
-    ``value`` turns a side into the reported value, ``swap`` reports the Leibniz sum as lhs and
-    ``cell`` checks that one y.  The scatter is linear in (O, f_1, .., f_n) jointly, so it runs once
-    per distinct primitive key (:func:`_primitive`), serving every instance with it at its own g.
+    An instance is (head, |f|, O, [f_1, .., f_n]), each map an integer table (scale, {column: {row:
+    numerator}}).  Every map of the call goes over one denominator delta, the lcm of their scales, so both
+    sides are numerators over the kernel's ``scale`` times delta.  With the f_i negated, the scatter's
+    nonzero keys are the failing cells y, integers in basis order: counted, the first kept at head + y
+    (labels from the kernel's space), the left side read from the O terms and the right side that minus
+    the difference, each an :class:`Element` over the kernel's outputs that ``value`` turns into the
+    reported value.  ``swap`` reports the Leibniz sum as lhs and ``cell`` checks that one y.  The scatter
+    is linear in (O, f_1, .., f_n) jointly, so it runs once per distinct primitive key (:func:`_primitive`),
+    serving every instance with it at its own g.
     """
+    space, outputs = kernel.space, kernel.outputs
     if cell is not None:
         space.sort_key(cell)  # unknown labels raise
-    labels, d = space.labels, space.dim
+    labels, d, width = space.labels, space.dim, len(outputs)
+    delta = math.lcm(1, *(m[0] for _, _, out, slots in instances for m in (out, *slots)))
+    side = lambda g, half: value(Element({o: Fraction(g * v, kernel.scale * delta) for o, v in zip(outputs, half)}))
     memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
     for head, odd, out, slots in instances:
         pattern = tuple(map(slots.index, slots))  # equal f_i enter the key once, at their first slot
-        g, key = _primitive((odd, pattern), out, *[f if pattern[i] == i else {} for i, f in enumerate(slots)])
+        g, key = _primitive((odd, pattern), delta, out, *[f if pattern[i] == i else (1, {}) for i, f in enumerate(slots)])
         if (entry := memo.get(key)) is None:
             cols = [{} for _ in range(len(slots) + 1)]
-            for t, c, r, v in key[1:]:
-                cols[t].setdefault(c, []).append((r, -v if t else v, 0))
+            for t, c, r, v in key[1:]:  # O by its columns, the negated f_i by their rows
+                cols[t].setdefault(r if t else c, []).append((c, -v, 0) if t else (r, v, 0))
             acc, lhs = kernel(cols[0], [cols[1 + i] for i in pattern], odd, cell=cell)
             bad = {k // width for k, v in acc.items() if v} if any(acc.values()) else ()
             kept = {}
@@ -270,76 +269,84 @@ def _leibniz_sweep(col, kernel, instances, value, space, width, cell=None, swap=
             entry = memo[key] = len(bad), kept
         failures, first = entry
         if failures:
-            col.fail_first(failures, list(first), lambda ys: [value([g * v for v in side]) for side in first[ys]], head)
+            col.fail_first(failures, list(first), lambda ys: [side(g, half) for half in first[ys]], head)
 
 
-def _primitive(lead, *tables):
-    """(g, key): integer column tables as g times the primitive ones that ``key`` lists.
+def _primitive(lead, delta, *tables):
+    """(g, key): integer tables (scale, {column: {row: numerator}}) as g times the primitive ones that ``key`` lists.
 
-    Each table maps a column to its {row: numerator} dict.  ``key`` is
-    ``lead`` followed by every nonzero (table index, column, row, numerator)
-    in sorted order, the numerators divided by their gcd and signed so that
-    the first is positive; inputs equal up to a scalar share one key.
+    ``key`` is ``lead`` followed by every nonzero (table index, column, row,
+    numerator over ``delta``) in sorted order, the numerators divided by their
+    gcd and signed so that the first is positive; inputs equal up to a scalar
+    share one key.
     """
-    cells = sorted([(t, c, r, v) for t, m in enumerate(tables) for c, col in m.items() for r, v in col.items() if v])
+    cells = [(t, c, r, v * (delta // s)) for t, (s, m) in enumerate(tables) for c, vs in m.items() for r, v in vs.items()]
+    cells = sorted(cell for cell in cells if cell[3])
     g = math.gcd(*[cell[3] for cell in cells]) or 1
     if cells and cells[0][3] < 0:
         g = -g
     return g, (lead, *([(t, c, r, v // g) for t, c, r, v in cells] if g != 1 else cells))
 
 
-def _expansion(pools, zero):
-    """The cached pick expansion of keys over per-slot pools: ``expand(q)`` lists the picks of q[:0], q[:1], .., q.
+class _Expansion(dict):
+    """The pick expansion of keys over per-slot pools: ``self[q]`` lists the picks of q[:0], q[:1], .., q.
 
     ``pools[i]`` maps a slot-i coordinate to its {part: coefficient} (:func:`_preimages`); a pick of q
-    adds one part per coordinate to ``zero`` and multiplies their coefficients, in slot order.  Keys that
-    share a prefix share its picks.
+    adds one part per coordinate to ``zero`` and multiplies their coefficients, in slot order.  A key is
+    expanded on its first lookup, so keys that share a prefix share its picks.  The memo is the dict
+    itself, which refers to nothing that refers back to it: it is freed as soon as its pass drops it.
     """
-    @cache
-    def expand(q):
-        if not q:
-            return [[(zero, 1)]]
-        head = expand(q[:-1])
-        pool = pools[len(q) - 1].get(q[-1], {}).items()
-        return head + [[(k + part, c * cp) for k, c in head[-1] for part, cp in pool]]
 
-    return expand
+    def __init__(self, pools, zero):
+        super().__init__({(): [[(zero, 1)]]})
+        self.pools = pools
+
+    def __missing__(self, q):
+        head = self[q[:-1]]
+        pool = self.pools[len(q) - 1].get(q[-1], {}).items()
+        picks = self[q] = head + [[(k + part, c * cp) for k, c in head[-1] for part, cp in pool]]
+        return picks
 
 
-def _leibniz_kernel(terms, outputs, space, before, after):
+def _leibniz_kernel(tensor, outputs, space, before, after):
     """The one twisted-Leibniz scatter, over the support of an integer tensor T with ``len(after)`` slots.
 
     At every cell y it sums O(T(y)) and, over the slots i, the terms
     (-1)^(|f| (p(y_1) + .. + p(y_{i-1}))) T(S_1 y_1, .., S_{i-1} y_{i-1}, f_i(y_i), S'_{i+1} y_{i+1}, .., S'_n y_n);
-    negated f_i give the left side minus the right.  ``terms`` maps each support key to its {output:
-    numerator} dict over ``outputs`` (w of them); ``before[j]``, ``after[j]`` are the spectators S_j, S'_j
-    as integer columns {column: {row: numerator}}, None for the identity.  The spectators must be even:
-    then a cell reached from a support key has the key's parities, and the Koszul sign of slot i is read
-    off the key's own prefix.  A cell is its mixed-radix index c in basis order.  One pass over the
-    support, with the spectator picks of every prefix and suffix expanded once (:func:`_expansion`, on
-    integer cell offsets; suffixes as reversed keys, since offsets commute), builds ``index[i][e] = (even,
-    odd)``: T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) at y_i = e as {c w + output position:
-    numerator}, slot i's digit of c zero, picks reaching one entry merged and zeros dropped, split by
-    the parity of y_1 .. y_{i-1}, which fixes the Koszul sign.  Returns
-    ``scatter(out_cols, slot_cols, odd, cell=None) -> (acc, lhs)``, the index as ``scatter.index``:
-    O and the f_i list (row, numerator, tag) per column, ``odd`` is |f|, a term lands in the flat
-    dict ``acc`` at tag d^n w + c w + output position, and ``lhs`` is ``acc`` after the O terms.
-    ``cell`` (a label tuple) visits and keeps only the terms landing there.
+    negated f_i give the left side minus the right.  ``tensor`` is T's integer table (sigma, {support key:
+    {output: numerator}}) over ``outputs`` (w of them); ``before[j]``, ``after[j]`` are the even spectators
+    S_j, S'_j as integer tables, None for the identity, put over one denominator tau here, so every term is
+    over ``scale`` = sigma tau^(n-1) times the maps'.  A cell reached from a support key has the key's
+    parities, so slot i's Koszul sign is read off the key's own prefix.  A cell is its index c in basis order.
+
+    One pass over the support, with the spectator picks of every prefix and suffix expanded once
+    (:class:`_Expansion`, on integer cell offsets; suffixes as reversed keys, since offsets commute), builds
+    ``index[i][e]``: for the out slot i = 0, (T at output e,) as {c w: tau^(n-1) numerator}; for i >= 1,
+    (even, odd): T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) at y_i = e as {c w + output position:
+    numerator}, slot i's digit of c zero, split by the parity of y_1 .. y_{i-1}.  Returns ``scatter(out_cols,
+    slot_rows, odd, cell=None) -> (acc, lhs)`` with ``index``, ``space``, ``outputs`` and ``scale`` as
+    attributes.  A slot's map lists, per coordinate e that T sees, its (cell coordinate b, numerator, tag)
+    triples: O by its columns (b an output, stride 1), the f_i by their rows (b = y_i, stride d^(n-i) w);
+    ``odd`` is |f|.  One loop adds every term, slot 0 first, into the flat dict ``acc`` at tag d^n w + c w +
+    output position; ``lhs`` is ``acc`` after slot 0.  ``cell`` (a label tuple) reads only the keys landing there.
     """
     n, width, d = len(after), len(outputs), space.dim
+    sigma, terms = tensor
+    tau, aligned = _common([m for m in (*before, *after) if m is not None])
+    aligned, identity = iter(aligned), {l: {l: tau} for l in space.labels}
+    before, after = [[identity if m is None else next(aligned) for m in maps] for maps in (before, after)]
     at, parity = {l: k for k, l in enumerate(space.labels)}, dict(zip(space.labels, space.parities))
-    position = {e: k for k, e in enumerate(outputs)}
     strides = [d ** (n - 1 - i) * width for i in range(n)]
-    identity = {l: {l: 1} for l in space.labels}
-    offsets = lambda cols, i: {at[c] * strides[i]: image for c, image in (identity if cols is None else cols).items()}
-    prefixes = _expansion([_preimages(offsets(before[i], i)) for i in range(n - 1)], 0)
-    suffixes = _expansion([_preimages(offsets(after[i], i)) for i in reversed(range(1, n))], 0)  # on p[:0:-1]
+    offsets = [{e: k for k, e in enumerate(outputs)}] + [{l: at[l] * s for l in space.labels} for s in strides]
+    pool = lambda cols, i: _preimages({offsets[i + 1][c]: image for c, image in cols.items()})
+    prefixes = _Expansion([pool(before[i], i) for i in range(n - 1)], 0)
+    suffixes = _Expansion([pool(after[i], i) for i in reversed(range(1, n))], 0)  # on p[:0:-1]
 
-    merged = [defaultdict(lambda: ({}, {})) for _ in range(n)]
-    by_out = defaultdict(list)  # by_out[e] = [(c w, coeff of e in T[y]) for the cells y, index c, that output e]
+    lift, block = tau ** (n - 1), d ** n * width
+    merged = [defaultdict(lambda: ({},))] + [defaultdict(lambda: ({}, {})) for _ in range(n)]
     for p, value in terms.items():
-        base, y, odd = [(position[e], c) for e, c in value.items()], 0, 0
-        for e, lp, rp, slot in zip(p, prefixes(p[:-1]), reversed(suffixes(p[:0:-1])), merged):
+        base, y, odd = [(offsets[0][e], c) for e, c in value.items()], 0, 0
+        for e, lp, rp, slot in zip(p, prefixes[p[:-1]], reversed(suffixes[p[:0:-1]]), merged[1:]):
             target, y, odd = slot[e][odd], y * d + at[e], odd ^ parity[e]
             for lk, lc in lp:
                 for rk, rc in rp:
@@ -347,35 +354,30 @@ def _leibniz_kernel(terms, outputs, space, before, after):
                         k = lk + rk + pos
                         target[k] = target.get(k, 0) + lc * rc * c
         for e, c in value.items():
-            by_out[e].append((y * width, c))
-    index = [{e: tuple({k: v for k, v in side.items() if v} for side in sides) for e, sides in slot.items()}
-             for slot in merged]
+            merged[0][e][0][y * width] = c * lift
+    index = [{e: tuple({k: v for k, v in side.items() if v} for side in sides) for e, sides in m.items()} for m in merged]
 
-    def scatter(out_cols, slot_cols, odd, cell=None):
-        acc = {}
+    def scatter(out_cols, slot_rows, odd, cell=None):
+        acc, lhs = {}, None
         get = acc.get
         if cell is not None:
             y0 = sum(at[l] * s for l, s in zip(cell, strides))
-            slot_cols = [{y: cols[y]} if y in cols else {} for y, cols in zip(cell, slot_cols)]
-        for e, image in out_cols.items():
-            column = [(tag * d ** n * width + position[r], c) for r, c, tag in image]
-            hits = by_out.get(e, ())
-            for y, c in hits if cell is None else [hit for hit in hits if hit[0] == y0]:
-                for k, ck in column:
-                    k += y
-                    acc[k] = get(k, 0) + c * ck
-        lhs = dict(acc)
-        for cols, entries, stride in zip(slot_cols, index, strides):
-            for b, image in cols.items():
-                for e, ce, tag in image:
-                    shift = at[b] * stride + tag * d ** n * width
-                    for f, pairs in zip((ce, -ce if odd else ce), entries.get(e, ())):
-                        for k, v in pairs.items():
+        for maps, entries, offset in zip((out_cols, *slot_rows), index, offsets):
+            for e, image in maps.items():
+                sides = entries.get(e, ())
+                for b, ce, tag in image:
+                    shift = offset[b]
+                    near = None if cell is None else range(y0 - shift, y0 - shift + width)  # keys landing in the cell
+                    shift += tag * block
+                    for f, pairs in zip((ce, -ce if odd else ce), sides):
+                        for k, v in pairs.items() if near is None else [(k, pairs[k]) for k in near if k in pairs]:
                             k += shift
                             acc[k] = get(k, 0) + f * v
-        return (acc if cell is None else {k: acc[k] for k in range(y0, y0 + width) if k in acc}), lhs
+            if lhs is None:
+                lhs = dict(acc)
+        return acc, lhs
 
-    scatter.index = index
+    vars(scatter).update(index=index, space=space, outputs=outputs, scale=sigma * lift)
     return scatter
 
 
@@ -388,10 +390,10 @@ def _compose(table, out_map=None, slot_maps=None):
     and so is the result.  O is ``out_map``; M_i is ``slot_maps[i]``, a map
     or an inner table (operadic composition: its arguments take slot i's
     place in the result).  ``None`` is the identity.  The result's scale is
-    the product of the scales of T, O and the M_i, as the Leibniz kernel's
-    sigma^2 tau^(n-1) is.  The value at x sums prod_i <y_i | M_i x_i> O(T(y))
+    the product of the scales of T, O and the M_i, as a Leibniz kernel
+    side's sigma tau^(n-1) delta is.  The value at x sums prod_i <y_i | M_i x_i> O(T(y))
     over the support keys y, with no Koszul sign: the maps and inner tables
-    must be even, or T unary.  Each key's picks x come from :func:`_expansion`
+    must be even, or T unary.  Each key's picks x come from :class:`_Expansion`
     on argument-tuple parts, so keys that share a prefix share its picks.
     """
     scale, cells = table
@@ -404,13 +406,13 @@ def _compose(table, out_map=None, slot_maps=None):
     if out_map is not None:
         s, out = out_map.integer_columns
         scale *= s
-    expand = _expansion(pools, ())
+    expand = _Expansion(pools, ())
     result: dict[tuple, dict] = {}
     for y, value in cells.items():
         image = value.items() if out_map is None else [
             (r, v * cr) for l, v in value.items() for r, cr in out.get(l, {}).items()
         ]
-        for xs, c in expand(y)[-1]:
+        for xs, c in expand[y][-1]:
             cell = result.setdefault(xs, {})
             for r, v in image:
                 cell[r] = cell.get(r, 0) + c * v
@@ -444,6 +446,15 @@ def _differs(left, right) -> list:
     return [x for x in cl.keys() | cr.keys() if cl.get(x) != cr.get(x)]
 
 
+def _common(tables) -> tuple[int, list]:
+    """(scale, [cells, ..]): the cells of integer tables over the least common multiple of their scales."""
+    scale = math.lcm(1, *(s for s, _ in tables))
+    return scale, [
+        cells if s == scale else {x: {r: v * (scale // s) for r, v in cell.items()} for x, cell in cells.items()}
+        for s, cells in tables
+    ]
+
+
 def _negated(cell) -> dict:
     return {r: -v for r, v in cell.items()}
 
@@ -462,11 +473,6 @@ def _preimages(cols) -> dict:
         for r, coeff in image.items():
             pre.setdefault(r, {})[c] = coeff
     return pre
-
-
-def _as_element(labels, scale):
-    """Turn one side of a kernel accumulator back into an :class:`Element`."""
-    return lambda half: Element({l: Fraction(v, scale) for l, v in zip(labels, half)})
 
 
 def adjoint_map(alg: HomSuperAlgebra, xs) -> GradedLinearMap:

@@ -280,13 +280,11 @@ def derivation_transfer(
     # phi is a tensor with the one output 0, D the slot map and the identity
     # (None) the spectator; the out map is zero
     space = alg.space
-    sigma, terms = phi.table
-    delta, d = cand.map.integer_columns
-    kernel = _leibniz_kernel(terms, (0,), space, [None] * phi.degree, [None] * phi.degree)
+    kernel = _leibniz_kernel(phi.table, (0,), space, [None] * phi.degree, [None] * phi.degree)
     col = _Collector("phi-annihilation", cap)
     col.tick(space.dim ** phi.degree)
-    instance = ((), cand.map.parity, {}, [d] * phi.degree)
-    _leibniz_sweep(col, kernel, [instance], lambda half: Fraction(half[0], sigma * delta), space, 1, swap=True)
+    instance = ((), cand.map.parity, (1, {}), [cand.map.integer_columns] * phi.degree)
+    _leibniz_sweep(col, kernel, [instance], swap=True, value=_scalar)
     hypothesis = col.report()
     if not hypothesis.passed:
         return TransferReport(hypothesis, None)

@@ -109,24 +109,17 @@ def _least_scale(table: tuple[int, dict]) -> tuple[int, dict]:
 
 
 def _sum_tables(tables):
-    """Add integer tables cell by cell over their common scale (:func:`_common`); zero cells are dropped."""
-    scale, parts = _common(list(tables))
+    """Add integer tables cell by cell over the least common multiple of their scales; zero cells are dropped."""
+    tables = list(tables)
+    scale = math.lcm(1, *(s for s, _ in tables))
     total: dict[tuple, dict] = {}
-    for cells in parts:
+    for s, cells in tables:
+        lift = scale // s
         for x, value in cells.items():
             cell = total.setdefault(x, {})
             for r, c in value.items():
-                cell[r] = cell.get(r, 0) + c
+                cell[r] = cell.get(r, 0) + c * lift
     return scale, _nonzero(total)
-
-
-def _common(tables) -> tuple[int, list]:
-    """(scale, [cells, ..]): the cells of integer tables over the least common multiple of their scales."""
-    scale = math.lcm(1, *(s for s, _ in tables))
-    return scale, [
-        cells if s == scale else {x: {r: v * (scale // s) for r, v in cell.items()} for x, cell in cells.items()}
-        for s, cells in tables
-    ]
 
 
 def _nonzero(cells) -> dict:
@@ -615,8 +608,8 @@ class HomSuperAlgebra:
     def _nambu_kernel(self):
         """The bracket's :func:`axioms._leibniz_kernel`, twist j before slot j and j-1 after it; built on first read."""
         from .axioms import _leibniz_kernel
-        cols = _common([t.integer_columns for t in self.twists])[1]
-        return _leibniz_kernel(self.bracket.table[1], self.space.labels, self.space, cols, [None] + cols)
+        twists = [t.integer_columns for t in self.twists]
+        return _leibniz_kernel(self.bracket.table, self.space.labels, self.space, twists, [None] + twists)
 
     @property
     def twist(self) -> GradedLinearMap:

@@ -23,8 +23,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .axioms import (
-    CheckReport, DEFAULT_COUNTEREXAMPLE_CAP, _as_element, _Collector, _common, _leibniz_kernel, _leibniz_sweep,
-    _shared_twist, _twist_commutation, adjoint_map,
+    CheckReport, DEFAULT_COUNTEREXAMPLE_CAP, _Collector, _leibniz_kernel, _leibniz_sweep, _shared_twist,
+    _twist_commutation, _unary, adjoint_map,
 )
 from .core import (
     FixedPointViolation, GradedLinearMap, HomSuperAlgebra, integer_table, map_compose, map_power, record,
@@ -97,27 +97,17 @@ def _leibniz_checker(alg: HomSuperAlgebra, spectator: GradedLinearMap):
         out_map([y]) != sum_i (-1)^(|f_i| (p_1 + .. + p_{i-1})) [S y_1, .., f_i(y_i), .., S y_n]
 
     with S = ``spectator`` and f_i = ``slot_maps[i]``, all instances in one
-    :func:`axioms._leibniz_sweep` over one common denominator.  Derivations,
-    quasi- and generalized derivations and the adjoint expansion differ only
-    in the maps they pass.
+    :func:`axioms._leibniz_sweep`.  Derivations, quasi- and generalized
+    derivations and the adjoint expansion differ only in the maps they pass.
     """
-    space = alg.space
-    labels = space.labels
-    n = alg.arity
-    sigma, terms = alg.bracket.table
-    tau, spec = spectator.integer_columns
-    kernel = _leibniz_kernel(terms, labels, space, [spec] * n, [spec] * n)
-    lhs_scale = tau ** (n - 1)  # each right-side term holds n - 1 spectator entries
+    space, n, spec = alg.space, alg.arity, spectator.integer_columns
+    kernel = _leibniz_kernel(alg.bracket.table, space.labels, space, [spec] * n, [spec] * n)
 
     def check(col, instances, cell=None, swap=False):
-        maps = [m.integer_columns for _, out_map, slot_maps in instances for m in (out_map, *slot_maps)]
-        delta, cols = _common(maps)
-        cols = iter(cols)  # each instance takes its out map's columns, then its slot maps'
-        scaled = lambda out: {c: {r: v * lhs_scale for r, v in image.items()} for c, image in out.items()}
         odd = lambda fs: next((f.parity for f in fs if not f.is_zero()), 0)
-        ints = [(head, odd(fs), scaled(next(cols)), [next(cols) for _ in fs]) for head, _, fs in instances]
-        col.tick(len(ints) * (space.dim ** n if cell is None else 1))
-        _leibniz_sweep(col, kernel, ints, _as_element(labels, sigma * delta * lhs_scale), space, len(labels), cell, swap)
+        tables = [(head, odd(fs), o.integer_columns, [f.integer_columns for f in fs]) for head, o, fs in instances]
+        col.tick(len(tables) * (space.dim ** n if cell is None else 1))
+        _leibniz_sweep(col, kernel, tables, cell, swap)
 
     return check
 
@@ -212,16 +202,15 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
     width = len(labels)
     variables = derivation_variables(space, parity)
     n = alg.arity
-    _, terms = alg.bracket.table
-    tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
+    spec = map_power(alpha, k).integer_columns
 
-    def residuals(kernel, arity, lhs_scale, basis):  # distinct primitive rows over the integer maps in basis
+    def residuals(kernel, arity, basis):  # distinct primitive rows over the integer maps in basis
         out, slot = defaultdict(list), defaultdict(list)  # each map tags its entries: one scatter sums all rows
         for j, vec in enumerate(basis):
             for (r, c), v in zip(variables, vec):
                 if v:
-                    out[c].append((r, lhs_scale * v, j))
-                    slot[c].append((r, -v, j))
+                    out[c].append((r, v, j))
+                    slot[r].append((c, -v, j))
         block, raw = space.dim ** arity * width, defaultdict(([0] * len(basis)).copy)  # a key: tag * block + row
         for key, v in kernel(out, [slot] * arity, parity)[0].items():
             raw[key % block][key // block] = v
@@ -229,13 +218,13 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
 
     # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, scattered over every matrix unit
     units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]
-    rows = residuals(_leibniz_kernel({(c,): image for c, image in twist.items()}, labels, space, [], [None]), 1, 1, units)
+    rows = residuals(_leibniz_kernel(_unary(alpha), labels, space, [], [None]), 1, units)
     free = linalg.nullspace(list(rows), ncols=len(variables))
     if free:  # then the bracket's, with spectator alpha^k, over the N_j on one common denominator
         delta = math.lcm(*(v.denominator for vec in free for v in vec))
         last = [max(i for i, v in enumerate(vec) if v) for vec in free]
         basis = [[int(v * delta) for v in vec] for vec in free]
-        for u in residuals(_leibniz_kernel(terms, labels, space, [spec] * n, [spec] * n), n, tau ** (n - 1), basis):
+        for u in residuals(_leibniz_kernel(alg.bracket.table, labels, space, [spec] * n, [spec] * n), n, basis):
             row = [0] * len(variables)
             for f, uj in zip(last, u):
                 row[f] = uj

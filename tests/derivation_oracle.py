@@ -38,7 +38,6 @@ from homnambu import linalg
 from homnambu.axioms import (
     CheckReport,
     Counterexample,
-    _common,
     _leibniz_kernel,
 )
 from homnambu.core import Element, HomSuperAlgebra, eval_bracket, map_power
@@ -162,29 +161,33 @@ def solve_oracle(alg: HomSuperAlgebra, k: int, parity: int) -> list[list[Fractio
 
 
 def _kernels(alg: HomSuperAlgebra, k: int):
-    """(kernel, arity, lhs scale) for the 1-ary tensor alpha, then for the bracket with spectator alpha^k."""
+    """(kernel, arity) for the 1-ary tensor alpha, then for the bracket with spectator alpha^k.
+
+    Each kernel takes its tensor and spectators as integer tables and keeps their
+    denominators, so one map's two sides come out over one denominator.
+    """
     alpha = alg.twists[0]
     space = alg.space
     labels = space.labels
     n = alg.arity
-    _, terms = alg.bracket.table
-    tau, (twist, spec) = _common([alpha.integer_columns, map_power(alpha, k).integer_columns])
+    scale, twist = alpha.integer_columns
+    spec = map_power(alpha, k).integer_columns
     return (
-        (_leibniz_kernel({(c,): twist.get(c, {}) for c in labels}, labels, space, [], [None]), 1, 1),
-        (_leibniz_kernel(terms, labels, space, [spec] * n, [spec] * n), n, tau ** (n - 1)),
+        (_leibniz_kernel((scale, {(c,): twist.get(c, {}) for c in labels}), labels, space, [], [None]), 1),
+        (_leibniz_kernel(alg.bracket.table, labels, space, [spec] * n, [spec] * n), n),
     )
 
 
-def _residual_rows(kernel, arity, lhs_scale, maps, variables, parity):
+def _residual_rows(kernel, arity, maps, variables, parity):
     """Distinct rows over ``maps``, one scatter per map: entry j of the row of (x, rho) is
     the residual (left minus right side) of maps[j], a vector over ``variables``, there."""
     acc = defaultdict(([0] * len(maps)).copy)  # (x, rho) -> row, keyed x's index * width + rho
     for j, vec in enumerate(maps):
-        out, slot = defaultdict(list), defaultdict(list)
+        out, slot = defaultdict(list), defaultdict(list)  # the out map by its columns, the slot map by its rows
         for (r, c), v in zip(variables, vec):
             if v:
-                out[c].append((r, lhs_scale * v, 0))
-                slot[c].append((r, -v, 0))
+                out[c].append((r, v, 0))
+                slot[r].append((c, -v, 0))
         for key, residual in kernel(out, [slot] * arity, parity)[0].items():
             if residual:
                 acc[key][j] = residual
@@ -201,8 +204,8 @@ def constraints_per_unit(alg: HomSuperAlgebra, k: int, parity: int):
     variables = derivation_variables(alg.space, parity)
     units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]
     rows = {}
-    for kernel, arity, lhs_scale in _kernels(alg, k):
-        for row in _residual_rows(kernel, arity, lhs_scale, units, variables, parity):
+    for kernel, arity in _kernels(alg, k):
+        for row in _residual_rows(kernel, arity, units, variables, parity):
             rows[linalg.primitive_row(row)] = None
     return [list(row) for row in rows], variables
 
@@ -219,12 +222,12 @@ def constraints_staged(alg: HomSuperAlgebra, k: int, parity: int):
     variables = derivation_variables(alg.space, parity)
     m = len(variables)
     units = [[int(i == j) for i in range(m)] for j in range(m)]
-    (twist, _, _), (bracket, n, lhs_scale) = _kernels(alg, k)
-    rows = dict.fromkeys(map(linalg.primitive_row, _residual_rows(twist, 1, 1, units, variables, parity)))
+    (twist, _), (bracket, n) = _kernels(alg, k)
+    rows = dict.fromkeys(map(linalg.primitive_row, _residual_rows(twist, 1, units, variables, parity)))
     pivots = dense_rref(list(rows))[1] if rows else []
     free = [c for c in range(m) if c not in pivots]
     basis = dense_nullspace(list(rows), m)
-    for u in dict.fromkeys(map(linalg.primitive_row, _residual_rows(bracket, n, lhs_scale, basis, variables, parity))):
+    for u in dict.fromkeys(map(linalg.primitive_row, _residual_rows(bracket, n, basis, variables, parity))):
         row = [0] * m
         for f, uj in zip(free, u):
             row[f] = uj

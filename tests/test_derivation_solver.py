@@ -203,6 +203,7 @@ def counted_scatters(monkeypatch):
             scatters.append((len(slot_cols), len(tags)))
             return scatter(out_cols, slot_cols, odd, cell)
 
+        vars(counted).update(vars(scatter))  # the sweep reads the kernel's space, outputs and scale
         return counted
 
     monkeypatch.setattr(derivations, "_leibniz_kernel", counting_kernel)

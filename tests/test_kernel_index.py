@@ -1,11 +1,15 @@
 """The Leibniz kernel's per-slot index, transported inputs and the empty support.
 
-The index of ``axioms._leibniz_kernel`` holds, per slot i, the table
+The index of ``axioms._leibniz_kernel`` holds, per slot i >= 1, the table
 T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) grouped by its slot-i
-coordinate, each entry an integer cell key.  It is compared entry for entry
-with T_i composed by ``table_oracle._compose``, the ``Element`` form of the
-table algebra, which shares no code with the kernel's pick expansion (the
-identity at slot i): no entry may be left out, repeated or unmerged.  Besides
+coordinate, each entry an integer cell key, and in its out slot 0 the tensor
+T itself grouped by output.  Every entry is a numerator over the kernel's
+``scale``; the kernel takes the tensor and the spectators as integer tables
+with their own denominators.  Each slot is compared, value for value, with
+T_i composed by ``table_oracle._compose``, the ``Element`` form of the table
+algebra on the true rational values, which shares no code with the kernel's
+pick expansion (the identity at slot i): no entry may be left out, repeated
+or unmerged, and no denominator may be lost.  Besides
 Nambu kernels, the inputs cover the expansion's edge cases: the 1-ary twist
 tensor with no spectators (the solver's commutation kernel), a one-output
 cochain table with identity spectators (the phi-annihilation hypothesis) and
@@ -23,11 +27,12 @@ count every basis tuple.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from homnambu.algfile import AlgebraBundle, emit
-from homnambu.axioms import _common, _leibniz_kernel, check_nambu_identity
+from homnambu.axioms import _leibniz_kernel, check_nambu_identity
 from homnambu.catalog import catalog_build
 from homnambu.cli import main
 from homnambu.cochains import SuperCochain, derivation_transfer
@@ -43,21 +48,30 @@ OSP12_P = random_inputs.even_invertible(random.Random(1), OSP12.algebra.space)
 
 
 def nambu_spectators(alg):
-    """(terms, before, after) as the Nambu kernel is built: twist j before slot j and j - 1 after it, as integer columns."""
-    _, terms = alg.bracket.table
-    _, cols = _common([t.integer_columns for t in alg.twists])
-    return terms, cols, [None] + cols
+    """(tensor, before, after) as the Nambu kernel is built: twist j before slot j and j - 1 after it, as integer tables."""
+    twists = [t.integer_columns for t in alg.twists]
+    return alg.bracket.table, twists, [None] + twists
 
 
-def decoded_index(terms, outputs, space, before, after):
-    """Slot i's index as {cell: {output: numerator}}, after asserting each entry's key and Koszul split."""
+def decoded_index(tensor, outputs, space, before, after):
+    """(out slot, [slot 1, .., slot n]), each as {cell: {output: value}} with its entry count, after asserting
+    each entry's key and Koszul split; a value is the entry over the kernel's scale."""
     n, width = len(after), len(outputs)
     labels, d = space.labels, space.dim
-    index = _leibniz_kernel(terms, outputs, space, before, after).index
-    assert len(index) == n
+    kernel = _leibniz_kernel(tensor, outputs, space, before, after)
+    index = kernel.index
+    assert len(index) == n + 1
+    out, count = {}, 0
+    for e, sides in index[0].items():
+        (entries,) = sides  # no Koszul split: the out map passes no argument
+        for k, v in entries.items():
+            cell, pos = divmod(k, width)
+            assert pos == 0 and v != 0
+            out.setdefault(tuple(labels[cell // d ** (n - 1 - j) % d] for j in range(n)), {})[e] = Fraction(v, kernel.scale)
+            count += 1
     slots = []
-    for i, groups in enumerate(index):
-        cells, count = {}, 0
+    for i, groups in enumerate(index[1:]):
+        cells, count_i = {}, 0
         for e, sides in groups.items():
             for odd, entries in enumerate(sides):
                 for k, v in entries.items():
@@ -66,22 +80,28 @@ def decoded_index(terms, outputs, space, before, after):
                     assert digits[i] == 0 and v != 0
                     y = tuple(labels[g] for g in digits[:i]) + (e,) + tuple(labels[g] for g in digits[i + 1 :])
                     assert sum(map(space.parity, y[:i])) % 2 == odd
-                    cells.setdefault(y, {})[outputs[pos]] = v
-                    count += 1
-        slots.append((cells, count))
-    return slots
+                    cells.setdefault(y, {})[outputs[pos]] = Fraction(v, kernel.scale)
+                    count_i += 1
+        slots.append((cells, count_i))
+    return (out, count), slots
 
 
-def assert_index_is_each_slot_table(terms, outputs, space, before, after):
-    """Every slot's index equals T_i by the Element oracle, entry for entry; returns the entry counts.
+def assert_index_is_each_slot_table(tensor, outputs, space, before, after):
+    """The out slot is T and every slot's index equals T_i by the Element oracle, value for value; returns the
+    slots' entry counts.
 
-    The spectators are integer columns or None (the identity), as the kernel takes them.
+    The tensor and the spectators are integer tables, the spectators None for the identity, as the kernel takes them.
     """
     n = len(after)
-    unary = lambda cols: None if cols is None else {(c,): Element(image) for c, image in cols.items()}
-    T = {y: Element(value) for y, value in terms.items()}
+    unary = lambda m: None if m is None else {(c,): Element({r: Fraction(v, m[0]) for r, v in image.items()})
+                                              for c, image in m[1].items()}
+    sigma, terms = tensor
+    T = {y: Element({e: Fraction(v, sigma) for e, v in value.items()}) for y, value in terms.items()}
+    (out, count), slots = decoded_index(tensor, outputs, space, before, after)
+    assert {y: Element(cell) for y, cell in out.items()} == T
+    assert count == sum(len(e.coeffs) for e in T.values())
     counts = []
-    for i, (cells, count) in enumerate(decoded_index(terms, outputs, space, before, after)):
+    for i, (cells, count) in enumerate(slots):
         maps = [unary(m) for m in before[:i]] + [None] + [unary(m) for m in after[i + 1 : n]]
         expected = table_oracle._compose(T, slot_maps=maps)
         assert {y: Element(cell) for y, cell in cells.items()} == expected
@@ -91,8 +111,8 @@ def assert_index_is_each_slot_table(terms, outputs, space, before, after):
 
 
 def assert_nambu_index(alg):
-    terms, before, after = nambu_spectators(alg)
-    return assert_index_is_each_slot_table(terms, alg.space.labels, alg.space, before, after)
+    tensor, before, after = nambu_spectators(alg)
+    return assert_index_is_each_slot_table(tensor, alg.space.labels, alg.space, before, after)
 
 
 def test_index_is_each_slot_table_on_transported_osp12():
@@ -114,21 +134,21 @@ def test_index_is_each_slot_table_on_hard_pools(kind):
 
 
 def edge_inputs():
-    """The pick expansion's edge cases as kernel inputs (terms, outputs, space, before, after), each with its entry counts."""
+    """The pick expansion's edge cases as kernel inputs (tensor, outputs, space, before, after), each with its entry counts."""
     rng = random.Random(44)
     space = OSP12.algebra.space
     twists = [random_inputs.transport(OSP12, OSP12_P).twists[0]]
     twists += [random_inputs.hard_map(rng, random_inputs.hard_space(rng), kind) for kind in random_inputs.HARD_POOLS]
     for twist in twists:  # the solver's commutation kernel: the twist as a 1-ary tensor, no spectators
-        _, cols = twist.integer_columns
-        terms = {(c,): image for c, image in cols.items()}
-        yield (terms, twist.space.labels, twist.space, [], [None]), [sum(map(len, cols.values()))]
+        scale, cols = twist.integer_columns
+        tensor = (scale, {(c,): image for c, image in cols.items()})
+        yield (tensor, twist.space.labels, twist.space, [], [None]), [sum(map(len, cols.values()))]
     # the phi-annihilation kernel: a degree-3 cochain table with the one output 0, the identity in every other slot
     phi = SuperCochain(space, 3, {("X", "Y", "H"): 1, ("X", "F", "G"): 2, ("H", "F", "G"): -3, ("F", "F", "Y"): 4})
-    yield (phi.table[1], (0,), space, [None] * 3, [None] * 3), [len(phi.table[1])] * 3
+    yield (phi.table, (0,), space, [None] * 3, [None] * 3), [len(phi.table[1])] * 3
     _, before, after = nambu_spectators(random_inputs.transport(OSP12, OSP12_P))
-    yield ({}, space.labels, space, before, after), [0, 0]  # an empty support
-    yield ({}, (0,), space, [None] * 3, [None] * 3), [0, 0, 0]
+    yield ((1, {}), space.labels, space, before, after), [0, 0]  # an empty support
+    yield ((1, {}), (0,), space, [None] * 3, [None] * 3), [0, 0, 0]
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 ``check_multiplicative`` is one ``_leibniz_sweep`` instance on the kernel the
 Nambu check builds (``HomSuperAlgebra._nambu_kernel``): its slot-1 table is
-T∘(., alpha, .., alpha), so O = alpha (scaled by tau^(n-1)), f_1 = alpha and
-f_i = 0 leave alpha∘T - T∘alpha^(⊗n).  Its reports must equal the oracle's at
+T∘(., alpha, .., alpha), so O = alpha (the kernel's out slot carries the
+tau^(n-1)), f_1 = alpha and f_i = 0 leave alpha∘T - T∘alpha^(⊗n).  Its reports must equal the oracle's at
 caps 0, 2 and unlimited on the nests of every multiplicative catalog entry, on
 transported nests (dense twists with denominators) and on twists that are not
 morphisms.  The kernel is a derived view: built once per algebra, shared by
@@ -48,7 +48,7 @@ def test_catalog_nests_match_oracle(name):
 
 @pytest.mark.parametrize("seed, n", [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4)])  # the oracle takes 10 s at seed 1, n = 5
 def test_transported_nests_match_oracle(seed, n):
-    """P a P^-1 is dense and has denominators, so the tau^(n-1) on O's columns matters."""
+    """P a P^-1 is dense and has denominators, so the tau^(n-1) of the kernel's out slot matters."""
     bundle = catalog_build("osp12")
     P = random_inputs.even_invertible(random.Random(seed), bundle.algebra.space)
     transported = random_inputs.transport(bundle, P)

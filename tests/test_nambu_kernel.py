@@ -189,9 +189,9 @@ def _scales_by_key(alg, cap):
     cancelled = []
     primitive = axioms._primitive
 
-    def spy(odd, out_cols, *slot_cols):
-        cancelled.extend(v for image in out_cols.values() for v in image.values() if not v)
-        g, key = primitive(odd, out_cols, *slot_cols)
+    def spy(odd, delta, out, *slots):
+        cancelled.extend(v for image in out[1].values() for v in image.values() if not v)
+        g, key = primitive(odd, delta, out, *slots)
         scales.setdefault(key, []).append(g)
         return g, key
 
@@ -272,7 +272,7 @@ def test_one_scatter_per_primitive_input_on_nested_osp12():
             scatters[n] += 1
             return scatter(*a, **k)
 
-        counted.index = scatter.index  # the Nambu check reads ad_{ax} off the last per-slot table
+        vars(counted).update(vars(scatter))  # the sweep reads the kernel's space, outputs and scale, the Nambu check its index
         return counted
 
     alg = catalog_build("osp12").algebra
