@@ -212,21 +212,16 @@ def check_nambu_identity(alg: HomSuperAlgebra, cap: int = DEFAULT_COUNTEREXAMPLE
     x-tuples make both sides vanish); ``tuples_checked`` counts all d^(2n-1) cells.
     """
     n, space, kernel = alg.arity, alg.space, alg._nambu_kernel
-    labels, d = space.labels, space.dim
     sigma, terms = alg.bracket.table
     rows: dict[tuple, dict] = {}  # rows[x][last] = T[x + (last,)]: ad_x
     for args, value in terms.items():
         rows.setdefault(args[:-1], {})[args[-1]] = value
-    ad = {}  # ad[X][e] = ad_{ax}(e), X the x-tuple's index in basis order: the slot's keys are X d w + output position
-    for e, (even, odd) in kernel.index[n].items():
-        for k, v in (*even.items(), *odd.items()):
-            ad.setdefault(k // (d * d), {}).setdefault(e, {})[labels[k % (d * d)]] = v
-    ad = {tuple(labels[X // d ** j % d] for j in reversed(range(n - 1))): image for X, image in ad.items()}
-    at, parity = {l: k for k, l in enumerate(labels)}, dict(zip(labels, space.parities))
+    ad = kernel.last_slot()  # ad[x][e] = ad_{ax}(e)
+    at, parity = {l: k for k, l in enumerate(space.labels)}, dict(zip(space.labels, space.parities))
     instances = [(xs, sum(map(parity.get, xs)) % 2, (kernel.scale, ad.get(xs, {})), [(sigma, rows.get(xs, {}))] * n)
                  for xs in sorted(rows.keys() | ad.keys(), key=lambda xs: [at[l] for l in xs])]  # (x, |x|, ad_ax, n ad_x)
     col = _Collector("nambu", cap)
-    col.tick(d ** (2 * n - 1))
+    col.tick(space.dim ** (2 * n - 1))
     _leibniz_sweep(col, kernel, instances)
     return col.report()
 
@@ -236,35 +231,29 @@ def _leibniz_sweep(col, kernel, instances, cell=None, swap=False, value=lambda s
 
     An instance is (head, |f|, O, [f_1, .., f_n]), each map an integer table (scale, {column: {row:
     numerator}}).  Every map of the call goes over one denominator delta, the lcm of their scales, so both
-    sides are numerators over the kernel's ``scale`` times delta.  With the f_i negated, the scatter's
-    nonzero keys are the failing cells y, integers in basis order: counted, the first kept at head + y
-    (labels from the kernel's space), the left side read from the O terms and the right side that minus
-    the difference, each an :class:`Element` over the kernel's outputs that ``value`` turns into the
-    reported value.  ``swap`` reports the Leibniz sum as lhs and ``cell`` checks that one y.  The scatter
-    is linear in (O, f_1, .., f_n) jointly, so it runs once per distinct primitive key (:func:`_primitive`),
-    serving every instance with it at its own g.
+    sides are numerators over the kernel's ``scale`` times delta.  The scatter's failing cells are counted
+    and the first, in basis order, kept at head + y: the left side read from the O terms and the right side
+    that minus the difference, each an :class:`Element` over the kernel's outputs that ``value`` turns into
+    the reported value.  ``swap`` reports the Leibniz sum as lhs and ``cell`` checks that one y.  The
+    scatter is linear in (O, f_1, .., f_n) jointly, so it runs once per distinct primitive key
+    (:func:`_primitive`), serving every instance with it at its own g.
     """
-    space, outputs = kernel.space, kernel.outputs
-    if cell is not None:
-        space.sort_key(cell)  # unknown labels raise
-    labels, d, width = space.labels, space.dim, len(outputs)
     delta = math.lcm(1, *(m[0] for _, _, out, slots in instances for m in (out, *slots)))
-    side = lambda g, half: value(Element({o: Fraction(g * v, kernel.scale * delta) for o, v in zip(outputs, half)}))
+    side = lambda g, half: value(Element({o: Fraction(g * v, kernel.scale * delta) for o, v in zip(kernel.outputs, half)}))
     memo = {}  # primitive key -> (failure count, the first failing cells in basis order -> both sides)
     for head, odd, out, slots in instances:
         pattern = tuple(map(slots.index, slots))  # equal f_i enter the key once, at their first slot
         g, key = _primitive((odd, pattern), delta, out, *[f if pattern[i] == i else (1, {}) for i, f in enumerate(slots)])
         if (entry := memo.get(key)) is None:
-            cols = [{} for _ in range(len(slots) + 1)]
-            for t, c, r, v in key[1:]:  # O by its columns, the negated f_i by their rows
-                cols[t].setdefault(r if t else c, []).append((c, -v, 0) if t else (r, v, 0))
-            acc, lhs = kernel(cols[0], [cols[1 + i] for i in pattern], odd, cell=cell)
-            bad = {k // width for k, v in acc.items() if v} if any(acc.values()) else ()
-            kept = {}
+            tables = [{} for _ in range(len(slots) + 1)]
+            for t, c, r, v in key[1:]:
+                tables[t].setdefault(c, {})[r] = v
+            acc, lhs = kernel([(tables[0], [tables[1 + i] for i in pattern])], odd, cell=cell)
+            bad, kept = kernel.cells(acc), {}
             for y in col.first(bad, None):
-                left = [lhs.get(k, 0) for k in range(y * width, y * width + width)]
-                right = [v - acc.get(k, 0) for k, v in enumerate(left, y * width)]
-                ys = tuple(labels[y // d**j % d] for j in reversed(range(len(slots))))
+                keys, ys = kernel.cell(y)
+                left = [lhs.get(k, 0) for k in keys]
+                right = [v - acc.get(k, 0) for k, v in zip(keys, left)]
                 kept[ys] = (right, left) if swap else (left, right)
             entry = memo[key] = len(bad), kept
         failures, first = entry
@@ -323,12 +312,16 @@ def _leibniz_kernel(tensor, outputs, space, before, after):
     (:class:`_Expansion`, on integer cell offsets; suffixes as reversed keys, since offsets commute), builds
     ``index[i][e]``: for the out slot i = 0, (T at output e,) as {c w: tau^(n-1) numerator}; for i >= 1,
     (even, odd): T_i = T∘(S_1, .., S_{i-1}, ., S'_{i+1}, .., S'_n) at y_i = e as {c w + output position:
-    numerator}, slot i's digit of c zero, split by the parity of y_1 .. y_{i-1}.  Returns ``scatter(out_cols,
-    slot_rows, odd, cell=None) -> (acc, lhs)`` with ``index``, ``space``, ``outputs`` and ``scale`` as
-    attributes.  A slot's map lists, per coordinate e that T sees, its (cell coordinate b, numerator, tag)
-    triples: O by its columns (b an output, stride 1), the f_i by their rows (b = y_i, stride d^(n-i) w);
-    ``odd`` is |f|.  One loop adds every term, slot 0 first, into the flat dict ``acc`` at tag d^n w + c w +
-    output position; ``lhs`` is ``acc`` after slot 0.  ``cell`` (a label tuple) reads only the keys landing there.
+    numerator}, slot i's digit of c zero, split by the parity of y_1 .. y_{i-1}.  Returns ``scatter(tagged,
+    odd, cell=None) -> (acc, lhs)``: ``tagged[t]`` is tag t's (O, [f_1, .., f_n]) as integer column tables
+    over the call's one denominator, ``odd`` is |f|.  The scatter lists each slot's maps per coordinate e that
+    T sees as (cell coordinate b, numerator, tag), tag first: O by its columns (b an output, stride 1), the
+    f_i by their rows, negated (b = y_i, stride d^(n-i) w), a map object passed for several slots once.  One
+    loop adds every term, slot 0 first, into the flat dict ``acc`` at t d^n w + c w + output position; ``lhs``
+    is ``acc`` after slot 0; ``cell`` (a label tuple) reads only the keys landing there.  Only the kernel reads
+    keys: the scatter carries ``index``, ``space``, ``outputs``, ``scale`` and the decoders ``cells(acc)`` (the
+    c where a one-tag ``acc`` is nonzero), ``cell(c)`` (c's keys there, its labels), ``rows(acc, tags)`` (per
+    cell and output, its numerators over the tags) and ``last_slot()`` ({(x_1, .., x_{n-1}): {e: T_n(x, e)}}).
     """
     n, width, d = len(after), len(outputs), space.dim
     sigma, terms = tensor
@@ -357,13 +350,19 @@ def _leibniz_kernel(tensor, outputs, space, before, after):
             merged[0][e][0][y * width] = c * lift
     index = [{e: tuple({k: v for k, v in side.items() if v} for side in sides) for e, sides in m.items()} for m in merged]
 
-    def scatter(out_cols, slot_rows, odd, cell=None):
-        acc, lhs = {}, None
+    def scatter(tagged, odd, cell=None):
+        acc, lhs, oriented = {}, {}, {}
         get = acc.get
         if cell is not None:
-            y0 = sum(at[l] * s for l, s in zip(cell, strides))
-        for maps, entries, offset in zip((out_cols, *slot_rows), index, offsets):
-            for e, image in maps.items():
+            y0 = sum(space.index(l) * s for l, s in zip(cell, strides))  # unknown labels raise
+        for i, (maps, entries, offset) in enumerate(zip(zip(*[(o, *fs) for o, fs in tagged]), index, offsets)):
+            if (lists := oriented.get(key := (i > 0, *map(id, maps)))) is None:  # maps: slot i's, tag by tag
+                lists = oriented[key] = defaultdict(list)
+                for tag, m in enumerate(maps):
+                    for c, image in m.items():
+                        for r, v in image.items():
+                            lists[r].append((c, -v, tag)) if i else lists[c].append((r, v, tag))
+            for e, image in lists.items():
                 sides = entries.get(e, ())
                 for b, ce, tag in image:
                     shift = offset[b]
@@ -373,11 +372,27 @@ def _leibniz_kernel(tensor, outputs, space, before, after):
                         for k, v in pairs.items() if near is None else [(k, pairs[k]) for k in near if k in pairs]:
                             k += shift
                             acc[k] = get(k, 0) + f * v
-            if lhs is None:
+            if not i:
                 lhs = dict(acc)
         return acc, lhs
 
-    vars(scatter).update(index=index, space=space, outputs=outputs, scale=sigma * lift)
+    def last_slot():
+        by_x = {}
+        for e, sides in index[n].items():
+            for k, v in (*sides[0].items(), *sides[1].items()):
+                by_x.setdefault(k // (d * width), {}).setdefault(e, {})[outputs[k % width]] = v  # slot n's digit 0
+        return {labels_of(x, n - 1): image for x, image in by_x.items()}
+
+    def rows(acc, tags):
+        raw = defaultdict(([0] * tags).copy)
+        for k, v in acc.items():
+            raw[k % block][k // block] = v
+        return raw.values()
+
+    labels_of = lambda c, m: tuple(space.labels[c // d**j % d] for j in reversed(range(m)))  # c's last m digits
+    vars(scatter).update(index=index, space=space, outputs=outputs, scale=sigma * lift, rows=rows, last_slot=last_slot)
+    scatter.cells = lambda acc: {k // width for k, v in acc.items() if v} if any(acc.values()) else ()  # one-tag acc
+    scatter.cell = lambda c: (range(c * width, c * width + width), labels_of(c, n))
     return scatter
 
 

@@ -277,12 +277,10 @@ def derivation_transfer(
     base = check_derivation(cand, alg)
     if not base.passed:
         raise ValueError("transfer requires a verified derivation of the base algebra")
-    # phi is a tensor with the one output 0, D the slot map and the identity
-    # (None) the spectator; the out map is zero
-    space = alg.space
-    kernel = _leibniz_kernel(phi.table, (0,), space, [None] * phi.degree, [None] * phi.degree)
+    # phi is a tensor with the one output 0, D the slot map and the identity (None) the spectator; the out map is zero
+    kernel = _leibniz_kernel(phi.table, (0,), alg.space, [None] * phi.degree, [None] * phi.degree)
     col = _Collector("phi-annihilation", cap)
-    col.tick(space.dim ** phi.degree)
+    col.tick(alg.space.dim ** phi.degree)
     instance = ((), cand.map.parity, (1, {}), [cand.map.integer_columns] * phi.degree)
     _leibniz_sweep(col, kernel, [instance], swap=True, value=_scalar)
     hypothesis = col.report()

@@ -463,10 +463,11 @@ class GradedLinearMap:
     def apply(self, elem: Element) -> Element:
         out = Element()
         for label, c in elem.coeffs.items():
-            out = out + self.columns[label].scale(c)
+            out = out + self.apply_basis(label).scale(c)
         return out
 
     def apply_basis(self, label: str) -> Element:
+        self.space.index(label)  # unknown labels raise
         return self.columns[label]
 
     def is_zero(self) -> bool:

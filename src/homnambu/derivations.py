@@ -19,8 +19,6 @@ once; the rows span the row space of the defining equations.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from fractions import Fraction
 
 from .axioms import (
     CheckReport, DEFAULT_COUNTEREXAMPLE_CAP, _Collector, _leibniz_kernel, _leibniz_sweep, _shared_twist,
@@ -78,8 +76,7 @@ def check_derivation(
     ``spectator`` overrides the map applied to untouched arguments; by default
     it is the algebra twist raised to ``cand.power``.
     """
-    alpha = _shared_twist(alg)
-    d = cand.map
+    alpha, d = _shared_twist(alg), cand.map
     if spectator is None:
         spectator = map_power(alpha, cand.power)
     col = _Collector(f"derivation(power={cand.power})", cap)
@@ -143,8 +140,7 @@ def check_generalized_derivation(
     spectator: GradedLinearMap | None = None,
 ) -> CheckReport:
     """Slot-wise maps with one output map: the (n+1)-ary twisted Leibniz rule."""
-    alpha = _shared_twist(alg)
-    n = alg.arity
+    alpha, n = _shared_twist(alg), alg.arity
     if len(tup.maps) != n + 1:
         raise ValueError(f"generalized tuple needs {n + 1} maps for arity {n}")
     if spectator is None:
@@ -196,25 +192,13 @@ def derivation_constraints(alg: HomSuperAlgebra, k: int, parity: int) -> tuple[l
     free column f_j: every v in null(C) is sum_j v[f_j] N_j, so a Leibniz
     residual u over the N_j becomes the row with u_j at f_j.
     """
-    alpha = _shared_twist(alg)
-    space = alg.space
-    labels = space.labels
-    width = len(labels)
-    variables = derivation_variables(space, parity)
-    n = alg.arity
-    spec = map_power(alpha, k).integer_columns
+    alpha, space, labels, n = _shared_twist(alg), alg.space, alg.space.labels, alg.arity
+    variables, spec = derivation_variables(space, parity), map_power(alpha, k).integer_columns
 
-    def residuals(kernel, arity, basis):  # distinct primitive rows over the integer maps in basis
-        out, slot = defaultdict(list), defaultdict(list)  # each map tags its entries: one scatter sums all rows
-        for j, vec in enumerate(basis):
-            for (r, c), v in zip(variables, vec):
-                if v:
-                    out[c].append((r, v, j))
-                    slot[r].append((c, -v, j))
-        block, raw = space.dim ** arity * width, defaultdict(([0] * len(basis)).copy)  # a key: tag * block + row
-        for key, v in kernel(out, [slot] * arity, parity)[0].items():
-            raw[key % block][key // block] = v
-        return dict.fromkeys(filter(None, map(linalg.primitive_ints, dict.fromkeys(map(tuple, raw.values())))))
+    def residuals(kernel, arity, basis):  # distinct primitive rows over the integer maps in basis, one scatter
+        tagged = [(m, [m] * arity) for m in (_columns(variables, vec) for vec in basis)]  # each map its own tag
+        raw = kernel.rows(kernel(tagged, parity)[0], len(basis))
+        return dict.fromkeys(filter(None, map(linalg.primitive_ints, dict.fromkeys(map(tuple, raw)))))
 
     # D(alpha(c)) = alpha(D(c)) is the Leibniz rule of the 1-ary tensor alpha, scattered over every matrix unit
     units = [[int(i == j) for i in range(len(variables))] for j in range(len(variables))]
@@ -241,11 +225,13 @@ def solve_derivation_space(alg: HomSuperAlgebra, k: int, parity: int) -> list[Gr
     """
     rows, variables = derivation_constraints(alg, k, parity)
     vectors = linalg.nullspace(rows, ncols=len(variables))
-    maps = []
-    for vec in vectors:
-        cols: dict[str, dict[str, Fraction]] = {}
-        for (r, c), value in zip(variables, vec):
-            if value:
-                cols.setdefault(c, {})[r] = value
-        maps.append(GradedLinearMap.of_table(alg.space, parity, integer_table(cols)))
-    return maps
+    return [GradedLinearMap.of_table(alg.space, parity, integer_table(_columns(variables, vec))) for vec in vectors]
+
+
+def _columns(variables, vec) -> dict:
+    """The map with entry v at (r, c) for each nonzero v of ``vec`` over ``variables``, as {c: {r: v}}."""
+    cols = {}
+    for (r, c), v in zip(variables, vec):
+        if v:
+            cols.setdefault(c, {})[r] = v
+    return cols

@@ -183,12 +183,11 @@ def _residual_rows(kernel, arity, maps, variables, parity):
     the residual (left minus right side) of maps[j], a vector over ``variables``, there."""
     acc = defaultdict(([0] * len(maps)).copy)  # (x, rho) -> row, keyed x's index * width + rho
     for j, vec in enumerate(maps):
-        out, slot = defaultdict(list), defaultdict(list)  # the out map by its columns, the slot map by its rows
+        table = defaultdict(dict)  # the map as {column: {row: entry}}: the out map and every slot map
         for (r, c), v in zip(variables, vec):
             if v:
-                out[c].append((r, v, 0))
-                slot[r].append((c, -v, 0))
-        for key, residual in kernel(out, [slot] * arity, parity)[0].items():
+                table[c][r] = v
+        for key, residual in kernel([(table, [table] * arity)], parity)[0].items():
             if residual:
                 acc[key][j] = residual
     return list(dict.fromkeys(map(tuple, acc.values())))

@@ -198,12 +198,12 @@ def counted_scatters(monkeypatch):
     def counting_kernel(*args):
         scatter = kernel(*args)
 
-        def counted(out_cols, slot_cols, odd, cell=None):
-            tags = {tag for cols in (out_cols, *slot_cols) for image in cols.values() for _, _, tag in image}
-            scatters.append((len(slot_cols), len(tags)))
-            return scatter(out_cols, slot_cols, odd, cell)
+        def counted(tagged, odd, cell=None):
+            tags = [t for t, (o, fs) in enumerate(tagged) if any(image for m in (o, *fs) for image in m.values())]
+            scatters.append((len(tagged[0][1]), len(tags)))
+            return scatter(tagged, odd, cell)
 
-        vars(counted).update(vars(scatter))  # the sweep reads the kernel's space, outputs and scale
+        vars(counted).update(vars(scatter))  # the sweep reads the kernel's decoders, the solver its rows
         return counted
 
     monkeypatch.setattr(derivations, "_leibniz_kernel", counting_kernel)

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from homnambu.axioms import check_multiplicative, check_nambu_identity
+from homnambu.axioms import adjoint_map, check_multiplicative, check_nambu_identity
 from homnambu.catalog import catalog_build, hom_lie_entries
 from homnambu.core import Element, GradedLinearMap, map_power
-from homnambu.derivations import DerivationCandidate, check_derivation
+from homnambu.derivations import DerivationCandidate, check_derivation, inner_derivation
 from homnambu.iterated import (
     check_adjoint_expansion,
     iterated_bracket,
@@ -219,3 +219,20 @@ class TestGeneralizedTupleTransfer:
         z = GradedLinearMap.zero(g5.space)
         with pytest.raises(ValueError):
             iterated_generalized_tuple([z, diag(g5.space, [1, 0]), z], g5, 0, 3)
+
+
+def test_an_unknown_label_raises_the_same_error_at_every_adjoint_entry_point():
+    """An unknown x label reaches ``GradedLinearMap.apply_basis`` through a twist power, and an element's label
+    ``GradedLinearMap.apply`` through the twist; both raise as the space does."""
+    alg = algebra_of("g3_1_1")
+    calls = (
+        lambda: check_adjoint_expansion(alg, 3, "zz", ("e0", "e1", "e1")),
+        lambda: check_adjoint_expansion(alg, 3, "e0", ("e0", "zz", "e1")),
+        lambda: adjoint_map(alg, ["zz"]),
+        lambda: inner_derivation(alg, ["zz"], 1),
+        lambda: inner_derivation(alg, [Element({"zz": 1})], 1),  # through GradedLinearMap.apply
+    )
+    for call in calls:
+        with pytest.raises(KeyError) as raised:
+            call()
+        assert raised.value.args == ("unknown basis label 'zz'",)

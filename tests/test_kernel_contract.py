@@ -1,10 +1,18 @@
-"""The Leibniz kernel's contract: its cell mode, its denominators and its garbage.
+"""The Leibniz kernel's contract: its input form, its cell mode, its denominators and its garbage.
 
 ``axioms._leibniz_kernel`` takes the tensor and the spectators as integer
 tables and keeps their denominators: every term of a scatter is a numerator
 over the kernel's ``scale`` times the maps' own denominator, and the out map
-runs as one more slot (slot 0) of the one scatter loop.
+runs as one more slot (slot 0) of the one scatter loop.  A scatter takes
+each tag's (O, [f_1, .., f_n]) as integer column tables and lays them out
+itself.
 
+* **Tags.**  One scatter of k tagged tables must equal the k one-tag
+  scatters, tag t's keys moved by t d^n w, in both the accumulator and
+  ``lhs``, for the full scatter and at every cell; and one map object
+  passed for several slots (the out slot included) must scatter as equal
+  copies of it: on random tensors of arity 1 to 3 with random and identity
+  spectators, for even and odd f.
 * **Cell mode.**  ``scatter(.., cell=y)`` must give exactly the full
   scatter's entries at y, of every tag, in both the accumulator and ``lhs``:
   on random graded tensors with random (failing) maps, on the Nambu kernel
@@ -22,7 +30,6 @@ runs as one more slot (slot 0) of the one scatter loop.
 
 import gc
 import random
-from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -47,30 +54,25 @@ OSP12 = catalog_build("osp12")
 
 
 def scatter_maps(tagged):
-    """The scatter's (out_cols, slot_rows) from (tag, O, [f_1, .., f_n]) integer columns: O by its columns,
-    the negated f_i by their rows, each entry tagged."""
-    out, slots = defaultdict(list), [defaultdict(list) for _ in tagged[0][2]]
+    """The scatter's tagged tables from (tag, O, [f_1, .., f_n]) integer columns: tag t's (O, [f_1, .., f_n]) at
+    position t, empty maps at the tags none names."""
+    tables = [({}, [{}] * len(tagged[0][2])) for _ in range(1 + max(tag for tag, _, _ in tagged))]
     for tag, o, fs in tagged:
-        for c, image in o.items():
-            out[c] += [(r, v, tag) for r, v in image.items()]
-        for slot, f in zip(slots, fs):
-            for c, image in f.items():
-                for r, v in image.items():
-                    slot[r].append((c, -v, tag))
-    return out, slots
+        tables[tag] = (o, fs)
+    return tables
 
 
-def assert_cells_match_the_full_scatter(kernel, out, slots, odd):
+def assert_cells_match_the_full_scatter(kernel, tagged, odd):
     """For every cell y, the cell-mode acc and lhs are the full ones restricted to y's keys, every tag included."""
-    space, n, width = kernel.space, len(slots), len(kernel.outputs)
+    space, n, width = kernel.space, len(tagged[0][1]), len(kernel.outputs)
     block = space.dim ** n * width
-    acc, lhs = kernel(out, slots, odd)
+    acc, lhs = kernel(tagged, odd)
     at = {l: k for k, l in enumerate(space.labels)}
     seen = 0
     for y in space.tuples(n):
         start = sum(at[l] * space.dim ** (n - 1 - j) for j, l in enumerate(y)) * width
         restrict = lambda table: {k: v for k, v in table.items() if start <= k % block < start + width}
-        cell_acc, cell_lhs = kernel(out, slots, odd, cell=y)
+        cell_acc, cell_lhs = kernel(tagged, odd, cell=y)
         assert cell_acc == restrict(acc)
         assert cell_lhs == restrict(lhs)
         seen += len(cell_acc)
@@ -89,17 +91,61 @@ def random_kernel_case(rng):
     return kernel, space, n
 
 
+def random_tables(rng, space, odd):
+    """The integer columns of a random map of parity ``odd``."""
+    return random_inputs.graded_map(rng, space, odd).integer_columns[1]
+
+
 def test_cell_mode_is_the_full_scatter_restricted_on_random_tensors():
     rng = random.Random(31)
     nonzero = 0
     for _ in range(40):
         kernel, space, n = random_kernel_case(rng)
         odd = rng.randint(0, 1)
-        maps = lambda: random_inputs.graded_map(rng, space, odd).integer_columns[1]
-        tagged = [(tag, maps(), [maps() for _ in range(n)]) for tag in range(rng.randint(1, 3))]
-        acc = assert_cells_match_the_full_scatter(kernel, *scatter_maps(tagged), odd)
+        tagged = [(tag, random_tables(rng, space, odd), [random_tables(rng, space, odd) for _ in range(n)])
+                  for tag in range(rng.randint(1, 3))]
+        acc = assert_cells_match_the_full_scatter(kernel, scatter_maps(tagged), odd)
         nonzero += any(acc.values())
     assert nonzero >= 20
+
+
+def test_tagged_scatter_is_the_one_tag_scatters_at_their_offsets():
+    """Tag t's keys are its one-tag scatter's, moved by t d^n w, in acc and lhs, in full and at every cell."""
+    rng = random.Random(61)
+    nonzero = 0
+    for _ in range(30):
+        kernel, space, n = random_kernel_case(rng)
+        odd = rng.randint(0, 1)
+        tagged = [(random_tables(rng, space, odd), [random_tables(rng, space, odd) for _ in range(n)])
+                  for _ in range(rng.randint(2, 4))]
+        block = space.dim ** n * len(kernel.outputs)
+        for cell in (None, *space.tuples(n)):
+            acc, lhs = kernel(tagged, odd, cell=cell)
+            singles = [kernel([one], odd, cell=cell) for one in tagged]
+            for side, combined in enumerate((acc, lhs)):
+                assert combined == {k + t * block: v for t, sides in enumerate(singles) for k, v in sides[side].items()}
+        nonzero += any(kernel(tagged, odd)[0].values())
+    assert nonzero >= 10
+
+
+def test_a_map_passed_for_several_slots_scatters_as_its_copies():
+    """Each tag draws its O and f_i from two map objects, so one object fills several slots and sometimes the
+    out slot too, where it is laid out by its columns rather than by its rows."""
+    rng = random.Random(67)
+    copy = lambda m: {c: dict(image) for c, image in m.items()}
+    nonzero = 0
+    for _ in range(30):
+        kernel, space, n = random_kernel_case(rng)
+        odd = rng.randint(0, 1)
+        tagged = []
+        for _ in range(rng.randint(1, 3)):
+            pool = [random_tables(rng, space, odd) for _ in range(2)]
+            tagged.append((rng.choice(pool), [rng.choice(pool) for _ in range(n)]))
+        copies = [(copy(o), [copy(f) for f in fs]) for o, fs in tagged]
+        for cell in (None, *space.tuples(n)):
+            assert kernel(tagged, odd, cell=cell) == kernel(copies, odd, cell=cell)
+        nonzero += any(kernel(tagged, odd)[0].values())
+    assert nonzero >= 10
 
 
 def test_cell_mode_on_a_passing_nambu_instance():
@@ -109,17 +155,10 @@ def test_cell_mode_on_a_passing_nambu_instance():
     _, terms = nest.bracket.table
     for xs in (("X", "Y"), ("H", "F"), ("F", "G")):
         rows = {args[-1]: value for args, value in terms.items() if args[:-1] == xs}
-        d, labels = nest.space.dim, nest.space.labels
-        ad = {}
-        for e, sides in kernel.index[3].items():  # ad_{ax} at the kernel's scale
-            for entries in sides:
-                for k, v in entries.items():
-                    x, r = divmod(k, d * d)
-                    if (labels[x // d], labels[x % d]) == xs:
-                        ad.setdefault(e, {})[labels[r]] = v
+        ad = kernel.last_slot()[xs]  # ad_{ax} at the kernel's scale
         lifted = {c: {r: v * kernel.scale // nest.bracket.table[0] for r, v in image.items()} for c, image in rows.items()}
         odd = sum(map(nest.space.parity, xs)) % 2
-        acc = assert_cells_match_the_full_scatter(kernel, *scatter_maps([(0, ad, [lifted] * 3)]), odd)
+        acc = assert_cells_match_the_full_scatter(kernel, [(ad, [lifted] * 3)], odd)
         assert acc and not any(acc.values())
 
 
@@ -133,12 +172,12 @@ def test_cell_mode_on_the_twist_tensor_and_a_cochain(odd):
     # alpha commutes with itself: a passing commutation instance under tag 0, random maps under tags 1 and 2
     tagged = [(0, alpha.integer_columns[1], [alpha.integer_columns[1]])] if not odd else []
     tagged += [(tag, maps(), [maps()]) for tag in (1, 2)]
-    assert_cells_match_the_full_scatter(twist, *scatter_maps(tagged), odd)
+    assert_cells_match_the_full_scatter(twist, scatter_maps(tagged), odd)
 
     phi = SuperCochain(space, 3, {("X", "Y", "H"): 1, ("X", "F", "G"): 2, ("H", "F", "G"): -3, ("F", "F", "Y"): 4})
     cochain = _leibniz_kernel(phi.table, (0,), space, [None] * 3, [None] * 3)
     tagged = [(tag, {}, [maps()] * 3) for tag in (0, 1)]
-    assert any(assert_cells_match_the_full_scatter(cochain, *scatter_maps(tagged), odd).values())
+    assert any(assert_cells_match_the_full_scatter(cochain, scatter_maps(tagged), odd).values())
 
 
 def scaled(m: GradedLinearMap, a) -> GradedLinearMap:

@@ -272,7 +272,7 @@ def test_one_scatter_per_primitive_input_on_nested_osp12():
             scatters[n] += 1
             return scatter(*a, **k)
 
-        vars(counted).update(vars(scatter))  # the sweep reads the kernel's space, outputs and scale, the Nambu check its index
+        vars(counted).update(vars(scatter))  # the sweep reads the kernel's decoders, the Nambu check its last slot
         return counted
 
     alg = catalog_build("osp12").algebra
